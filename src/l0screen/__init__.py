@@ -39,16 +39,9 @@ from .relax import (
     solve_cc,
     solve_cr,
 )
-from .screening import (
-    ReducedProblem,
-    ScreenReport,
-    apply_fixes,
-    kth_largest_pair,
-    screen_card,
-    screen_reg,
-)
-from .heuristics import HeuristicConfig, local_search_swap, round_card, round_reg
-from .exact import BnBConfig, BnBStats, BranchRule, branch_and_bound, brute_force, node_relaxation
+from .screening import ScreenReport, kth_largest_pair, screen_card, screen_reg
+from .heuristics import local_search_swap, round_card, round_reg
+from .exact import BnBConfig, BnBStats, branch_and_bound, brute_force, node_relaxation
 from .datagen import SyntheticSpec, gamma_zero, generate, load_csv, save_dataset
 from .report import BENCH_COLUMNS, RUN_REPORT_SCHEMA, validate_bench_csv, validate_run_report
 
@@ -59,12 +52,10 @@ __all__ = [
     "BerhuPenalty",
     "BnBConfig",
     "BnBStats",
-    "BranchRule",
     "ConstraintViolationError",
     "CsvParseError",
     "DualCertificate",
     "FixState",
-    "HeuristicConfig",
     "Incumbent",
     "InconsistentBoundsError",
     "InfeasibleError",
@@ -72,14 +63,12 @@ __all__ = [
     "InvalidInputError",
     "ProblemSpec",
     "RUN_REPORT_SCHEMA",
-    "ReducedProblem",
     "RelaxSolution",
     "ScreenReport",
     "SizeCapError",
     "SolverConfig",
     "SyntheticSpec",
     "Variant",
-    "apply_fixes",
     "berhu_prox",
     "berhu_value",
     "branch_and_bound",

@@ -258,10 +258,7 @@ def _bench_methods_row(inst, k, gamma, method, time_limit, node_limit, tol):
     """One bench measurement; returns (fixed_count, nodes, time_s, optimal)."""
     t0 = time.perf_counter()
     if method == "screen":
-        cfg = SolverConfig(tol=tol)
-        rel = solve_cc(inst, gamma, k, cfg)
-        inc = round_card(inst, gamma, k, rel)
-        rep = screen_card(inst, gamma, k, rel, inc.objective)
+        rep, _, _, _ = _screen_pipeline(inst, ProblemSpec.card(gamma, k), tol, None)
         return rep.n_zero + rep.n_one, 0, time.perf_counter() - t0, rep.n_free == 0
     cfg = BnBConfig(time_limit_s=time_limit, node_limit=node_limit,
                     screen_at_root=method == "bnb_screen")

@@ -14,7 +14,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -29,22 +28,23 @@ from .problem import (
     ProblemSpec,
     SizeCapError,
     Variant,
-    objective_card,
-    objective_reg,
-    ridge_restricted_solve,
 )
+from .heuristics import _evaluate, _node_round, _ridge_on
 from .relax import (
     RelaxSolution,
     SolverConfig,
-    _LIPSCHITZ_PAD,
+    _auto_lipschitz,
     _berhu_solve,
     _bound_card_terms,
     _bound_reg_terms,
     _cc_bisection,
     BerhuPenalty,
-    operator_norm_sq,
 )
-from .screening import _rules_card, _rules_reg
+from .screening import _screen_fixes
+
+# Kept bound under its old name because benchmarks/tracer.py looks up
+# exact._evaluate_support; support evaluation lives in heuristics.
+from .heuristics import _evaluate as _evaluate_support  # noqa: F401
 
 _BRUTE_N_CAP = 25
 _BRUTE_COMB_CAP = 1_000_000
@@ -56,18 +56,12 @@ _NODE_TOL = 1e-8
 _OPEN_NODE_CAP = 1_000_000
 
 
-class BranchRule(str, Enum):
-    LARGEST_DELTA = "largest_delta"
-    MOST_FRACTIONAL_Z = "most_fractional_z"
-
-
 @dataclass(frozen=True)
 class BnBConfig:
     time_limit_s: float = 3600.0
     node_limit: int = 1_000_000
     screen_at_root: bool = True
     screen_per_node: bool = False
-    branch_rule: BranchRule = BranchRule.LARGEST_DELTA
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
@@ -157,24 +151,7 @@ def brute_force(inst: Instance, spec: ProblemSpec, fixed=None):
 
     tol = _OPT_REL_TOL * (1.0 + abs(best_val))
     optimal = sorted(s for s, v in near if v <= best_val + tol)
-    if best_support:
-        x, _ = ridge_restricted_solve(inst, spec.gamma, best_support)
-    else:
-        x = np.zeros(n)
-    if spec.variant is Variant.REG:
-        obj = objective_reg(inst, spec, best_support, x)
-    else:
-        obj = objective_card(inst, spec, best_support, x)
-    return Incumbent(support=best_support, x=x, objective=obj), optimal
-
-
-def _ridge_on(inst, gamma, idx):
-    """Full-length ridge refit on an index list; empty list gives zero."""
-    if len(idx):
-        x, value = ridge_restricted_solve(inst, gamma, idx)
-    else:
-        x, value = np.zeros(inst.n), float(inst.y @ inst.y)
-    return x, value
+    return _evaluate(inst, spec, best_support), optimal
 
 
 def node_relaxation(
@@ -182,7 +159,6 @@ def node_relaxation(
     spec: ProblemSpec,
     fixes,
     cfg: Optional[SolverConfig] = None,
-    lipschitz: Optional[float] = None,
     x_warm=None,
 ) -> RelaxSolution:
     """Relaxation of the subproblem where some variables are fixed.
@@ -192,7 +168,9 @@ def node_relaxation(
     also inside the returned bound, so ``objective`` and
     ``lower_bound`` bracket the node's subproblem value directly).
     Raises InfeasibleError when more variables are forced in than a
-    card budget allows.
+    card budget allows.  The step size comes from ``cfg.lipschitz``
+    when set (branch and bound passes the full matrix's value, which
+    bounds every column subset) and from power iteration otherwise.
     """
     cfg = cfg or SolverConfig()
     fixes = np.asarray(fixes, dtype=np.int8)
@@ -216,7 +194,7 @@ def node_relaxation(
     # Nothing free to relax (or no budget left): refit the forced-in
     # set, force the rest to zero, and certify the result directly.
     if free_idx.size == 0 or (k_budget is not None and k_budget == 0):
-        x, _ = _ridge_on(inst, spec.gamma, list(one_idx))
+        x = _ridge_on(inst, spec.gamma, list(one_idx))
         eps = y - inst.a @ x
         z[one_idx] = 1.0
         obj = float(eps @ eps) + float(x @ x) / spec.gamma + mu_const
@@ -230,7 +208,7 @@ def node_relaxation(
                              lam=None, converged=ok, iterations=0)
 
     a_act = inst.a[:, active]
-    lip = lipschitz if lipschitz is not None else 2.0 * operator_norm_sq(a_act) * _LIPSCHITZ_PAD
+    lip = _auto_lipschitz(a_act, cfg)
     x0 = np.zeros(active.size) if x_warm is None else np.asarray(x_warm, dtype=float)[active]
 
     if spec.variant is Variant.REG:
@@ -255,31 +233,6 @@ def node_relaxation(
                          converged=out["converged"], iterations=out["iterations"])
 
 
-def _node_round(inst, spec, fixes, delta):
-    """Rounded support honoring the node's fixes."""
-    one_idx = np.flatnonzero(fixes == FixState.ONE)
-    free_idx = np.flatnonzero(fixes == FixState.FREE)
-    if spec.variant is Variant.CARD:
-        room = spec.k - one_idx.size
-        if room > 0 and free_idx.size:
-            order = np.argsort(-delta[free_idx], kind="stable")
-            picked = free_idx[order[:room]]
-        else:
-            picked = np.empty(0, dtype=int)
-    else:
-        picked = free_idx[spec.gamma * delta[free_idx] >= spec.mu]
-    return sorted(int(i) for i in np.concatenate([one_idx, picked]))
-
-
-def _evaluate_support(inst, spec, support):
-    x, _ = _ridge_on(inst, spec.gamma, support)
-    if spec.variant is Variant.REG:
-        obj = objective_reg(inst, spec, support, x)
-    else:
-        obj = objective_card(inst, spec, support, x)
-    return Incumbent(support=tuple(support), x=x, objective=obj)
-
-
 def branch_and_bound(
     inst: Instance,
     spec: ProblemSpec,
@@ -299,8 +252,7 @@ def branch_and_bound(
     cfg = cfg or BnBConfig()
     t0 = time.perf_counter()
     n = inst.n
-    lip = 2.0 * operator_norm_sq(inst.a) * _LIPSCHITZ_PAD
-    scfg = SolverConfig(tol=_NODE_TOL, lipschitz=lip)
+    scfg = SolverConfig(tol=_NODE_TOL, lipschitz=_auto_lipschitz(inst.a, SolverConfig()))
 
     root_fixes = np.full(n, FixState.FREE, dtype=np.int8)
     if fixed is not None:
@@ -331,60 +283,37 @@ def branch_and_bound(
         if bound >= zeta_bar - _PRUNE_SLACK:
             continue
 
-        rel = node_relaxation(inst, spec, fixes, scfg, lipschitz=lip, x_warm=warm)
+        rel = node_relaxation(inst, spec, fixes, scfg, x_warm=warm)
         nodes_explored += 1
         node_lb = max(bound, rel.lower_bound)
 
         delta = (inst.a.T @ rel.epsilon) ** 2
-        support = _node_round(inst, spec, fixes, delta)
-        cand = _evaluate_support(inst, spec, support)
+        cand = _node_round(inst, spec, fixes, delta)
         if cand.objective < zeta_bar:
             incumbent, zeta_bar = cand, cand.objective
 
         if node_lb >= zeta_bar - _PRUNE_SLACK:
             continue
 
-        do_screen = (depth == 0 and cfg.screen_at_root) or cfg.screen_per_node
-        if do_screen:
-            free_idx = np.flatnonzero(fixes == FixState.FREE)
-            if free_idx.size:
-                fixes = fixes.copy()
-                # the rules need the bound that belongs to this node's
-                # residual, not the (possibly larger) inherited one
-                cert_lb = rel.lower_bound
-                if spec.variant is Variant.REG:
-                    zr, on = _rules_reg(delta[free_idx], cert_lb, spec.gamma, spec.mu, zeta_bar)
-                else:
-                    k_budget = spec.k - int(np.count_nonzero(fixes == FixState.ONE))
-                    if k_budget > 0:
-                        zr, on, _, _ = _rules_card(
-                            delta[free_idx], cert_lb, spec.gamma,
-                            min(k_budget, free_idx.size), zeta_bar,
-                        )
-                    else:
-                        zr = np.ones(free_idx.size, dtype=bool)
-                        on = np.zeros(free_idx.size, dtype=bool)
-                fixes[free_idx[zr]] = FixState.ZERO
-                fixes[free_idx[on]] = FixState.ONE
-                if depth == 0:
-                    root_fixed = int(np.count_nonzero(zr) + np.count_nonzero(on))
-                # a full budget forces the remaining free variables out
-                if spec.variant is Variant.CARD:
-                    if np.count_nonzero(fixes == FixState.ONE) >= spec.k:
-                        fixes[fixes == FixState.FREE] = FixState.ZERO
+        if (depth == 0 and cfg.screen_at_root) or cfg.screen_per_node:
+            # the rules need the bound that belongs to this node's
+            # residual, not the (possibly larger) inherited one
+            screened, _, _ = _screen_fixes(spec, fixes, delta, rel.lower_bound, zeta_bar)
+            if depth == 0:
+                root_fixed = int(np.count_nonzero(screened != fixes))
+            fixes = screened
+            # a full budget forces the remaining free variables out
+            if spec.variant is Variant.CARD and np.count_nonzero(fixes == FixState.ONE) >= spec.k:
+                fixes[fixes == FixState.FREE] = FixState.ZERO
 
         free_idx = np.flatnonzero(fixes == FixState.FREE)
         if free_idx.size == 0:
-            support = sorted(int(i) for i in np.flatnonzero(fixes == FixState.ONE))
-            cand = _evaluate_support(inst, spec, support)
+            cand = _evaluate(inst, spec, np.flatnonzero(fixes == FixState.ONE))
             if cand.objective < zeta_bar:
                 incumbent, zeta_bar = cand, cand.objective
             continue
 
-        if cfg.branch_rule is BranchRule.LARGEST_DELTA:
-            j = int(free_idx[np.argmax(delta[free_idx])])
-        else:
-            j = int(free_idx[np.argmin(np.abs(rel.z[free_idx] - 0.5))])
+        j = int(free_idx[np.argmax(delta[free_idx])])
 
         n_one = int(np.count_nonzero(fixes == FixState.ONE))
         children = []
@@ -405,8 +334,7 @@ def branch_and_bound(
     if incumbent is None:
         # limits hit before a single node was processed; fall back to the
         # smallest support the root fixes allow
-        forced = sorted(int(i) for i in np.flatnonzero(root_fixes == FixState.ONE))
-        incumbent = _evaluate_support(inst, spec, forced)
+        incumbent = _evaluate(inst, spec, np.flatnonzero(root_fixes == FixState.ONE))
     return BnBStats(
         nodes_explored=nodes_explored,
         wall_time_s=time.perf_counter() - t0,

@@ -104,8 +104,9 @@ class SolverConfig:
             raise InvalidInputError("tol must lie in (0, 1)")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
-        if self.lipschitz is not None and self.lipschitz <= 0:
-            raise InvalidInputError("lipschitz must be positive when given")
+        # 0 is what operator_norm_sq returns for an all-zero matrix
+        if self.lipschitz is not None and self.lipschitz < 0:
+            raise InvalidInputError("lipschitz must be non-negative when given")
 
 
 @dataclass

@@ -26,7 +26,6 @@ from .problem import (
     InconsistentBoundsError,
     Instance,
     InvalidInputError,
-    InfeasibleError,
     ProblemSpec,
     Variant,
 )
@@ -129,14 +128,43 @@ def _rules_card(delta, lower, gamma, k, zeta_bar):
     return zero, one, dk, dk1
 
 
-def _make_report(n, zero, one, lower, zeta_bar, dk=None, dk1=None) -> ScreenReport:
-    fixes = np.full(n, FixState.FREE, dtype=np.int8)
-    fixes[zero] = FixState.ZERO
-    fixes[one] = FixState.ONE
-    n_zero = int(np.count_nonzero(zero))
-    n_one = int(np.count_nonzero(one))
+def _screen_fixes(spec: ProblemSpec, fixes, delta, lower, zeta_bar):
+    """Run the variant's rule on the free variables of ``fixes``.
+
+    ``delta`` holds the scores of all n variables and ``lower`` the
+    certified bound of the residual they come from.  The card rule
+    works with the budget the fixed-in variables leave of k; with none
+    left, every free variable is fixed out.  Returns the new fix vector
+    and the card pivots ``(delta_[k], delta_[k+1])`` over the free
+    scores, both None when no card rule ran.
+    """
+    free_idx = np.flatnonzero(fixes == FixState.FREE)
+    d = delta[free_idx]
+    dk = dk1 = None
+    if spec.variant is Variant.REG:
+        zero, one = _rules_reg(d, lower, spec.gamma, spec.mu, zeta_bar)
+    else:
+        budget = min(spec.k - int(np.count_nonzero(fixes == FixState.ONE)), d.size)
+        if budget > 0:
+            zero, one, dk, dk1 = _rules_card(d, lower, spec.gamma, budget, zeta_bar)
+        else:
+            zero, one = np.ones(d.size, dtype=bool), np.zeros(d.size, dtype=bool)
+    out = fixes.copy()
+    out[free_idx[zero]] = FixState.ZERO
+    out[free_idx[one]] = FixState.ONE
+    return out, dk, dk1
+
+
+def _screen(inst: Instance, spec: ProblemSpec, cert, zeta_bar: float) -> ScreenReport:
+    eps_bar, lower = _cert_parts(cert)
+    _check_bounds(lower, zeta_bar)
+    delta = (inst.a.T @ eps_bar) ** 2
+    free = np.full(inst.n, FixState.FREE, dtype=np.int8)
+    fixes, dk, dk1 = _screen_fixes(spec, free, delta, lower, zeta_bar)
+    n_zero = int(np.count_nonzero(fixes == FixState.ZERO))
+    n_one = int(np.count_nonzero(fixes == FixState.ONE))
     return ScreenReport(
-        fixes=fixes, n_zero=n_zero, n_one=n_one, n_free=n - n_zero - n_one,
+        fixes=fixes, n_zero=n_zero, n_one=n_one, n_free=inst.n - n_zero - n_one,
         lower_bound=lower, upper_bound=zeta_bar, delta_k=dk, delta_k1=dk1,
     )
 
@@ -152,11 +180,7 @@ def screen_reg(inst: Instance, gamma: float, mu: float, cert, zeta_bar: float) -
     """
     if gamma <= 0 or mu <= 0:
         raise InvalidInputError("gamma and mu must be positive")
-    eps_bar, lower = _cert_parts(cert)
-    _check_bounds(lower, zeta_bar)
-    delta = (inst.a.T @ eps_bar) ** 2
-    zero, one = _rules_reg(delta, lower, gamma, mu, zeta_bar)
-    return _make_report(inst.n, zero, one, lower, zeta_bar)
+    return _screen(inst, ProblemSpec.reg(gamma, mu), cert, zeta_bar)
 
 
 def screen_card(inst: Instance, gamma: float, k: int, cert, zeta_bar: float) -> ScreenReport:
@@ -173,56 +197,7 @@ def screen_card(inst: Instance, gamma: float, k: int, cert, zeta_bar: float) -> 
         raise InvalidInputError("gamma must be positive")
     if not (1 <= int(k) <= inst.n) or int(k) != k:
         raise InvalidInputError(f"k must be an integer in [1, {inst.n}]")
-    eps_bar, lower = _cert_parts(cert)
-    _check_bounds(lower, zeta_bar)
-    delta = (inst.a.T @ eps_bar) ** 2
-    zero, one, dk, dk1 = _rules_card(delta, lower, gamma, int(k), zeta_bar)
-    report = _make_report(inst.n, zero, one, lower, zeta_bar, dk, dk1)
-    assert report.n_one <= k
+    report = _screen(inst, ProblemSpec.card(gamma, int(k)), cert, zeta_bar)
+    if report.n_one > k:
+        raise InconsistentBoundsError(f"{report.n_one} variables fixed in but k={k}")
     return report
-
-
-@dataclass(frozen=True)
-class ReducedProblem:
-    """What is left after applying fixes.
-
-    ``instance`` holds the still-free columns (None when none are
-    free).  Fixed-in variables are listed by original index in
-    ``forced``; for the card variant they use up budget, leaving
-    ``k_reduced`` for the free columns, and for the reg variant their
-    selection price accrues as ``fixed_cost``.  ``index_map`` sends an
-    original column index to its position among the free columns, -1
-    for fixed columns.
-    """
-
-    instance: Optional[Instance]
-    forced: tuple[int, ...]
-    index_map: NDArray[np.int64]
-    variant: Variant
-    gamma: float
-    mu: Optional[float]
-    k_reduced: Optional[int]
-    fixed_cost: float
-
-
-def apply_fixes(report: ScreenReport, inst: Instance, spec: ProblemSpec) -> ReducedProblem:
-    """Shrink the problem according to a screening report."""
-    fixes = np.asarray(report.fixes, dtype=np.int8)
-    if fixes.shape[0] != inst.n:
-        raise InvalidInputError("fixes length does not match the instance")
-    free = fixes == FixState.FREE
-    forced = tuple(int(i) for i in np.flatnonzero(fixes == FixState.ONE))
-    index_map = np.full(inst.n, -1, dtype=np.int64)
-    index_map[free] = np.arange(int(np.count_nonzero(free)))
-    sub = Instance(inst.a[:, free], inst.y) if np.any(free) else None
-    if spec.variant is Variant.CARD:
-        if len(forced) > spec.k:
-            raise InfeasibleError(f"{len(forced)} variables forced in but k={spec.k}")
-        return ReducedProblem(
-            instance=sub, forced=forced, index_map=index_map, variant=spec.variant,
-            gamma=spec.gamma, mu=None, k_reduced=spec.k - len(forced), fixed_cost=0.0,
-        )
-    return ReducedProblem(
-        instance=sub, forced=forced, index_map=index_map, variant=spec.variant,
-        gamma=spec.gamma, mu=spec.mu, k_reduced=None, fixed_cost=spec.mu * len(forced),
-    )

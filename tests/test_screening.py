@@ -12,7 +12,6 @@ from l0screen import (
     ProblemSpec,
     ScreenReport,
     SolverConfig,
-    apply_fixes,
     brute_force,
     kth_largest_pair,
     round_card,
@@ -204,68 +203,6 @@ class TestSafetySmall:
                 assert i not in sup
             for i in np.flatnonzero(rep.fixes == FixState.ONE):
                 assert i in sup
-
-
-class TestApplyFixes:
-    def test_everything_fixed(self, tiny):
-        rep = ScreenReport(
-            fixes=np.array([FixState.ONE, FixState.ZERO], dtype=np.int8),
-            n_zero=1, n_one=1, n_free=0, lower_bound=4.51, upper_bound=4.51,
-        )
-        red = apply_fixes(rep, tiny, ProblemSpec.card(1.0, 1))
-        assert red.instance is None
-        assert red.forced == (0,)
-        assert red.k_reduced == 0
-        np.testing.assert_array_equal(red.index_map, [-1, -1])
-
-    def test_all_free_is_identity(self, tiny):
-        rep = ScreenReport(
-            fixes=np.full(2, FixState.FREE, dtype=np.int8),
-            n_zero=0, n_one=0, n_free=2, lower_bound=0.0, upper_bound=np.inf,
-        )
-        red = apply_fixes(rep, tiny, ProblemSpec.reg(1.0, 1.0))
-        np.testing.assert_array_equal(red.instance.a, tiny.a)
-        np.testing.assert_array_equal(red.index_map, [0, 1])
-        assert red.fixed_cost == 0.0
-
-    def test_reg_fixed_cost_counts_forced(self):
-        inst = random_instance(0, 5, 6)
-        fixes = np.array([2, 0, 1, 0, 2, 1], dtype=np.int8)
-        rep = ScreenReport(fixes=fixes, n_zero=2, n_one=2, n_free=2,
-                           lower_bound=0.0, upper_bound=np.inf)
-        red = apply_fixes(rep, inst, ProblemSpec.reg(1.0, 0.7))
-        assert red.fixed_cost == pytest.approx(1.4)
-        assert red.forced == (0, 4)
-        assert red.instance.n == 2
-
-    def test_card_infeasible_when_forced_exceeds_k(self):
-        inst = random_instance(0, 5, 6)
-        fixes = np.array([2, 2, 2, 0, 0, 0], dtype=np.int8)
-        rep = ScreenReport(fixes=fixes, n_zero=0, n_one=3, n_free=3,
-                           lower_bound=0.0, upper_bound=np.inf)
-        with pytest.raises(Exception):
-            apply_fixes(rep, inst, ProblemSpec.card(1.0, 2))
-
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_index_map_is_a_bijection_on_free(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 50
-        fixes = rng.choice([0, 1, 2], size=n, p=[0.5, 0.3, 0.2]).astype(np.int8)
-        n_one = int(np.count_nonzero(fixes == 2))
-        rep = ScreenReport(
-            fixes=fixes, n_zero=int(np.count_nonzero(fixes == 1)), n_one=n_one,
-            n_free=int(np.count_nonzero(fixes == 0)),
-            lower_bound=0.0, upper_bound=np.inf,
-        )
-        inst = random_instance(seed, 4, n)
-        red = apply_fixes(rep, inst, ProblemSpec.card(1.0, max(1, n_one)))
-        free = np.flatnonzero(fixes == 0)
-        mapped = red.index_map[free]
-        assert sorted(mapped.tolist()) == list(range(free.size))
-        assert np.all(red.index_map[fixes != 0] == -1)
-        if free.size:
-            np.testing.assert_array_equal(red.instance.a, inst.a[:, free])
 
 
 def test_report_counts_must_add_up():
