@@ -4,7 +4,7 @@ The public surface: problem containers (:class:`Instance`,
 :class:`ProblemSpec`), perspective-relaxation solvers (:func:`solve_cr`,
 :func:`solve_cc`), certified lower bounds valid for any dual candidate,
 safe fixing rules (:func:`screen_reg`, :func:`screen_card`), rounding
-and swap heuristics, and two exact solvers (:func:`brute_force`,
+heuristics, and two exact solvers (:func:`brute_force`,
 :func:`branch_and_bound`).
 """
 
@@ -40,7 +40,7 @@ from .relax import (
     solve_cr,
 )
 from .screening import ScreenReport, kth_largest_pair, screen_card, screen_reg
-from .heuristics import local_search_swap, round_card, round_reg
+from .heuristics import round_card, round_reg
 from .exact import BnBConfig, BnBStats, branch_and_bound, brute_force, node_relaxation
 from .datagen import SyntheticSpec, gamma_zero, generate, load_csv, save_dataset
 from .report import BENCH_COLUMNS, RUN_REPORT_SCHEMA, validate_bench_csv, validate_run_report
@@ -81,7 +81,6 @@ __all__ = [
     "generate",
     "kth_largest_pair",
     "load_csv",
-    "local_search_swap",
     "node_relaxation",
     "objective_card",
     "objective_reg",

@@ -37,7 +37,8 @@ from .relax import (
     _berhu_solve,
     _bound_card_terms,
     _bound_reg_terms,
-    _cc_bisection,
+    _ksupport,
+    _ksupport_solve,
     BerhuPenalty,
 )
 from .screening import _screen_fixes
@@ -171,6 +172,7 @@ def node_relaxation(
     card budget allows.  The step size comes from ``cfg.lipschitz``
     when set (branch and bound passes the full matrix's value, which
     bounds every column subset) and from power iteration otherwise.
+    ``x_warm`` starts the reg solve; card solves start from zero.
     """
     cfg = cfg or SolverConfig()
     fixes = np.asarray(fixes, dtype=np.int8)
@@ -205,32 +207,25 @@ def node_relaxation(
             lb = _bound_card_terms(y, eps, ae, spec.gamma, k_budget or 0, free_mask)
         ok = obj - lb <= cfg.tol * (1.0 + abs(obj))
         return RelaxSolution(x=x, z=z, epsilon=eps, objective=obj, lower_bound=lb,
-                             lam=None, converged=ok, iterations=0)
+                             converged=ok, iterations=0)
 
     a_act = inst.a[:, active]
     lip = _auto_lipschitz(a_act, cfg)
-    x0 = np.zeros(active.size) if x_warm is None else np.asarray(x_warm, dtype=float)[active]
-
+    mask = None if n_one == 0 else free_mask
     if spec.variant is Variant.REG:
+        x0 = np.zeros(active.size) if x_warm is None else np.asarray(x_warm, dtype=float)[active]
         xa, eps, primal, lb, iters, ok = _berhu_solve(
-            a_act, y, spec.gamma, spec.mu,
-            None if n_one == 0 else free_mask,
-            lip, cfg.tol, cfg.max_iter, x0,
+            a_act, y, spec.gamma, spec.mu, mask, lip, cfg.tol, cfg.max_iter, x0,
         )
-        x[active] = xa
-        pen = BerhuPenalty(mu=spec.mu, gamma=spec.gamma)
-        za = np.where(free_mask, np.minimum(1.0, np.abs(xa) / pen.crossover), 1.0)
-        z[active] = za
-        return RelaxSolution(x=x, z=z, epsilon=eps, objective=primal, lower_bound=lb,
-                             lam=None, converged=ok, iterations=iters)
-
-    out = _cc_bisection(a_act, y, spec.gamma, k_budget,
-                        None if n_one == 0 else free_mask, lip, cfg)
-    x[active] = out["x"]
-    z[active] = out["z"]
-    return RelaxSolution(x=x, z=z, epsilon=out["eps"], objective=out["objective"],
-                         lower_bound=out["lower_bound"], lam=out["lam"],
-                         converged=out["converged"], iterations=out["iterations"])
+        za = np.minimum(1.0, np.abs(xa) / BerhuPenalty(mu=spec.mu, gamma=spec.gamma).crossover)
+    else:
+        xa, eps, primal, lb, iters, ok = _ksupport_solve(a_act, y, spec.gamma, k_budget, mask, lip, cfg)
+        za = np.ones(active.size)
+        za[free_mask] = _ksupport(xa[free_mask], k_budget)[1]
+    x[active] = xa
+    z[active] = np.where(free_mask, za, 1.0)
+    return RelaxSolution(x=x, z=z, epsilon=eps, objective=primal, lower_bound=lb,
+                         converged=ok, iterations=iters)
 
 
 def branch_and_bound(

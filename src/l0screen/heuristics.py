@@ -1,11 +1,10 @@
 """Feasible incumbents from relaxation output.
 
 Rounding reads the support off the relaxation's residual scores and
-refits ridge coefficients on it; an optional swap/add/drop local search
-polishes the support.  These incumbents supply the upper bounds the
-screening rules and branch-and-bound pruning run on.  Branch and bound
-rounds every node through ``_node_round``, the same code ``round_card``
-and ``round_reg`` run with every variable free.
+refits ridge coefficients on it.  These incumbents supply the upper
+bounds the screening rules and branch-and-bound pruning run on.  Branch
+and bound rounds every node through ``_node_round``, the same code
+``round_card`` and ``round_reg`` run with every variable free.
 """
 
 from __future__ import annotations
@@ -87,39 +86,3 @@ def round_reg(inst: Instance, gamma: float, mu: float, relax: RelaxSolution) -> 
         raise InvalidInputError("mu must be positive")
     free = np.full(inst.n, FixState.FREE, dtype=np.int8)
     return _node_round(inst, ProblemSpec.reg(gamma, mu), free, _scores(inst, relax))
-
-
-def local_search_swap(inst: Instance, spec: ProblemSpec, incumbent: Incumbent, rounds: int) -> Incumbent:
-    """Steepest-descent local search: take the best move per round.
-
-    Card moves swap one support member for one outsider (support size
-    is preserved); reg moves add or drop a single variable.  Candidates
-    are enumerated in index order and each is refit by restricted
-    ridge, so the procedure is deterministic; it stops early when no
-    move strictly improves.
-    """
-    best = incumbent
-    for _ in range(rounds):
-        cur = set(best.support)
-        outside = [i for i in range(inst.n) if i not in cur]
-        candidates = []
-        if spec.variant is Variant.CARD:
-            for j in sorted(cur):
-                for i in outside:
-                    candidates.append(cur - {j} | {i})
-        else:
-            for i in outside:
-                candidates.append(cur | {i})
-            for j in sorted(cur):
-                candidates.append(cur - {j})
-        improved = None
-        for cand in candidates:
-            trial = _evaluate(inst, spec, cand)
-            if trial.objective < best.objective and (
-                improved is None or trial.objective < improved.objective
-            ):
-                improved = trial
-        if improved is None:
-            break
-        best = improved
-    return best

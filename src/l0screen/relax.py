@@ -1,17 +1,16 @@
 """Convex relaxation solvers with certified dual lower bounds.
 
-Relaxing the binary selection indicators to [0, 1] and minimizing each
-perspective term ``x_i^2 / (gamma z_i) + mu z_i`` in ``z_i`` leaves a
-separable reverse-Huber (Berhu) penalty on each coefficient: linear
-near the origin, quadratic past ``sqrt(gamma * mu)``.  The relaxations
-are solved by an accelerated proximal gradient method with adaptive
+Relaxing the binary selection indicators to [0, 1] and minimizing them
+out leaves a penalty on the coefficients alone.  For reg, each
+perspective term ``x_i^2 / (gamma z_i) + mu z_i`` becomes a separable
+reverse-Huber (Berhu) penalty: linear near the origin, quadratic past
+``sqrt(gamma * mu)``.  For card, the minimum of ``sum_i x_i^2 / z_i``
+over ``sum(z) <= k`` is the squared k-support norm (Argyriou, Foygel
+and Srebro, 2012), whose prox costs one sort.  Both relaxations are
+solved by an accelerated proximal gradient method with adaptive
 restart.  Every residual ``eps = y - A x`` yields a dual-feasible point
 and hence a certified lower bound, valid whether or not the iteration
 has converged; termination is decided by the certified gap itself.
-
-The cardinality-capped relaxation is solved through its Lagrangian: the
-budget constraint is priced at a level ``lam >= 0`` found by bisection,
-each inner problem being a Berhu problem with ``mu = lam``.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ from .problem import Instance, InvalidInputError
 # Power iteration approaches the top singular value from below; pad the
 # Lipschitz estimate so the fixed step stays valid.
 _LIPSCHITZ_PAD = 1.01
-
-# Bisection stops when the bracket is this narrow (relative).
-_BRACKET_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,6 @@ class RelaxSolution:
     epsilon: NDArray[np.float64]
     objective: float
     lower_bound: float
-    lam: Optional[float] = None
     converged: bool = True
     iterations: int = 0
 
@@ -142,18 +137,18 @@ def operator_norm_sq(a, iters: int = 100, tol: float = 1e-10) -> float:
     if nv == 0:
         return 0.0
     v /= nv
-    lam = 0.0
+    est = 0.0
     for _ in range(iters):
         w = a.T @ (a @ v)
-        lam_new = float(v @ w)
+        est_new = float(v @ w)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
+        if abs(est_new - est) <= tol * max(1.0, abs(est_new)):
+            return est_new
+        est = est_new
+    return est
 
 
 def dual_from_primal(gamma: float, inst: Instance, epsilon_bar) -> np.ndarray:
@@ -323,7 +318,7 @@ def solve_cr(inst: Instance, gamma: float, mu: float, cfg: Optional[SolverConfig
     z = np.minimum(1.0, np.abs(x) / pen.crossover)
     return RelaxSolution(
         x=x, z=z, epsilon=eps, objective=primal, lower_bound=lb,
-        lam=None, converged=ok, iterations=iters,
+        converged=ok, iterations=iters,
     )
 
 
@@ -336,147 +331,116 @@ def _ridge_full(a, y, gamma):
     return a.T @ u
 
 
-def _cc_bisection(a, y, gamma, k_budget, free_mask, lip, cfg: SolverConfig):
+def _ksupport(x, k):
+    """Squared k-support norm of ``x`` and the indicators that attain it.
+
+    The value is ``min sum_i x_i^2 / z_i`` over ``z`` in [0, 1]^n with
+    ``sum(z) <= k``.  In threshold form, with ``|x|`` sorted in
+    descending order, the first ``r`` entries are capped at ``z = 1``
+    and the rest get ``z_i = |x_i| / tau``, ``tau = tail_r / (k - r)``
+    where ``tail_r`` sums the entries after the first ``r``; ``r`` is
+    the smallest count whose first uncapped entry is at most ``tau``.
+    Then ``z = min(1, |x| / tau)`` and ``sum(z) = k``.  With at most
+    ``k`` nonzeros, ``z`` is the support indicator and the value is
+    ``||x||^2``.
+    """
+    ax = np.abs(x)
+    if np.count_nonzero(ax) <= k:
+        return float(ax @ ax), (ax > 0.0).astype(float)
+    u = -np.sort(-ax)
+    # summed from the small end, so tail[k - 1] >= u[k - 1] holds in floats
+    tail = np.cumsum(u[::-1])[::-1][:k]
+    tau = tail / (k - np.arange(k))
+    r = int(np.argmax(u[:k] <= tau))
+    head = u[:r]
+    return float(head @ head + tail[r] * tau[r]), np.minimum(1.0, ax / tau[r])
+
+
+def _ksupport_prox(w, c, k):
+    """Proximal map of ``(c / 2) ||.||_{sp,k}^2`` at ``w``.
+
+    The minimizer is ``x_i = w_i z_i / (z_i + c)`` with
+    ``z_i = clip(beta |w_i| - c, 0, 1)``, where ``beta`` solves
+    ``sum(z) = k``.  That sum is piecewise linear and nondecreasing in
+    ``beta``, with breakpoints ``c / |w_i|`` (entry starts rising) and
+    ``(1 + c) / |w_i|`` (entry caps at 1), so sorting the breakpoints
+    and summing slopes and offsets along them locates the root.
+    """
+    aw = np.abs(w)
+    nz = aw[aw > 0.0]
+    if nz.size <= k:
+        return w / (1.0 + c)
+    bp = np.concatenate([c / nz, (1.0 + c) / nz])
+    order = np.argsort(bp, kind="stable")
+    bp = bp[order]
+    slope = np.cumsum(np.concatenate([nz, -nz])[order])
+    offset = np.cumsum(np.repeat([-c, 1.0 + c], nz.size)[order])
+    mass = bp * slope + offset
+    # mass[0] = 0 < k and mass[-1] = nnz > k, so 1 <= j < 2 nnz
+    j = int(np.argmax(mass >= k))
+    beta = bp[j]
+    if slope[j - 1] > 0.0:
+        # a flat segment at mass k can carry a rounding-sized slope; any
+        # beta on it gives the same z, so stay inside the segment
+        beta = min(beta, bp[j - 1] + (k - mass[j - 1]) / slope[j - 1])
+    z = np.clip(beta * aw - c, 0.0, 1.0)
+    return w * z / (z + c)
+
+
+def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, cfg: SolverConfig):
     """Budget-capped relaxation over the free columns; fixed-in columns get ridge.
 
-    Prices the budget at ``lam`` and bisects on the indicator mass
-    ``n(lam) = sum_free min(1, |x_i| / sqrt(gamma lam))``, which is
-    non-increasing in ``lam``.  Returns a dict with the feasible-side
-    iterate, its certificate, and the final price.
+    Minimizing the indicators out leaves
+    ``||y - a x||^2 + (||x_free||_{sp,k}^2 + ||x_fixed||^2) / gamma``,
+    one accelerated prox problem whose dual is the top-k score bound of
+    ``_bound_card_terms``.  When no more columns are free than the
+    budget allows, the cap is slack and the ridge closed form is
+    certified as it stands.  Returns the tuple of ``_accel_prox_solve``.
     """
-    m, n_act = a.shape
-    free = np.ones(n_act, dtype=bool) if free_mask is None else free_mask
-    tol = cfg.tol
+    free = np.ones(a.shape[1], dtype=bool) if free_mask is None else free_mask
+    one = ~free
 
-    def card_cert(eps, ateps):
-        return _bound_card_terms(y, eps, ateps, gamma, k_budget, free_mask)
-
-    def cc_objective(x, z_free, eps):
-        xo = x[~free]
-        xf = x[free]
-        val = float(eps @ eps) + float(xo @ xo) / gamma
-        nz = z_free > 0.0
-        val += float((xf[nz] * xf[nz] / z_free[nz]).sum()) / gamma
-        return val
-
-    def feasible_z(x, lam):
-        """Indicator block scaled onto the budget so the value is primal-valid."""
-        if lam > 0.0:
-            z_free = np.minimum(1.0, np.abs(x[free]) / math.sqrt(gamma * lam))
-        else:
-            z_free = (x[free] != 0.0).astype(float)
-        mass = float(z_free.sum())
-        if mass > k_budget:
-            z_free = z_free * (k_budget / mass)
-        return z_free
-
-    def pack(x, z_free, eps, lam, iters, converged):
-        obj = cc_objective(x, z_free, eps)
-        lb = card_cert(eps, a.T @ eps)
-        z = np.empty(n_act)
-        z[free] = z_free
-        z[~free] = 1.0
-        return {
-            "x": x, "z": z, "eps": eps, "objective": obj, "lower_bound": lb,
-            "lam": lam, "iterations": iters, "converged": converged,
-        }
-
-    # lam = 0: a plain ridge over all active columns. If its free part
-    # already fits the budget, the cap is slack and we are done.
-    x_r = _ridge_full(a, y, gamma)
-    if np.count_nonzero(x_r[free]) <= k_budget:
-        eps = y - a @ x_r
-        z_free = (x_r[free] != 0.0).astype(float)
-        out = pack(x_r, z_free, eps, 0.0, 0, True)
-        out["converged"] = out["objective"] - out["lower_bound"] <= tol * (1.0 + abs(out["objective"]))
+    def prox(w, s):
+        c = 2.0 * s / gamma
+        out = w / (1.0 + c)
+        out[free] = _ksupport_prox(w[free], c, k_budget)
         return out
 
-    def inner(lam, x0, inner_tol, max_iter):
-        return _berhu_solve(a, y, gamma, lam, free_mask, lip, inner_tol, max_iter, x0)
+    def penval(xv):
+        xo = xv[one]
+        return (_ksupport(xv[free], k_budget)[0] + float(xo @ xo)) / gamma
 
-    def indicator_mass(x, lam):
-        return float(np.minimum(1.0, np.abs(x[free]) / math.sqrt(gamma * lam)).sum())
+    cert = lambda e, ae: _bound_card_terms(y, e, ae, gamma, k_budget, free_mask)
+    if np.count_nonzero(free) <= k_budget:
+        return _accel_prox_solve(a, y, prox, penval, cert, lip, cfg.tol, 0, _ridge_full(a, y, gamma))
+    return _accel_prox_solve(a, y, prox, penval, cert, lip, cfg.tol, cfg.max_iter, np.zeros(a.shape[1]))
 
-    d0 = (a.T @ y) ** 2
-    lam_hi = gamma * float(d0[free].max()) + 1.0
-    lam_lo = 0.0
-    x_warm = np.zeros(n_act)
-    total_iters = 0
-    best = None
-    best_cert = (None, -math.inf)  # (eps, bound): kept as a consistent pair
 
-    def absorb(x, eps, lam):
-        """Fold one iterate into the running primal/dual best."""
-        nonlocal best, best_cert
-        cand = pack(x, feasible_z(x, lam), eps, lam, 0, True)
-        if best is None or cand["objective"] < best["objective"]:
-            best = cand
-        if cand["lower_bound"] > best_cert[1]:
-            best_cert = (eps, cand["lower_bound"])
-        return best["objective"] - best_cert[1] <= tol * (1.0 + abs(best["objective"]))
-
-    # Make sure the upper end of the bracket really is on the feasible
-    # side; with fixed-in columns the closed-form start is only a guess.
-    for _ in range(60):
-        x_hi, eps_hi, _, _, its, _ = inner(lam_hi, x_warm, tol, cfg.max_iter)
-        total_iters += its
-        x_warm = x_hi
-        done = absorb(x_hi, eps_hi, lam_hi)
-        if indicator_mass(x_hi, lam_hi) <= k_budget:
-            break
-        lam_lo = lam_hi
-        lam_hi *= 2.0
-
-    for _ in range(200):
-        if done:
-            break
-        lam = 0.5 * (lam_lo + lam_hi)
-        x_l, eps_l, _, _, its, _ = inner(lam, x_warm, tol, cfg.max_iter)
-        total_iters += its
-        x_warm = x_l
-        done = absorb(x_l, eps_l, lam)
-        if indicator_mass(x_l, lam) <= k_budget:
-            lam_hi = lam
-        else:
-            lam_lo = lam
-        if lam_hi - lam_lo <= _BRACKET_TOL * (1.0 + lam_hi):
-            break
-
-    if not done:
-        # Bracket collapsed before the gap closed: polish once at the
-        # feasible end with a tighter inner solve.
-        x_p, eps_p, _, _, its, _ = inner(lam_hi, x_warm, tol * 1e-2, 2 * cfg.max_iter)
-        total_iters += its
-        done = absorb(x_p, eps_p, lam_hi)
-
-    best["eps"] = best_cert[0]
-    best["lower_bound"] = best_cert[1]
-    best["converged"] = done
-    best["iterations"] = total_iters
-    return best
+# Kept under its old name because benchmarks/tracer.py looks up
+# relax._cc_bisection; the card relaxation is solved by _ksupport_solve.
+_cc_bisection = _ksupport_solve
 
 
 def solve_cc(inst: Instance, gamma: float, k: int, cfg: Optional[SolverConfig] = None) -> RelaxSolution:
     """Solve the card relaxation to a certified relative gap of ``cfg.tol``.
 
-    The budget constraint is priced by bisection on its multiplier.  A
-    zero price (plain ridge with few enough nonzeros) is detected first;
-    otherwise the bracket shrinks until either the certified gap closes
-    or the bracket width falls below 1e-10 relative, after which one
-    tighter polish solve is attempted.  ``lam`` reports the final price,
-    ``z`` comes from the final iterate, and feasibility holds up to
-    ``sum(z) <= k + 1e-6``.
+    The indicators are minimized out in closed form, leaving a ridge fit
+    penalized by the squared k-support norm, which is solved by
+    accelerated proximal gradient.  ``z`` holds the indicators that
+    attain that norm at ``x``: ``sum(z) = k`` when the budget binds, and
+    ``z`` is the support indicator of ``x`` when it has at most ``k``
+    nonzeros.  If the gap did not close within ``max_iter`` the final
+    iterate is returned with ``converged=False``; the bound is still
+    valid.
     """
     cfg = cfg or SolverConfig()
     if gamma <= 0 or not np.isfinite(gamma):
         raise InvalidInputError("gamma must be positive and finite")
     if not (1 <= int(k) <= inst.n) or int(k) != k:
         raise InvalidInputError(f"k must be an integer in [1, {inst.n}]")
-    a, y = inst.a, inst.y
-    lip = _auto_lipschitz(a, cfg)
-    out = _cc_bisection(a, y, gamma, int(k), None, lip, cfg)
+    lip = _auto_lipschitz(inst.a, cfg)
+    x, eps, primal, lb, iters, ok = _ksupport_solve(inst.a, inst.y, gamma, int(k), None, lip, cfg)
     return RelaxSolution(
-        x=out["x"], z=out["z"], epsilon=out["eps"], objective=out["objective"],
-        lower_bound=out["lower_bound"], lam=out["lam"], converged=out["converged"],
-        iterations=out["iterations"],
+        x=x, z=_ksupport(x, int(k))[1], epsilon=eps, objective=primal, lower_bound=lb,
+        converged=ok, iterations=iters,
     )

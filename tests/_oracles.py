@@ -58,6 +58,51 @@ def prox_golden(mu, gamma, t, v):
     return golden_section(h, lo, hi, tol=1e-13)
 
 
+def _bisect(f, lo, hi, iters=200):
+    """Root of a nondecreasing f on [lo, hi] by plain interval halving."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def ksupport_sq_bisect(x, k):
+    """min over z in [0,1]^n, sum(z) <= k, of sum x_i^2 / z_i (0/0 = 0).
+
+    The minimizing z is min(1, |x_i| / t) for the threshold t at which
+    those indicators sum to k; t is found by bisection.
+    """
+    ax = np.abs(np.asarray(x, dtype=float))
+    if np.count_nonzero(ax) <= k:
+        z = (ax > 0).astype(float)
+    else:
+        mass = lambda t: k - float(np.minimum(1.0, ax / t).sum())
+        t = _bisect(mass, 0.0, float(ax.sum()))
+        z = np.minimum(1.0, ax / t)
+    on = z > 0
+    return float(np.sum(ax[on] ** 2 / z[on])), z
+
+
+def ksupport_prox_bisect(w, c, k):
+    """argmin_x 0.5 ||x - w||^2 + (c/2) ||x||_{sp,k}^2 via bisection on beta.
+
+    x_i = w_i z_i / (z_i + c) with z_i = clip(beta |w_i| - c, 0, 1) and
+    beta chosen so that sum(z) = k (or z = 1 when at most k entries are
+    nonzero).
+    """
+    w = np.asarray(w, dtype=float)
+    aw = np.abs(w)
+    if np.count_nonzero(aw) <= k:
+        return w / (1.0 + c)
+    mass = lambda b: float(np.clip(b * aw - c, 0.0, 1.0).sum()) - k
+    beta = _bisect(mass, 0.0, (1.0 + c) / float(aw[aw > 0].min()))
+    z = np.clip(beta * aw - c, 0.0, 1.0)
+    return w * z / (z + c)
+
+
 def ridge_ls(a_s, y, gamma):
     """Ridge on given columns via stacked least squares."""
     m, s = a_s.shape

@@ -144,6 +144,19 @@ class TestNodeRelaxation:
             best, _ = brute_force(inst, spec, fixed=fixes)
             assert rel.lower_bound <= best.objective + 1e-7
 
+    def test_card_fixed_in_certified_on_remaining_budget(self):
+        for seed in range(5):
+            inst = random_instance(seed, 6, 8)
+            fixes = np.zeros(8, dtype=np.int8)
+            fixes[0] = FixState.ONE
+            fixes[3] = FixState.ZERO
+            rel = node_relaxation(inst, ProblemSpec.card(1.3, 3), fixes)
+            assert rel.converged
+            assert rel.gap <= 1e-8
+            assert rel.z[0] == 1.0 and rel.z[3] == 0.0 and rel.x[3] == 0.0
+            free = fixes == FixState.FREE
+            assert float(rel.z[free].sum()) == pytest.approx(2.0, abs=1e-12)
+
 
 class TestBranchAndBound:
     def test_tiny_solved_at_root(self, tiny):

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from l0screen import (
-    Incumbent,
     ProblemSpec,
     RelaxSolution,
     SolverConfig,
     brute_force,
-    local_search_swap,
     round_card,
     round_reg,
     solve_cc,
@@ -81,61 +79,3 @@ class TestRoundReg:
             inc = round_reg(inst, 1.0, 0.8, sol)
             best, _ = brute_force(inst, ProblemSpec.reg(1.0, 0.8))
             assert inc.objective >= best.objective - 1e-10
-
-
-class TestLocalSearch:
-    def test_zero_rounds_is_identity(self, tiny):
-        spec = ProblemSpec.card(1.0, 1)
-        start = Incumbent(support=(1,), x=np.array([0.0, 0.05]), objective=9.005)
-        out = local_search_swap(tiny, spec, start, rounds=0)
-        assert out is start
-
-    def test_card_swap_escapes_planted_support(self):
-        inst = random_instance(11, 5, 8)
-        spec = ProblemSpec.card(1.0, 2)
-        best, optima = brute_force(inst, spec)
-        opt = set(optima[0])
-        outside = [i for i in range(8) if i not in opt]
-        planted = tuple(sorted(list(opt)[:1] + outside[:1]))
-        start_x, start_val = ridge_ls(inst.a[:, list(planted)], inst.y, 1.0)
-        x_full = np.zeros(8)
-        x_full[list(planted)] = start_x
-        start = Incumbent(support=planted, x=x_full, objective=start_val)
-        assert start_val > best.objective + 1e-9  # genuinely improvable
-        out = local_search_swap(inst, spec, start, rounds=10)
-        assert out.objective < start.objective - 1e-12
-        assert len(out.support) <= 2
-
-    def test_card_optimal_incumbent_unchanged(self):
-        inst = random_instance(12, 5, 8)
-        spec = ProblemSpec.card(1.0, 2)
-        best, _ = brute_force(inst, spec)
-        out = local_search_swap(inst, spec, best, rounds=5)
-        assert out.objective == pytest.approx(best.objective, abs=1e-12)
-        assert out.support == best.support
-
-    def test_reg_add_move_from_empty(self, tiny):
-        spec = ProblemSpec.reg(1.0, 1.0)
-        start = Incumbent(support=(), x=np.zeros(2), objective=9.01)
-        out = local_search_swap(tiny, spec, start, rounds=3)
-        assert out.support == (0,)
-        assert out.objective == pytest.approx(5.51, abs=1e-9)
-
-    def test_reg_drop_move_removes_overpriced_column(self, tiny):
-        spec = ProblemSpec.reg(1.0, 5.0)
-        x = np.array([1.5, 0.05])
-        val = 4.505 + 2 * 5.0
-        start = Incumbent(support=(0, 1), x=x, objective=val)
-        out = local_search_swap(tiny, spec, start, rounds=5)
-        assert len(out.support) < 2
-        assert out.objective < val
-
-    def test_never_worse_and_budget_respected(self):
-        for seed in range(6):
-            inst = random_instance(seed, 6, 9)
-            spec = ProblemSpec.card(0.7, 3)
-            sol = solve_cc(inst, 0.7, 3)
-            inc = round_card(inst, 0.7, 3, sol)
-            out = local_search_swap(inst, spec, inc, rounds=4)
-            assert out.objective <= inc.objective + 1e-12
-            assert len(out.support) <= 3

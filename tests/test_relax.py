@@ -8,16 +8,27 @@ from l0screen import (
     Instance,
     InvalidInputError,
     SolverConfig,
+    SyntheticSpec,
     certified_lower_bound_card,
     certified_lower_bound_reg,
     dual_from_primal,
+    gamma_zero,
+    generate,
     operator_norm_sq,
     solve_cc,
     solve_cr,
 )
+from l0screen.relax import _ksupport, _ksupport_prox
 
-from ._oracles import relax_value_grid, ridge_ls
+from ._oracles import ksupport_prox_bisect, ksupport_sq_bisect, relax_value_grid, ridge_ls
 from .conftest import random_instance
+
+# repeated values and exact zeros exercise the ties and flat segments
+_entries = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5]),
+    st.floats(min_value=-10.0, max_value=10.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6),
+)
+_vectors = st.lists(_entries, min_size=1, max_size=12).map(np.array)
 
 
 class TestOperatorNorm:
@@ -101,6 +112,57 @@ class TestCertifiedBoundCard:
             eps = rng.standard_normal(8) * rng.uniform(0.1, 3.0)
             lb = certified_lower_bound_card(inst, gamma, k, eps)
             assert lb <= sol.objective + 1e-8 * (1.0 + abs(sol.objective))
+
+
+class TestKSupport:
+    @given(x=_vectors, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_value_and_indicators_match_oracle(self, x, data):
+        k = data.draw(st.integers(min_value=1, max_value=x.size))
+        val, z = _ksupport(x, k)
+        want, z_want = ksupport_sq_bisect(x, k)
+        assert val == pytest.approx(want, rel=1e-9, abs=1e-12)
+        np.testing.assert_allclose(z, z_want, atol=1e-9)
+        assert np.all((z >= 0.0) & (z <= 1.0))
+        if np.count_nonzero(x) > k:
+            assert float(z.sum()) == pytest.approx(k, abs=1e-12)
+
+    @pytest.mark.parametrize("x,k", [
+        ([3.0, 0.0, -1.0], 2),     # k = nnz
+        ([3.0, 0.0, -1.0], 3),     # k = n
+        ([0.0, 0.0, 0.0], 1),
+        ([2.0, -2.0, 2.0, 2.0], 2),
+        ([5.0, 1.0, 1.0, 1.0], 2),
+    ])
+    def test_cases(self, x, k):
+        x = np.array(x)
+        val, z = _ksupport(x, k)
+        want, z_want = ksupport_sq_bisect(x, k)
+        assert val == pytest.approx(want, rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(z, z_want, atol=1e-12)
+        if np.count_nonzero(x) <= k:
+            assert val == pytest.approx(float(x @ x), rel=1e-15)
+            np.testing.assert_array_equal(z, x != 0.0)
+
+    @given(w=_vectors, c=st.floats(min_value=1e-3, max_value=1e2), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_prox_matches_oracle(self, w, c, data):
+        k = data.draw(st.integers(min_value=1, max_value=w.size))
+        got = _ksupport_prox(w, c, k)
+        np.testing.assert_allclose(got, ksupport_prox_bisect(w, c, k), rtol=1e-9, atol=1e-12)
+
+    @given(w=_vectors, c=st.floats(min_value=1e-3, max_value=1e2),
+           seed=st.integers(min_value=0, max_value=1000), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_prox_minimizes_its_objective(self, w, c, seed, data):
+        k = data.draw(st.integers(min_value=1, max_value=w.size))
+        obj = lambda v: 0.5 * float((v - w) @ (v - w)) + 0.5 * c * ksupport_sq_bisect(v, k)[0]
+        p = _ksupport_prox(w, c, k)
+        best = obj(p)
+        rng = np.random.default_rng(seed)
+        for scale in (1e-1, 1e-3):
+            d = rng.standard_normal(w.size) * scale
+            assert best <= obj(p + d) + 1e-9 * (1.0 + abs(best))
 
 
 class TestSolveCr:
@@ -192,6 +254,22 @@ class TestSolveCc:
             inst = random_instance(seed, 10, 25)
             sol = solve_cc(inst, 1.5, 4, SolverConfig(tol=1e-9))
             assert float(np.sum(sol.z)) <= 4 + 1e-6
+
+    def test_binding_budget_spends_exactly_k(self):
+        for seed in range(5):
+            inst = random_instance(seed, 10, 25)
+            sol = solve_cc(inst, 1.5, 4, SolverConfig(tol=1e-9))
+            assert np.count_nonzero(sol.x) > 4
+            assert float(np.sum(sol.z)) == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [1005, 1008, 1009])
+    def test_default_config_converges_on_readme_cells(self, seed):
+        # README bench grid cells whose relaxation needs the certified
+        # gap closed right down to the default tolerance
+        inst, _ = generate(SyntheticSpec(n=120, m=60, k_true=5, rho=0.5, snr=6.0, seed=seed))
+        sol = solve_cc(inst, gamma_zero(inst, 5), 5)
+        assert sol.converged
+        assert sol.gap <= 1e-8
 
     def test_k_out_of_range(self, tiny):
         with pytest.raises(InvalidInputError):
