@@ -28,24 +28,16 @@ from .problem import (
     ProblemSpec,
     SizeCapError,
     Variant,
+    _check_fixes,
 )
-from .heuristics import _evaluate, _node_round, _ridge_on
-from .relax import (
-    RelaxSolution,
-    SolverConfig,
-    _auto_lipschitz,
-    _berhu_solve,
-    _bound_card_terms,
-    _bound_reg_terms,
-    _ksupport,
-    _ksupport_solve,
-    BerhuPenalty,
-)
+from .heuristics import _evaluate, _node_round
+from .relax import RelaxSolution, SolverConfig, _auto_lipschitz, _relax
 from .screening import _screen_fixes
 
-# Kept bound under its old name because benchmarks/tracer.py looks up
-# exact._evaluate_support; support evaluation lives in heuristics.
+# Kept bound under their old names because benchmarks/tracer.py looks up
+# exact._evaluate_support and exact._ridge_on; both live in heuristics.
 from .heuristics import _evaluate as _evaluate_support  # noqa: F401
+from .heuristics import _ridge_on  # noqa: F401
 
 _BRUTE_N_CAP = 25
 _BRUTE_COMB_CAP = 1_000_000
@@ -113,9 +105,7 @@ def brute_force(inst: Instance, spec: ProblemSpec, fixed=None):
         forced: list[int] = []
         free = list(range(n))
     else:
-        fixed = np.asarray(fixed, dtype=np.int8)
-        if fixed.shape[0] != n:
-            raise InvalidInputError("fixed length does not match the instance")
+        fixed = _check_fixes(fixed, n)
         forced = [int(i) for i in np.flatnonzero(fixed == FixState.ONE)]
         free = [int(i) for i in np.flatnonzero(fixed == FixState.FREE)]
 
@@ -164,68 +154,20 @@ def node_relaxation(
 ) -> RelaxSolution:
     """Relaxation of the subproblem where some variables are fixed.
 
-    Fixed-out columns leave the problem entirely; fixed-in columns keep
-    a plain ridge penalty (plus the selection price for reg, which is
-    also inside the returned bound, so ``objective`` and
-    ``lower_bound`` bracket the node's subproblem value directly).
-    Raises InfeasibleError when more variables are forced in than a
-    card budget allows.  The step size comes from ``cfg.lipschitz``
+    This is ``relax._relax``, the relaxation ``solve_cr`` and
+    ``solve_cc`` run with every variable free.  Fixed-out columns leave
+    the problem entirely; fixed-in columns keep a plain ridge penalty
+    (plus the selection price for reg, which is also inside the
+    returned bound, so ``objective`` and ``lower_bound`` bracket the
+    node's subproblem value directly).  Raises InvalidInputError for a
+    fix vector of the wrong length or with entries other than FixState
+    values, and InfeasibleError when more variables are forced in than
+    a card budget allows.  The step size comes from ``cfg.lipschitz``
     when set (branch and bound passes the full matrix's value, which
     bounds every column subset) and from power iteration otherwise.
     ``x_warm`` starts the reg solve; card solves start from zero.
     """
-    cfg = cfg or SolverConfig()
-    fixes = np.asarray(fixes, dtype=np.int8)
-    if fixes.shape[0] != inst.n:
-        raise InvalidInputError("fixes length does not match the instance")
-    one_idx = np.flatnonzero(fixes == FixState.ONE)
-    free_idx = np.flatnonzero(fixes == FixState.FREE)
-    n_one = one_idx.size
-    if spec.variant is Variant.CARD and n_one > spec.k:
-        raise InfeasibleError(f"{n_one} variables forced in but k={spec.k}")
-
-    y = inst.y
-    active = np.concatenate([one_idx, free_idx]).astype(int)
-    active.sort()
-    free_mask = fixes[active] == FixState.FREE
-    x = np.zeros(inst.n)
-    z = np.zeros(inst.n)
-    mu_const = spec.mu * n_one if spec.variant is Variant.REG else 0.0
-    k_budget = (spec.k - n_one) if spec.variant is Variant.CARD else None
-
-    # Nothing free to relax (or no budget left): refit the forced-in
-    # set, force the rest to zero, and certify the result directly.
-    if free_idx.size == 0 or (k_budget is not None and k_budget == 0):
-        x = _ridge_on(inst, spec.gamma, list(one_idx))
-        eps = y - inst.a @ x
-        z[one_idx] = 1.0
-        obj = float(eps @ eps) + float(x @ x) / spec.gamma + mu_const
-        ae = inst.a[:, active].T @ eps if active.size else np.zeros(0)
-        if spec.variant is Variant.REG:
-            lb = _bound_reg_terms(y, eps, ae, spec.gamma, spec.mu, free_mask)
-        else:
-            lb = _bound_card_terms(y, eps, ae, spec.gamma, k_budget or 0, free_mask)
-        ok = obj - lb <= cfg.tol * (1.0 + abs(obj))
-        return RelaxSolution(x=x, z=z, epsilon=eps, objective=obj, lower_bound=lb,
-                             converged=ok, iterations=0)
-
-    a_act = inst.a[:, active]
-    lip = _auto_lipschitz(a_act, cfg)
-    mask = None if n_one == 0 else free_mask
-    if spec.variant is Variant.REG:
-        x0 = np.zeros(active.size) if x_warm is None else np.asarray(x_warm, dtype=float)[active]
-        xa, eps, primal, lb, iters, ok = _berhu_solve(
-            a_act, y, spec.gamma, spec.mu, mask, lip, cfg.tol, cfg.max_iter, x0,
-        )
-        za = np.minimum(1.0, np.abs(xa) / BerhuPenalty(mu=spec.mu, gamma=spec.gamma).crossover)
-    else:
-        xa, eps, primal, lb, iters, ok = _ksupport_solve(a_act, y, spec.gamma, k_budget, mask, lip, cfg)
-        za = np.ones(active.size)
-        za[free_mask] = _ksupport(xa[free_mask], k_budget)[1]
-    x[active] = xa
-    z[active] = np.where(free_mask, za, 1.0)
-    return RelaxSolution(x=x, z=z, epsilon=eps, objective=primal, lower_bound=lb,
-                         converged=ok, iterations=iters)
+    return _relax(inst, spec, _check_fixes(fixes, inst.n), cfg or SolverConfig(), x_warm)
 
 
 def branch_and_bound(
@@ -251,9 +193,7 @@ def branch_and_bound(
 
     root_fixes = np.full(n, FixState.FREE, dtype=np.int8)
     if fixed is not None:
-        root_fixes = np.asarray(fixed, dtype=np.int8).copy()
-        if root_fixes.shape[0] != n:
-            raise InvalidInputError("fixed length does not match the instance")
+        root_fixes = _check_fixes(fixed, n)
     if spec.variant is Variant.CARD and np.count_nonzero(root_fixes == FixState.ONE) > spec.k:
         raise InfeasibleError("more variables forced in than the budget allows")
 

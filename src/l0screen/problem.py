@@ -150,6 +150,17 @@ def _check_support(support: Iterable[int], n: int) -> np.ndarray:
         raise InvalidInputError(f"support indices must lie in [0, {n})")
     return idx
 
+
+def _check_fixes(fixes, n: int) -> np.ndarray:
+    """A fix vector as int8, after checking its length and its entries."""
+    f = np.asarray(fixes)
+    if f.shape != (n,):
+        raise InvalidInputError(f"fix vector has shape {f.shape}, expected ({n},)")
+    if f.dtype.kind not in "iu" or f.min() < 0 or f.max() > 2:
+        raise InvalidInputError("fix entries must be integer FixState values (0 free, 1 zero, 2 one)")
+    return f.astype(np.int8)
+
+
 def _check_x(x, n: int, support: Optional[np.ndarray] = None) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != n:

@@ -11,18 +11,22 @@ solved by an accelerated proximal gradient method with adaptive
 restart.  Every residual ``eps = y - A x`` yields a dual-feasible point
 and hence a certified lower bound, valid whether or not the iteration
 has converged; termination is decided by the certified gap itself.
+
+One private function, ``_relax``, turns a fix vector into a relaxation:
+``solve_cr`` and ``solve_cc`` run it with every variable free, and every
+branch-and-bound node runs it through ``exact.node_relaxation``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .problem import Instance, InvalidInputError
+from .problem import FixState, InfeasibleError, Instance, InvalidInputError, ProblemSpec, Variant
 
 # Power iteration approaches the top singular value from below; pad the
 # Lipschitz estimate so the fixed step stays valid.
@@ -288,6 +292,9 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
 def solve_cr(inst: Instance, gamma: float, mu: float, cfg: Optional[SolverConfig] = None) -> RelaxSolution:
     """Solve the reg relaxation to a certified relative gap of ``cfg.tol``.
 
+    This is ``_relax`` with every variable free, the same relaxation
+    every branch-and-bound node runs.
+
     Parameters
     ----------
     inst : Instance
@@ -304,22 +311,8 @@ def solve_cr(inst: Instance, gamma: float, mu: float, cfg: Optional[SolverConfig
         within ``max_iter`` the best iterate is returned with
         ``converged=False``; the bound is still valid.
     """
-    cfg = cfg or SolverConfig()
-    if gamma <= 0 or not np.isfinite(gamma):
-        raise InvalidInputError("gamma must be positive and finite")
-    if mu <= 0 or not np.isfinite(mu):
-        raise InvalidInputError("mu must be positive and finite")
-    a, y = inst.a, inst.y
-    lip = _auto_lipschitz(a, cfg)
-    x, eps, primal, lb, iters, ok = _berhu_solve(
-        a, y, gamma, mu, None, lip, cfg.tol, cfg.max_iter, np.zeros(inst.n)
-    )
-    pen = BerhuPenalty(mu=mu, gamma=gamma)
-    z = np.minimum(1.0, np.abs(x) / pen.crossover)
-    return RelaxSolution(
-        x=x, z=z, epsilon=eps, objective=primal, lower_bound=lb,
-        converged=ok, iterations=iters,
-    )
+    spec = ProblemSpec.reg(gamma, mu)
+    return _relax(inst, spec, np.full(inst.n, FixState.FREE, dtype=np.int8), cfg or SolverConfig())
 
 
 def _ridge_full(a, y, gamma):
@@ -387,15 +380,13 @@ def _ksupport_prox(w, c, k):
     return w * z / (z + c)
 
 
-def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, cfg: SolverConfig):
+def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, tol, max_iter, x0):
     """Budget-capped relaxation over the free columns; fixed-in columns get ridge.
 
     Minimizing the indicators out leaves
     ``||y - a x||^2 + (||x_free||_{sp,k}^2 + ||x_fixed||^2) / gamma``,
     one accelerated prox problem whose dual is the top-k score bound of
-    ``_bound_card_terms``.  When no more columns are free than the
-    budget allows, the cap is slack and the ridge closed form is
-    certified as it stands.  Returns the tuple of ``_accel_prox_solve``.
+    ``_bound_card_terms``.  Returns the tuple of ``_accel_prox_solve``.
     """
     free = np.ones(a.shape[1], dtype=bool) if free_mask is None else free_mask
     one = ~free
@@ -411,9 +402,7 @@ def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, cfg: SolverConfig):
         return (_ksupport(xv[free], k_budget)[0] + float(xo @ xo)) / gamma
 
     cert = lambda e, ae: _bound_card_terms(y, e, ae, gamma, k_budget, free_mask)
-    if np.count_nonzero(free) <= k_budget:
-        return _accel_prox_solve(a, y, prox, penval, cert, lip, cfg.tol, 0, _ridge_full(a, y, gamma))
-    return _accel_prox_solve(a, y, prox, penval, cert, lip, cfg.tol, cfg.max_iter, np.zeros(a.shape[1]))
+    return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0)
 
 
 # Kept under its old name because benchmarks/tracer.py looks up
@@ -421,26 +410,73 @@ def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, cfg: SolverConfig):
 _cc_bisection = _ksupport_solve
 
 
+def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=None) -> RelaxSolution:
+    """The relaxation of ``spec`` with the variables in ``fixes`` fixed.
+
+    Fixed-out columns leave the problem, and so do the free ones once a
+    card budget is spent.  When no more columns are free than the budget
+    (``k - n_one`` for card, 0 for reg) the ridge closed form is
+    certified as it stands; otherwise the Berhu or k-support problem is
+    solved, reg from ``x_warm`` when given and card from zero.
+    """
+    card = spec.variant is Variant.CARD
+    one = fixes == FixState.ONE
+    n_one = int(np.count_nonzero(one))
+    budget = spec.k - n_one if card else 0
+    if budget < 0:
+        raise InfeasibleError(f"{n_one} variables forced in but k={spec.k}")
+    free = fixes == FixState.FREE
+    if card and budget == 0:
+        free[:] = False
+    active = np.flatnonzero(one | free)
+    a = inst.a if active.size == inst.n else inst.a[:, active]
+    free_mask = free[active]
+    # a mask costs gathers in every APG iteration, so pass none when
+    # every active column is free
+    mask = None if n_one == 0 else free_mask
+    lip = _auto_lipschitz(a, cfg)
+    max_iter = cfg.max_iter
+    if np.count_nonzero(free_mask) <= budget:
+        max_iter, x0 = 0, _ridge_full(a, inst.y, spec.gamma)
+    elif card or x_warm is None:
+        x0 = np.zeros(active.size)
+    else:
+        x0 = np.asarray(x_warm, dtype=float)[active]
+
+    if card:
+        xa, eps, primal, lb, iters, ok = _ksupport_solve(
+            a, inst.y, spec.gamma, budget, mask, lip, cfg.tol, max_iter, x0,
+        )
+        za = np.ones(active.size)
+        za[free_mask] = _ksupport(xa[free_mask], budget)[1]
+    else:
+        xa, eps, primal, lb, iters, ok = _berhu_solve(
+            a, inst.y, spec.gamma, spec.mu, mask, lip, cfg.tol, max_iter, x0,
+        )
+        crossover = BerhuPenalty(mu=spec.mu, gamma=spec.gamma).crossover
+        za = np.where(free_mask, np.minimum(1.0, np.abs(xa) / crossover), 1.0)
+    x = np.zeros(inst.n)
+    z = np.zeros(inst.n)
+    x[active] = xa
+    z[active] = za
+    return RelaxSolution(x=x, z=z, epsilon=eps, objective=primal, lower_bound=lb,
+                         converged=ok, iterations=iters)
+
+
 def solve_cc(inst: Instance, gamma: float, k: int, cfg: Optional[SolverConfig] = None) -> RelaxSolution:
     """Solve the card relaxation to a certified relative gap of ``cfg.tol``.
 
     The indicators are minimized out in closed form, leaving a ridge fit
     penalized by the squared k-support norm, which is solved by
-    accelerated proximal gradient.  ``z`` holds the indicators that
-    attain that norm at ``x``: ``sum(z) = k`` when the budget binds, and
-    ``z`` is the support indicator of ``x`` when it has at most ``k``
-    nonzeros.  If the gap did not close within ``max_iter`` the final
-    iterate is returned with ``converged=False``; the bound is still
-    valid.
+    accelerated proximal gradient; this is ``_relax`` with every
+    variable free, the same relaxation every branch-and-bound node
+    runs.  ``z`` holds the indicators that attain that norm at ``x``:
+    ``sum(z) = k`` when the budget binds, and ``z`` is the support
+    indicator of ``x`` when it has at most ``k`` nonzeros.  If the gap
+    did not close within ``max_iter`` the final iterate is returned
+    with ``converged=False``; the bound is still valid.
     """
-    cfg = cfg or SolverConfig()
-    if gamma <= 0 or not np.isfinite(gamma):
-        raise InvalidInputError("gamma must be positive and finite")
-    if not (1 <= int(k) <= inst.n) or int(k) != k:
+    spec = ProblemSpec.card(gamma, k)
+    if spec.k > inst.n:
         raise InvalidInputError(f"k must be an integer in [1, {inst.n}]")
-    lip = _auto_lipschitz(inst.a, cfg)
-    x, eps, primal, lb, iters, ok = _ksupport_solve(inst.a, inst.y, gamma, int(k), None, lip, cfg)
-    return RelaxSolution(
-        x=x, z=_ksupport(x, int(k))[1], epsilon=eps, objective=primal, lower_bound=lb,
-        converged=ok, iterations=iters,
-    )
+    return _relax(inst, spec, np.full(inst.n, FixState.FREE, dtype=np.int8), cfg or SolverConfig())

@@ -1,7 +1,6 @@
 import json
 import os
 
-import numpy as np
 import pytest
 
 from l0screen import validate_bench_csv, validate_run_report

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest

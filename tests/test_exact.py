@@ -4,12 +4,12 @@ import pytest
 from l0screen import (
     BnBConfig,
     FixState,
-    Incumbent,
     InfeasibleError,
     Instance,
+    InvalidInputError,
     ProblemSpec,
     SizeCapError,
-    SolverConfig,
+    Variant,
     branch_and_bound,
     brute_force,
     node_relaxation,
@@ -88,17 +88,49 @@ class TestBruteForce:
 
 
 class TestNodeRelaxation:
+    @staticmethod
+    def _assert_same(rel, want):
+        # the public solvers and every node run one relaxation code path
+        assert np.array_equal(rel.x, want.x) and np.array_equal(rel.z, want.z)
+        assert rel.objective == want.objective and rel.lower_bound == want.lower_bound
+        assert rel.iterations == want.iterations and rel.converged == want.converged
+
     def test_all_free_equals_cr(self, tiny):
         fixes = np.zeros(2, dtype=np.int8)
         rel = node_relaxation(tiny, ProblemSpec.reg(1.0, 1.0), fixes)
-        want = solve_cr(tiny, 1.0, 1.0)
-        assert rel.objective == pytest.approx(want.objective, abs=1e-7)
+        self._assert_same(rel, solve_cr(tiny, 1.0, 1.0))
 
     def test_all_free_equals_cc(self, tiny):
         fixes = np.zeros(2, dtype=np.int8)
         rel = node_relaxation(tiny, ProblemSpec.card(1.0, 1), fixes)
-        want = solve_cc(tiny, 1.0, 1)
-        assert rel.objective == pytest.approx(want.objective, abs=1e-7)
+        self._assert_same(rel, solve_cc(tiny, 1.0, 1))
+
+    @pytest.mark.parametrize("spec", [ProblemSpec.reg(1.0, 1.0), ProblemSpec.card(1.0, 1)],
+                             ids=["reg", "card"])
+    def test_all_fixed_out_is_the_empty_model(self, tiny, spec):
+        fixes = np.full(2, FixState.ZERO, dtype=np.int8)
+        rel = node_relaxation(tiny, spec, fixes)
+        yy = float(tiny.y @ tiny.y)
+        assert rel.objective == yy and rel.lower_bound == yy
+        assert not rel.x.any() and not rel.z.any()
+        assert rel.converged and rel.iterations == 0
+
+    @pytest.mark.parametrize("spec", [ProblemSpec.reg(0.7, 0.3), ProblemSpec.card(0.7, 5)],
+                             ids=["reg", "card"])
+    def test_more_fixed_in_than_rows(self, spec):
+        # 5 columns in on 3 rows: the closed form takes the m-side solve;
+        # reg fixes the rest out, card's spent budget forces them out
+        inst = random_instance(7, 3, 8)
+        reg = spec.variant is Variant.REG
+        rest = FixState.ZERO if reg else FixState.FREE
+        fixes = np.array([FixState.ONE] * 5 + [rest] * 3, dtype=np.int8)
+        rel = node_relaxation(inst, spec, fixes)
+        _, val = ridge_restricted_solve(inst, spec.gamma, range(5))
+        want = val + 5 * spec.mu if reg else val
+        assert rel.objective == pytest.approx(want, rel=1e-10)
+        assert rel.lower_bound == pytest.approx(want, rel=1e-10)
+        assert rel.converged and rel.iterations == 0
+        assert not rel.x[5:].any() and np.array_equal(rel.z, fixes == FixState.ONE)
 
     def test_one_and_free_worked_example(self, tiny):
         fixes = np.array([FixState.ONE, FixState.FREE], dtype=np.int8)
@@ -272,3 +304,15 @@ class TestBranchAndBound:
         fixed = np.array([FixState.ONE, FixState.ONE], dtype=np.int8)
         with pytest.raises(InfeasibleError):
             branch_and_bound(tiny, ProblemSpec.card(1.0, 1), fixed=fixed)
+
+
+@pytest.mark.parametrize("fixed", [[0], [0, 0, 0], [[0, 0]], [3, 0], [0, -1], [0.0, 2.5]],
+                         ids=["short", "long", "2d", "three", "negative", "float"])
+@pytest.mark.parametrize("entry", [
+    lambda inst, spec, f: node_relaxation(inst, spec, f),
+    lambda inst, spec, f: brute_force(inst, spec, fixed=f),
+    lambda inst, spec, f: branch_and_bound(inst, spec, fixed=f),
+], ids=["node_relaxation", "brute_force", "branch_and_bound"])
+def test_bad_fix_vector_rejected(tiny, entry, fixed):
+    with pytest.raises(InvalidInputError):
+        entry(tiny, ProblemSpec.reg(1.0, 1.0), fixed)

@@ -4,7 +4,6 @@ import pytest
 from l0screen import (
     ProblemSpec,
     RelaxSolution,
-    SolverConfig,
     brute_force,
     round_card,
     round_reg,
