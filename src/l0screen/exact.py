@@ -164,7 +164,8 @@ def node_relaxation(
     values, and InfeasibleError when more variables are forced in than
     a card budget allows.  The step size comes from ``cfg.lipschitz``
     when set (branch and bound passes the full matrix's value, which
-    bounds every column subset) and from power iteration otherwise.
+    bounds every column subset) and from ``operator_norm_sq`` of the
+    active columns otherwise.
     ``x_warm`` starts the reg solve; card solves start from zero.
     """
     return _relax(inst, spec, _check_fixes(fixes, inst.n), cfg or SolverConfig(), x_warm)

@@ -70,8 +70,8 @@ def round_card(inst: Instance, gamma: float, k: int, relax: RelaxSolution) -> In
 
     Ties are broken toward the lower index.
     """
-    if not (1 <= int(k) <= inst.n):
-        raise InvalidInputError(f"k must lie in [1, {inst.n}]")
+    if not (1 <= int(k) <= inst.n) or int(k) != k:
+        raise InvalidInputError(f"k must be an integer in [1, {inst.n}]")
     free = np.full(inst.n, FixState.FREE, dtype=np.int8)
     return _node_round(inst, ProblemSpec.card(gamma, int(k)), free, _scores(inst, relax))
 

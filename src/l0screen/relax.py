@@ -28,8 +28,9 @@ from numpy.typing import NDArray
 
 from .problem import FixState, InfeasibleError, Instance, InvalidInputError, ProblemSpec, Variant
 
-# Power iteration approaches the top singular value from below; pad the
-# Lipschitz estimate so the fixed step stays valid.
+# operator_norm_sq is exact only to rounding, a relative error of order
+# max(m, n) machine epsilons on either side of ||A||^2; the pad keeps
+# the fixed step 1 / L valid with room to spare.
 _LIPSCHITZ_PAD = 1.01
 
 
@@ -132,27 +133,27 @@ class DualCertificate:
     lower_bound: float
 
 
-def operator_norm_sq(a, iters: int = 100, tol: float = 1e-10) -> float:
-    """Largest squared singular value by power iteration, deterministic start."""
+def operator_norm_sq(a) -> float:
+    """Largest squared singular value of ``a``, exact to rounding.
+
+    Computed as the top eigenvalue of the smaller Gram matrix, ``a a'``
+    when ``m <= n`` and ``a'a`` otherwise: ``min(m, n)^2 max(m, n)``
+    BLAS-3 work for the product plus a ``min(m, n)^3`` symmetric eigen
+    solve.  An empty matrix gives 0.  Raises InvalidInputError when the
+    Gram matrix overflows.
+    """
     a = np.asarray(a, dtype=float)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(a.shape[1])
-    nv = np.linalg.norm(v)
-    if nv == 0:
+    if a.size == 0:
         return 0.0
-    v /= nv
-    est = 0.0
-    for _ in range(iters):
-        w = a.T @ (a @ v)
-        est_new = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(est_new - est) <= tol * max(1.0, abs(est_new)):
-            return est_new
-        est = est_new
-    return est
+    m, n = a.shape
+    with np.errstate(over="ignore"):  # reported below as an error
+        g = a @ a.T if m <= n else a.T @ a
+    if not np.all(np.isfinite(g)):
+        raise InvalidInputError(
+            "the Gram matrix of A overflows; divide A by a scale s and multiply gamma by s**2"
+        )
+    # rounding can leave the top eigenvalue of a PSD matrix just below 0
+    return max(0.0, float(np.linalg.eigvalsh(g)[-1]))
 
 
 def dual_from_primal(gamma: float, inst: Instance, epsilon_bar) -> np.ndarray:

@@ -256,7 +256,7 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("spec", [ProblemSpec.card(1.0, 2), ProblemSpec.reg(1.0, 0.5)],
                              ids=["card", "reg"])
     def test_zero_matrix_matches_brute_force(self, shape, spec):
-        # power iteration gives a zero Lipschitz constant here; compare
+        # operator_norm_sq gives a zero Lipschitz constant here; compare
         # objectives only, since every card support of size <= k ties
         inst = Instance(np.zeros(shape), np.linspace(1.0, 2.0, shape[0]))
         want, _ = brute_force(inst, spec)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from l0screen import (
+    InvalidInputError,
     ProblemSpec,
     RelaxSolution,
     brute_force,
@@ -50,6 +51,13 @@ class TestRoundCard:
         x_ref, val_ref = ridge_ls(inst.a[:, list(inc.support)], inst.y, 2.0)
         np.testing.assert_allclose(inc.x[list(inc.support)], x_ref, atol=1e-8)
         assert inc.objective == pytest.approx(val_ref, abs=1e-8)
+
+    @pytest.mark.parametrize("k", [2.5, 0, 3])
+    def test_bad_k_rejected(self, tiny, k):
+        # same check and message as screen_card
+        sol = solve_cc(tiny, 1.0, 1)
+        with pytest.raises(InvalidInputError, match=r"k must be an integer in \[1, 2\]"):
+            round_card(tiny, 1.0, k, sol)
 
 
 class TestRoundReg:

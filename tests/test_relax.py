@@ -7,8 +7,10 @@ from l0screen import (
     DualCertificate,
     Instance,
     InvalidInputError,
+    ProblemSpec,
     SolverConfig,
     SyntheticSpec,
+    branch_and_bound,
     certified_lower_bound_card,
     certified_lower_bound_reg,
     dual_from_primal,
@@ -18,7 +20,7 @@ from l0screen import (
     solve_cc,
     solve_cr,
 )
-from l0screen.relax import _ksupport, _ksupport_prox
+from l0screen.relax import _auto_lipschitz, _ksupport, _ksupport_prox
 
 from ._oracles import ksupport_prox_bisect, ksupport_sq_bisect, relax_value_grid, ridge_ls
 from .conftest import random_instance
@@ -31,16 +33,43 @@ _entries = st.one_of(
 _vectors = st.lists(_entries, min_size=1, max_size=12).map(np.array)
 
 
+def _gaussian(seed, m, n):
+    return np.random.default_rng(seed).standard_normal((m, n))
+
+
 class TestOperatorNorm:
-    @pytest.mark.parametrize("seed,m,n", [(0, 5, 8), (1, 20, 7), (2, 3, 3)])
-    def test_matches_svd(self, seed, m, n):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((m, n))
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: _gaussian(0, 5, 8), id="0-5-8"),
+        pytest.param(lambda: _gaussian(1, 20, 7), id="1-20-7"),
+        pytest.param(lambda: _gaussian(2, 3, 3), id="2-3-3"),
+        # correlated AR(1) columns, as the benchmark generates them
+        pytest.param(lambda: generate(SyntheticSpec(n=2000, m=200, k_true=10, rho=0.5, snr=6, seed=0))[0].a,
+                     id="ar1-200-2000"),
+    ])
+    def test_matches_svd(self, make):
+        a = make()
         want = np.linalg.norm(a, 2) ** 2
         assert operator_norm_sq(a) == pytest.approx(want, rel=1e-8)
 
-    def test_zero_matrix(self):
-        assert operator_norm_sq(np.zeros((3, 4))) == 0.0
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3, 0)], ids=["3x4", "4x3", "3x0"])
+    def test_zero_matrix(self, shape):
+        # 3x0 is what a node with every column fixed out passes
+        assert operator_norm_sq(np.zeros(shape)) == 0.0
+
+    def test_auto_step_is_valid_at_500x5000(self):
+        # APG's fixed step 1 / L needs L >= 2 ||A||^2, the gradient's Lipschitz constant
+        inst, _ = generate(SyntheticSpec(n=5000, m=500, k_true=10, rho=0.5, snr=6, seed=1001))
+        assert _auto_lipschitz(inst.a, SolverConfig()) >= 2 * np.linalg.norm(inst.a, 2) ** 2
+
+    @pytest.mark.parametrize("solve", [
+        lambda inst: solve_cr(inst, 1.0, 1.0),
+        lambda inst: solve_cc(inst, 1.0, 2),
+        lambda inst: branch_and_bound(inst, ProblemSpec.reg(1.0, 1.0)),
+    ], ids=["solve_cr", "solve_cc", "branch_and_bound"])
+    def test_overflowing_gram_is_a_clear_error(self, solve):
+        inst = Instance(_gaussian(0, 6, 10) * 1e160, np.ones(6))
+        with pytest.raises(InvalidInputError, match="overflows.*divide A"):
+            solve(inst)
 
 
 class TestDualMap:
