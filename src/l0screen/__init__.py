@@ -20,7 +20,6 @@ from .problem import (
     ProblemSpec,
     SizeCapError,
     Variant,
-    delta_vector,
     objective_card,
     objective_reg,
     ridge_restricted_solve,
@@ -34,7 +33,6 @@ from .relax import (
     berhu_value,
     certified_lower_bound_card,
     certified_lower_bound_reg,
-    dual_from_primal,
     operator_norm_sq,
     solve_cc,
     solve_cr,
@@ -75,8 +73,6 @@ __all__ = [
     "brute_force",
     "certified_lower_bound_card",
     "certified_lower_bound_reg",
-    "delta_vector",
-    "dual_from_primal",
     "gamma_zero",
     "generate",
     "kth_largest_pair",

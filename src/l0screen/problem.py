@@ -82,6 +82,12 @@ class Instance:
             )
         if not np.all(np.isfinite(a)) or not np.all(np.isfinite(y)):
             raise InvalidInputError("matrix and response entries must be finite")
+        with np.errstate(over="ignore"):  # reported below as an error
+            yy = float(y @ y)
+        if not np.isfinite(yy):
+            raise InvalidInputError(
+                "the squared norm of y overflows; divide y by a scale s and a reg mu by s**2"
+            )
         a.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -219,15 +225,3 @@ def ridge_restricted_solve(inst: Instance, gamma: float, support: Iterable[int])
     value = float(r @ r + (x_s @ x_s) / gamma)
     return x, value
 
-
-def delta_vector(inst: Instance, x_star):
-    """Residual and per-column squared residual correlations for a primal point.
-
-    Returns ``(epsilon, delta)`` with ``epsilon = y - A x_star`` and
-    ``delta_i = (a_i' epsilon)^2``.  These scores drive every screening
-    rule and rounding heuristic downstream.
-    """
-    x_star = _check_x(x_star, inst.n)
-    eps = inst.y - inst.a @ x_star
-    delta = (inst.a.T @ eps) ** 2
-    return eps, delta

@@ -156,12 +156,6 @@ def operator_norm_sq(a) -> float:
     return max(0.0, float(np.linalg.eigvalsh(g)[-1]))
 
 
-def dual_from_primal(gamma: float, inst: Instance, epsilon_bar) -> np.ndarray:
-    """Dual point recovered from a residual: ``p = 2 gamma A' epsilon_bar``."""
-    eps = _check_residual(inst, epsilon_bar)
-    return 2.0 * gamma * (inst.a.T @ eps)
-
-
 def _check_residual(inst: Instance, epsilon_bar) -> np.ndarray:
     eps = np.asarray(epsilon_bar, dtype=float).ravel()
     if eps.shape[0] != inst.m:
@@ -220,7 +214,8 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
 
     Minimizes ``||y - a x||^2 + sum_i psi_i(x_i)`` where the separable
     part enters through ``prox``/``penalty_value``.  Terminates when the
-    certified relative gap drops below ``tol``.  Returns
+    certified relative gap drops below ``tol``, and stops unconverged at
+    the first non-finite primal value or bound.  Returns
     ``(x, eps, primal, lower_bound, iterations, converged)``.
     """
     lip = float(lipschitz)
@@ -236,6 +231,9 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
         eps = y - a @ x
         primal = float(eps @ eps) + penalty_value(x)
         lb = certificate(eps, a.T @ eps)
+        if not (math.isfinite(primal) and math.isfinite(lb)):
+            # a diverged run: inf - (-inf) <= inf would pass the gap test
+            return x, eps, primal, lb, it, False
         ok = primal - lb <= tol * (1.0 + abs(primal))
         if ok or it >= max_iter:
             return x, eps, primal, lb, it, ok

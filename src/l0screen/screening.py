@@ -7,10 +7,13 @@ strictly exceeds ``zeta_bar``, no optimal solution can take that
 indicator value, so the variable is fixed to the other one.  Fixes are
 safe for any valid ``(L, zeta_bar)`` pair, converged solver or not.
 
-For the reg variant the shift for variable i is ``mu - gamma delta_i``
-(to force in) or its negation (to force out), with
-``delta_i = (a_i' eps_bar)^2``.  For the card variant the shifts pivot
-on the k-th and (k+1)-st largest scores delta.
+Solved for the score ``delta_i = (a_i' eps_bar)^2``, each rule is one
+comparison against a scalar threshold.  With the room
+``r = (zeta_bar - L) / gamma`` (plus a safety slack), a variable is
+fixed out when ``delta_i < p_out - r`` and fixed in when
+``delta_i > p_in + r``.  The reg variant pivots both tests on
+``mu / gamma``; the card variant pivots on the k-th largest score to fix
+out and on the (k+1)-st to fix in.
 """
 
 from __future__ import annotations
@@ -65,32 +68,16 @@ def _cert_parts(cert):
 def _check_bounds(lower: float, zeta_bar: float):
     if np.isnan(zeta_bar):
         raise InvalidInputError("zeta_bar must not be NaN")
-    if zeta_bar < lower - SAFETY_SLACK * (1.0 + abs(zeta_bar)):
+    # scaled by |lower|, not |zeta_bar|: an upper bound of -inf would
+    # make the slack infinite and pass
+    if zeta_bar < lower - SAFETY_SLACK * (1.0 + abs(lower)):
         raise InconsistentBoundsError(
             f"upper bound {zeta_bar} lies below certified lower bound {lower}"
         )
 
 
-def _nth_smallest(values: np.ndarray, idx: int, rng) -> float:
-    """Order statistic by quickselect with randomized pivots, vectorized."""
-    arr = values
-    while True:
-        if arr.size <= 64:
-            return float(np.sort(arr)[idx])
-        pivot = float(arr[rng.integers(arr.size)])
-        less = arr[arr < pivot]
-        if idx < less.size:
-            arr = less
-            continue
-        n_equal = int(np.count_nonzero(arr == pivot))
-        if idx < less.size + n_equal:
-            return pivot
-        arr = arr[arr > pivot]
-        idx -= less.size + n_equal
-
-
 def kth_largest_pair(delta, k: int):
-    """k-th and (k+1)-st largest entries of ``delta`` in expected O(n).
+    """k-th and (k+1)-st largest entries of ``delta``, from one partition.
 
     Duplicates count with multiplicity.  When ``k == n`` there is no
     (k+1)-st value and ``-inf`` is returned as a sentinel.
@@ -100,31 +87,40 @@ def kth_largest_pair(delta, k: int):
     if not (1 <= int(k) <= n) or int(k) != k:
         raise InvalidInputError(f"k must be an integer in [1, {n}]")
     k = int(k)
-    rng = np.random.default_rng(0x5E1EC7)
-    dk = _nth_smallest(arr, n - k, rng)
-    dk1 = -np.inf if k == n else _nth_smallest(arr, n - k - 1, rng)
-    return dk, dk1
+    part = np.partition(arr, n - k)
+    dk1 = -np.inf if k == n else float(part[:n - k].max())
+    return float(part[n - k]), dk1
+
+
+def _threshold_rules(delta, lower, gamma, zeta_bar, out_pivot, in_pivot):
+    """Fix out where ``delta < out_pivot - room``, in where ``delta > in_pivot + room``.
+
+    ``room`` is the score that the gap ``zeta_bar - lower``, plus the
+    slack, buys.  A negative room is clamped to 0; a NaN one, from a NaN
+    bound, stays NaN and fixes nothing.  With ``room >= 0`` no score is
+    fixed both ways: reg tests one pivot from both sides, and card would
+    need a score strictly between its k-th and (k+1)-st largest.  So a
+    card score fixed out ranks past k, and at most k fixed in rank
+    within the top k.
+    """
+    room = (zeta_bar + SAFETY_SLACK - lower) / gamma
+    if room < 0.0:
+        room = 0.0
+    return delta < out_pivot - room, delta > in_pivot + room
 
 
 def _rules_reg(delta, lower, gamma, mu, zeta_bar):
-    zero = lower + mu - gamma * delta - SAFETY_SLACK > zeta_bar
-    one = lower - mu + gamma * delta - SAFETY_SLACK > zeta_bar
-    if np.any(zero & one):
-        raise InconsistentBoundsError("both rules fired; bounds are inconsistent")
-    return zero, one
+    return _threshold_rules(delta, lower, gamma, zeta_bar, mu / gamma, mu / gamma)
 
 
 def _rules_card(delta, lower, gamma, k, zeta_bar):
-    n = delta.size
     dk, dk1 = kth_largest_pair(delta, k)
     # With k == n the cap is vacuous: forcing a variable out costs its
-    # own score and nothing is gained back, so the rule bound uses 0 in
-    # place of the missing (k+1)-st value; the zero rule cannot apply.
-    dk1_bound = 0.0 if k == n else dk1
-    zero = (delta <= dk1) & (lower - gamma * (delta - dk) - SAFETY_SLACK > zeta_bar)
-    one = (delta >= dk) & (lower + gamma * (delta - dk1_bound) - SAFETY_SLACK > zeta_bar)
-    if np.any(zero & one):
-        raise InconsistentBoundsError("both rules fired; bounds are inconsistent")
+    # own score and nothing is gained back, so the fix-in pivot is 0 in
+    # place of the missing (k+1)-st value; no score lies below the
+    # smallest one, so nothing is fixed out.
+    in_pivot = 0.0 if k == delta.size else dk1
+    zero, one = _threshold_rules(delta, lower, gamma, zeta_bar, dk, in_pivot)
     return zero, one, dk, dk1
 
 
@@ -186,9 +182,8 @@ def screen_reg(inst: Instance, gamma: float, mu: float, cert, zeta_bar: float) -
 def screen_card(inst: Instance, gamma: float, k: int, cert, zeta_bar: float) -> ScreenReport:
     """Fix variables of the card problem that no optimal solution can use.
 
-    A variable with ``delta_i <= delta_[k+1]`` is fixed out when
-    ``L - gamma (delta_i - delta_[k])`` exceeds ``zeta_bar``; one with
-    ``delta_i >= delta_[k]`` is fixed in when
+    A variable is fixed out when ``L - gamma (delta_i - delta_[k])``
+    exceeds ``zeta_bar`` and fixed in when
     ``L + gamma (delta_i - delta_[k+1])`` does.  Ties between the two
     pivot values leave variables free.  At most k variables can be
     fixed in.
@@ -197,7 +192,4 @@ def screen_card(inst: Instance, gamma: float, k: int, cert, zeta_bar: float) -> 
         raise InvalidInputError("gamma must be positive")
     if not (1 <= int(k) <= inst.n) or int(k) != k:
         raise InvalidInputError(f"k must be an integer in [1, {inst.n}]")
-    report = _screen(inst, ProblemSpec.card(gamma, int(k)), cert, zeta_bar)
-    if report.n_one > k:
-        raise InconsistentBoundsError(f"{report.n_one} variables fixed in but k={k}")
-    return report
+    return _screen(inst, ProblemSpec.card(gamma, int(k)), cert, zeta_bar)

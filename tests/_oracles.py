@@ -183,3 +183,27 @@ def enumerate_optima(a, y, gamma, mu=None, k=None, rel_tol=1e-9):
     tol = rel_tol * (1.0 + abs(best))
     sups = sorted(sup for v, sup in results if v <= best + tol)
     return best, sups
+
+
+def screening_masks(delta, lower, gamma, zeta_bar, slack, mu=None, k=None):
+    """Fix-out and fix-in masks from each variable's shifted bound.
+
+    Reg: out when ``L + mu - gamma d_i - slack > zeta_bar``, in when
+    ``L - mu + gamma d_i - slack > zeta_bar``.  Card, with the pivots
+    ``d_[k]`` and ``d_[k+1]`` read off a full sort (``d_[n+1]`` is 0 in
+    the fix-in bound): out when ``d_i <= d_[k+1]`` and
+    ``L - gamma (d_i - d_[k]) - slack > zeta_bar``, in when
+    ``d_i >= d_[k]`` and ``L + gamma (d_i - d_[k+1]) - slack > zeta_bar``.
+    """
+    d = np.asarray(delta, dtype=float)
+    if mu is not None:
+        out = lower + mu - gamma * d - slack > zeta_bar
+        into = lower - mu + gamma * d - slack > zeta_bar
+        return out, into
+    s = np.sort(d)[::-1]
+    dk = s[k - 1]
+    dk1 = s[k] if k < d.size else -math.inf
+    dk1_bound = s[k] if k < d.size else 0.0
+    out = (d <= dk1) & (lower - gamma * (d - dk) - slack > zeta_bar)
+    into = (d >= dk) & (lower + gamma * (d - dk1_bound) - slack > zeta_bar)
+    return out, into

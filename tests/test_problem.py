@@ -7,7 +7,6 @@ from l0screen import (
     InvalidInputError,
     ProblemSpec,
     Variant,
-    delta_vector,
     objective_card,
     objective_reg,
     ridge_restricted_solve,
@@ -43,6 +42,11 @@ class TestInstance:
     def test_rejects_bad_input(self, a, y):
         with pytest.raises(InvalidInputError):
             Instance(a, y)
+
+    def test_overflowing_response_is_a_clear_error(self):
+        # finite entries whose squares overflow would give an infinite objective
+        with pytest.raises(InvalidInputError, match="overflows.*divide y"):
+            Instance(np.eye(2), np.array([3.0, 0.1]) * 1e160)
 
 
 class TestProblemSpec:
@@ -151,23 +155,3 @@ class TestRidgeRestricted:
     def test_empty_support_rejected(self, tiny):
         with pytest.raises(InvalidInputError):
             ridge_restricted_solve(tiny, 1.0, [])
-
-
-class TestDeltaVector:
-    def test_at_zero(self, tiny):
-        eps, delta = delta_vector(tiny, np.zeros(2))
-        np.testing.assert_allclose(eps, tiny.y)
-        np.testing.assert_allclose(delta, (tiny.a.T @ tiny.y) ** 2)
-
-    def test_worked_example(self, tiny):
-        eps, delta = delta_vector(tiny, np.array([1.5, 0.0]))
-        np.testing.assert_allclose(eps, [1.5, 0.1], atol=1e-12)
-        np.testing.assert_allclose(delta, [2.25, 0.01], atol=1e-12)
-
-    def test_zero_residual(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        x = rng.standard_normal(4)
-        inst = Instance(a, a @ x)
-        _, delta = delta_vector(inst, x)
-        np.testing.assert_allclose(delta, 0.0, atol=1e-18)

@@ -13,7 +13,6 @@ from l0screen import (
     branch_and_bound,
     certified_lower_bound_card,
     certified_lower_bound_reg,
-    dual_from_primal,
     gamma_zero,
     generate,
     operator_norm_sq,
@@ -70,26 +69,6 @@ class TestOperatorNorm:
         inst = Instance(_gaussian(0, 6, 10) * 1e160, np.ones(6))
         with pytest.raises(InvalidInputError, match="overflows.*divide A"):
             solve(inst)
-
-
-class TestDualMap:
-    def test_worked_example(self, tiny):
-        p = dual_from_primal(1.0, tiny, np.array([1.5, 0.1]))
-        np.testing.assert_allclose(p, [3.0, 0.2], atol=1e-12)
-
-    def test_zero(self, tiny):
-        np.testing.assert_allclose(dual_from_primal(1.0, tiny, np.zeros(2)), 0.0)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_delta_identity(self, seed):
-        # delta_i = p_i^2 / (4 gamma^2) for every coordinate
-        inst = random_instance(seed, 6, 9)
-        rng = np.random.default_rng(40 + seed)
-        eps = rng.standard_normal(6)
-        gamma = float(rng.uniform(0.2, 5.0))
-        p = dual_from_primal(gamma, inst, eps)
-        delta = (inst.a.T @ eps) ** 2
-        np.testing.assert_allclose(p ** 2 / (4 * gamma ** 2), delta, atol=1e-10)
 
 
 class TestCertifiedBoundReg:
@@ -305,6 +284,20 @@ class TestSolveCc:
             solve_cc(tiny, 1.0, 0)
         with pytest.raises(InvalidInputError):
             solve_cc(tiny, 1.0, 3)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda inst, cfg: solve_cr(inst, 1.0, 0.5, cfg),
+    lambda inst, cfg: solve_cc(inst, 1.0, 3, cfg),
+], ids=["solve_cr", "solve_cc"])
+def test_diverged_run_is_not_converged(solve):
+    # a step 1 / L far above 1 / (2 ||A||^2) makes APG diverge
+    rng = np.random.default_rng(0)
+    inst = Instance(rng.standard_normal((8, 12)), rng.standard_normal(8))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve(inst, SolverConfig(lipschitz=1e-3, max_iter=5000))
+    assert not sol.converged
+    assert sol.iterations < 5000
 
 
 class TestMonotonicity:

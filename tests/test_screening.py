@@ -12,7 +12,11 @@ from l0screen import (
     ProblemSpec,
     ScreenReport,
     SolverConfig,
+    SyntheticSpec,
+    Variant,
     brute_force,
+    gamma_zero,
+    generate,
     kth_largest_pair,
     round_card,
     round_reg,
@@ -21,8 +25,9 @@ from l0screen import (
     solve_cc,
     solve_cr,
 )
-from l0screen.screening import _nth_smallest
+from l0screen.screening import SAFETY_SLACK, _rules_card, _rules_reg
 
+from ._oracles import screening_masks
 from .conftest import random_instance
 
 
@@ -39,16 +44,21 @@ class TestKthLargestPair:
         assert dk1 == -np.inf
 
     @pytest.mark.parametrize("seed,n,k", [(0, 100_000, 7), (1, 99_991, 1),
-                                          (2, 70_000, 69_999), (3, 1_000, 500)])
+                                          (2, 70_000, 69_999), (3, 1_000, 500),
+                                          *[(9, 10_000, k) for k in (1, 2, 5_001, 9_999, 10_000)]])
     def test_matches_sort_oracle(self, seed, n, k):
         rng = np.random.default_rng(seed)
-        delta = rng.exponential(size=n)
-        # inject plenty of ties
-        delta[rng.integers(0, n, size=n // 10)] = delta[0]
+        if seed == 9:
+            # 50 distinct values, so every order statistic is tied
+            delta = rng.integers(0, 50, size=n).astype(float)
+        else:
+            delta = rng.exponential(size=n)
+            # inject plenty of ties
+            delta[rng.integers(0, n, size=n // 10)] = delta[0]
         s = np.sort(delta)[::-1]
         dk, dk1 = kth_largest_pair(delta, k)
         assert dk == s[k - 1]
-        assert dk1 == s[k]
+        assert dk1 == (-np.inf if k == n else s[k])
 
     @pytest.mark.parametrize("k", [0, 3, -1, 1.5])
     def test_bad_k(self, k):
@@ -67,11 +77,86 @@ class TestKthLargestPair:
         assert dk1 == (-np.inf if k == delta.size else s[k])
 
 
-def test_nth_smallest_large_with_ties():
-    rng = np.random.default_rng(9)
-    arr = rng.integers(0, 50, size=10_000).astype(float)
-    for idx in (0, 1, 4_999, 9_998, 9_999):
-        assert _nth_smallest(arr, idx, np.random.default_rng(1)) == np.sort(arr)[idx]
+def _assert_rules_match_shifted_bounds(inst, spec):
+    """Relax, round, and compare the rule masks with the per-variable formulas."""
+    if spec.variant is Variant.REG:
+        sol = solve_cr(inst, spec.gamma, spec.mu)
+        ub = round_reg(inst, spec.gamma, spec.mu, sol).objective
+        rules = lambda d: _rules_reg(d, sol.lower_bound, spec.gamma, spec.mu, ub)
+    else:
+        sol = solve_cc(inst, spec.gamma, spec.k)
+        ub = round_card(inst, spec.gamma, spec.k, sol).objective
+        rules = lambda d: _rules_card(d, sol.lower_bound, spec.gamma, spec.k, ub)[:2]
+    delta = (inst.a.T @ sol.epsilon) ** 2
+    want = screening_masks(delta, sol.lower_bound, spec.gamma, ub, SAFETY_SLACK, mu=spec.mu, k=spec.k)
+    np.testing.assert_array_equal(np.array(rules(delta)), np.array(want))
+
+
+class TestRulesMatchShiftedBounds:
+    """The threshold rules fix exactly what the shifted-bound formulas fix."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_cells(self, seed):
+        rng = np.random.default_rng(7_000 + seed)
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(4, 31))
+        inst = Instance(rng.standard_normal((m, n)),
+                        rng.standard_normal(m) * float(rng.uniform(0.5, 3.0)))
+        gamma = float(10.0 ** rng.uniform(-2, 2))
+        if seed % 2 == 0:
+            spec = ProblemSpec.reg(gamma, float(10.0 ** rng.uniform(-2, 2)))
+        else:
+            spec = ProblemSpec.card(gamma, int(rng.integers(1, n + 1)))
+        _assert_rules_match_shifted_bounds(inst, spec)
+
+    @pytest.mark.parametrize("variant", ["card", "reg"])
+    @pytest.mark.parametrize("k,gamma_exp", [(5, 0), (5, 2), (10, 0), (10, 2)])
+    def test_readme_grid_cells(self, variant, k, gamma_exp):
+        inst, _ = generate(SyntheticSpec(n=120, m=60, k_true=k, rho=0.5, snr=6.0,
+                                         seed=k + gamma_exp))
+        gamma = 2.0 ** gamma_exp * gamma_zero(inst, k)
+        if variant == "card":
+            spec = ProblemSpec.card(gamma, k)
+        else:
+            spec = ProblemSpec.reg(gamma, gamma * float(np.sort((inst.a.T @ inst.y) ** 2)[-2 * k]))
+        _assert_rules_match_shifted_bounds(inst, spec)
+
+
+@given(data=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200),
+       k_frac=st.floats(min_value=0.0, max_value=1.0),
+       lower=st.floats(min_value=-1e3, max_value=1e3),
+       offset=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3),
+                        st.floats(min_value=-1e-6, max_value=0.0)),
+       gamma=st.floats(min_value=1e-2, max_value=1e2),
+       mu=st.floats(min_value=1e-3, max_value=1e3))
+@settings(max_examples=200)
+def test_rules_never_fix_both_ways(data, k_frac, lower, offset, gamma, mu):
+    delta = np.array(data)
+    k = 1 + int(k_frac * (delta.size - 1))
+    zeta_bar = lower + offset
+    zero, one = _rules_reg(delta, lower, gamma, mu, zeta_bar)
+    assert not np.any(zero & one)
+    zero, one, _, _ = _rules_card(delta, lower, gamma, k, zeta_bar)
+    assert not np.any(zero & one)
+    assert np.count_nonzero(one) <= k
+
+
+def test_scores_within_the_slack_stay_free():
+    # with zeta_bar = L, scores 2e-10 off a pivot lie inside SAFETY_SLACK
+    near = np.array([1.0 - 2e-10, 1.0 + 2e-10])
+    assert not np.any(_rules_reg(near, 0.0, 1.0, 1.0, 0.0))
+    assert not np.any(_rules_card(near, 0.0, 1.0, 1, 0.0)[:2])
+
+
+@pytest.mark.parametrize("screen,param", [(screen_reg, 1.0), (screen_card, 1)],
+                         ids=["reg", "card"])
+def test_nan_lower_bound_fixes_nothing(tiny, screen, param):
+    cert = DualCertificate(epsilon_bar=np.array([1.5, 0.1]), lower_bound=np.nan)
+    assert screen(tiny, 1.0, param, cert, 5.51).n_free == 2
+
+def _minus_inf_instance():
+    rng = np.random.default_rng(3)
+    return Instance(rng.standard_normal((10, 15)), 3 * rng.standard_normal(10))
 
 
 class TestScreenReg:
@@ -107,6 +192,11 @@ class TestScreenReg:
         cert = DualCertificate(epsilon_bar=np.zeros(2), lower_bound=0.0)
         with pytest.raises(InvalidInputError):
             screen_reg(tiny, 1.0, 1.0, cert, np.nan)
+
+    def test_minus_infinite_upper_bound_rejected(self):
+        inst = _minus_inf_instance()
+        with pytest.raises(InconsistentBoundsError):
+            screen_reg(inst, 2.0, 0.5, solve_cr(inst, 2.0, 0.5), -np.inf)
 
     def test_tighter_upper_bound_fixes_at_least_as_much(self):
         inst = random_instance(3, 10, 15)
@@ -165,6 +255,11 @@ class TestScreenCard:
         cert = DualCertificate(epsilon_bar=np.zeros(2), lower_bound=10.0)
         with pytest.raises(InconsistentBoundsError):
             screen_card(tiny, 1.0, 1, cert, 5.0)
+
+    def test_minus_infinite_upper_bound_rejected(self):
+        inst = _minus_inf_instance()
+        with pytest.raises(InconsistentBoundsError):
+            screen_card(inst, 2.0, 3, solve_cc(inst, 2.0, 3), -np.inf)
 
 
 class TestSafetySmall:
