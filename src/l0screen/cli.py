@@ -25,9 +25,9 @@ from . import __version__
 from .datagen import GENERATOR_NAME, SyntheticSpec, gamma_zero, generate, load_csv, save_dataset
 from .exact import BnBConfig, branch_and_bound, brute_force
 from .heuristics import round_card, round_reg
-from .problem import FixState, Instance, ProblemSpec, Variant
+from .problem import FixState, Instance, InvalidInputError, ProblemSpec, Variant
 from .relax import SolverConfig, solve_cc, solve_cr
-from .report import BENCH_COLUMNS, validate_run_report
+from .report import _BENCH_METHODS, BENCH_COLUMNS, validate_run_report
 from .screening import screen_card, screen_reg
 
 
@@ -55,19 +55,21 @@ def _parse_float_list(text: str, parser, flag: str):
 
 
 def _spec_from_args(args, parser) -> ProblemSpec:
-    if args.gamma is None or args.gamma <= 0:
-        parser.error("--gamma must be a positive number")
-    if args.variant == "reg":
-        if args.mu is None:
-            parser.error("--mu is required for --variant reg")
-        if args.mu <= 0:
-            parser.error("--mu must be positive")
-        return ProblemSpec.reg(args.gamma, args.mu)
-    if args.k is None:
-        parser.error("--k is required for --variant card")
-    if args.k < 1:
-        parser.error("--k must be >= 1")
-    return ProblemSpec.card(args.gamma, args.k)
+    name = "mu" if args.variant == "reg" else "k"
+    value = getattr(args, name)
+    if value is None:
+        parser.error(f"--{name} is required for --variant {args.variant}")
+    try:
+        return ProblemSpec(args.variant, args.gamma, **{name: value})
+    except InvalidInputError as exc:
+        parser.error(str(exc))
+
+
+def _load_instance(args, parser, spec: ProblemSpec) -> Instance:
+    inst = load_csv(args.a, args.y)
+    if spec.k is not None and spec.k > inst.n:
+        parser.error(f"--k exceeds the number of columns ({inst.n})")
+    return inst
 
 
 def cmd_gen(args, parser) -> int:
@@ -166,9 +168,7 @@ def _write_reduced(out_dir: str, inst: Instance, spec: ProblemSpec, rep) -> dict
 
 def cmd_screen(args, parser) -> int:
     spec = _spec_from_args(args, parser)
-    inst = load_csv(args.a, args.y)
-    if spec.variant is Variant.CARD and spec.k > inst.n:
-        parser.error(f"--k exceeds the number of columns ({inst.n})")
+    inst = _load_instance(args, parser, spec)
     rep, rel, inc, timings = _screen_pipeline(inst, spec, args.tol, args.zeta_bar)
     out = None
     if args.out_reduced:
@@ -204,9 +204,7 @@ def _spec_block(spec: ProblemSpec) -> dict:
 
 def cmd_solve(args, parser) -> int:
     spec = _spec_from_args(args, parser)
-    inst = load_csv(args.a, args.y)
-    if spec.variant is Variant.CARD and spec.k > inst.n:
-        parser.error(f"--k exceeds the number of columns ({inst.n})")
+    inst = _load_instance(args, parser, spec)
     fixed = None
     if args.forced_in:
         idx = _parse_index_list(args.forced_in, parser, "--forced-in")
@@ -229,10 +227,13 @@ def cmd_solve(args, parser) -> int:
             "wall_time_s": time.perf_counter() - t, "optimal": True, "root_fixed": 0,
         }
     else:
-        cfg = BnBConfig(
-            time_limit_s=args.time_limit, node_limit=args.node_limit,
-            screen_at_root=args.screen == "on", screen_per_node=False,
-        )
+        try:
+            cfg = BnBConfig(
+                time_limit_s=args.time_limit, node_limit=args.node_limit,
+                screen_at_root=args.screen == "on", screen_per_node=False,
+            )
+        except InvalidInputError as exc:
+            parser.error(str(exc))
         stats = branch_and_bound(inst, spec, cfg, fixed=fixed)
         inc = stats.best
         solve_block = {
@@ -270,7 +271,7 @@ def _bench_methods_row(inst, k, gamma, method, time_limit, node_limit, tol):
 def cmd_bench(args, parser) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
-        if m not in {"screen", "bnb", "bnb_screen"}:
+        if m not in _BENCH_METHODS:
             parser.error(f"unknown method {m!r}")
     k_grid = _parse_index_list(args.k_grid, parser, "--k-grid")
     gamma_exps = _parse_float_list(args.gamma_exps, parser, "--gamma-exps")

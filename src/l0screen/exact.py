@@ -17,18 +17,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .problem import (
     FixState,
     Incumbent,
-    InfeasibleError,
     Instance,
     InvalidInputError,
     ProblemSpec,
     SizeCapError,
     Variant,
     _check_fixes,
+    _settle,
 )
 from .heuristics import _evaluate, _node_round
 from .relax import RelaxSolution, SolverConfig, _auto_lipschitz, _relax
@@ -57,17 +56,11 @@ class BnBConfig:
     screen_per_node: bool = False
 
     def __post_init__(self):
-        if self.time_limit_s <= 0:
+        # written so that NaN fails; inf means no limit
+        if not (self.time_limit_s > 0):
             raise InvalidInputError("time_limit_s must be positive")
         if self.node_limit < 1:
             raise InvalidInputError("node_limit must be >= 1")
-
-
-@dataclass(frozen=True)
-class Node:
-    fixes: NDArray[np.int8]
-    lower_bound: float
-    depth: int
 
 
 @dataclass
@@ -101,21 +94,16 @@ def brute_force(inst: Instance, spec: ProblemSpec, fixed=None):
     card).
     """
     n = inst.n
-    if fixed is None:
-        forced: list[int] = []
-        free = list(range(n))
-    else:
-        fixed = _check_fixes(fixed, n)
-        forced = [int(i) for i in np.flatnonzero(fixed == FixState.ONE)]
-        free = [int(i) for i in np.flatnonzero(fixed == FixState.FREE)]
+    fixed = np.full(n, FixState.FREE, dtype=np.int8) if fixed is None else _check_fixes(fixed, n)
+    fixed = _settle(spec, fixed)
+    forced = [int(i) for i in np.flatnonzero(fixed == FixState.ONE)]
+    free = [int(i) for i in np.flatnonzero(fixed == FixState.FREE)]
 
     if spec.variant is Variant.REG:
         if len(free) > _BRUTE_N_CAP:
             raise SizeCapError(f"{len(free)} free variables exceeds the cap of {_BRUTE_N_CAP}")
         sizes = range(len(free) + 1)
     else:
-        if len(forced) > spec.k:
-            raise InfeasibleError(f"{len(forced)} variables forced in but k={spec.k}")
         k_free = spec.k - len(forced)
         sizes = range(min(k_free, len(free)) + 1)
         count = sum(math.comb(len(free), j) for j in sizes)
@@ -192,11 +180,8 @@ def branch_and_bound(
     n = inst.n
     scfg = SolverConfig(tol=_NODE_TOL, lipschitz=_auto_lipschitz(inst.a, SolverConfig()))
 
-    root_fixes = np.full(n, FixState.FREE, dtype=np.int8)
-    if fixed is not None:
-        root_fixes = _check_fixes(fixed, n)
-    if spec.variant is Variant.CARD and np.count_nonzero(root_fixes == FixState.ONE) > spec.k:
-        raise InfeasibleError("more variables forced in than the budget allows")
+    root_fixes = np.full(n, FixState.FREE, dtype=np.int8) if fixed is None else _check_fixes(fixed, n)
+    root_fixes = _settle(spec, root_fixes)
 
     incumbent = initial
     zeta_bar = initial.objective if initial is not None else math.inf
@@ -237,10 +222,7 @@ def branch_and_bound(
             screened, _, _ = _screen_fixes(spec, fixes, delta, rel.lower_bound, zeta_bar)
             if depth == 0:
                 root_fixed = int(np.count_nonzero(screened != fixes))
-            fixes = screened
-            # a full budget forces the remaining free variables out
-            if spec.variant is Variant.CARD and np.count_nonzero(fixes == FixState.ONE) >= spec.k:
-                fixes[fixes == FixState.FREE] = FixState.ZERO
+            fixes = _settle(spec, screened)
 
         free_idx = np.flatnonzero(fixes == FixState.FREE)
         if free_idx.size == 0:
@@ -251,16 +233,13 @@ def branch_and_bound(
 
         j = int(free_idx[np.argmax(delta[free_idx])])
 
-        n_one = int(np.count_nonzero(fixes == FixState.ONE))
-        children = []
-        if spec.variant is not Variant.CARD or n_one + 1 <= spec.k:
-            child = fixes.copy()
-            child[j] = FixState.ONE
-            children.append(child)
-        child = fixes.copy()
-        child[j] = FixState.ZERO
-        children.append(child)
-        for ch in children:
+        # fixes is settled and has a free variable, so the fixed-in child
+        # stays within a card budget
+        child_in = fixes.copy()
+        child_in[j] = FixState.ONE
+        child_out = fixes.copy()
+        child_out[j] = FixState.ZERO
+        for ch in (_settle(spec, child_in), child_out):
             entry = (node_lb, next(counter), depth + 1, ch, rel.x)
             if len(heap) + len(stack) >= _OPEN_NODE_CAP:
                 stack.append(entry)

@@ -15,11 +15,9 @@ from .problem import (
     FixState,
     Incumbent,
     Instance,
-    InvalidInputError,
     ProblemSpec,
     Variant,
-    objective_card,
-    objective_reg,
+    _spec_for,
     ridge_restricted_solve,
 )
 from .relax import RelaxSolution
@@ -31,21 +29,25 @@ def _scores(inst: Instance, relax: RelaxSolution) -> np.ndarray:
 
 
 def _ridge_on(inst, gamma, idx):
-    """Full-length ridge coefficients on an index list; empty list gives zero."""
+    """Full-length ridge coefficients on an index list and their loss plus ridge.
+
+    An empty list gives zero coefficients and the value ``||y||^2``.
+    """
     if len(idx):
-        return ridge_restricted_solve(inst, gamma, idx)[0]
-    return np.zeros(inst.n)
+        return ridge_restricted_solve(inst, gamma, idx)
+    return np.zeros(inst.n), float(inst.y @ inst.y)
 
 
 def _evaluate(inst: Instance, spec: ProblemSpec, support) -> Incumbent:
-    """Refit ridge coefficients on ``support`` and price them under ``spec``."""
+    """Refit ridge coefficients on ``support`` and price them under ``spec``.
+
+    The support must honor the card budget; every caller builds it so.
+    """
     support = tuple(sorted(int(i) for i in support))
-    x = _ridge_on(inst, spec.gamma, support)
+    x, value = _ridge_on(inst, spec.gamma, support)
     if spec.variant is Variant.REG:
-        obj = objective_reg(inst, spec, support, x)
-    else:
-        obj = objective_card(inst, spec, support, x)
-    return Incumbent(support=support, x=x, objective=obj)
+        value += spec.mu * len(support)
+    return Incumbent(support=support, x=x, objective=value)
 
 
 def _node_round(inst: Instance, spec: ProblemSpec, fixes, delta) -> Incumbent:
@@ -70,10 +72,8 @@ def round_card(inst: Instance, gamma: float, k: int, relax: RelaxSolution) -> In
 
     Ties are broken toward the lower index.
     """
-    if not (1 <= int(k) <= inst.n) or int(k) != k:
-        raise InvalidInputError(f"k must be an integer in [1, {inst.n}]")
     free = np.full(inst.n, FixState.FREE, dtype=np.int8)
-    return _node_round(inst, ProblemSpec.card(gamma, int(k)), free, _scores(inst, relax))
+    return _node_round(inst, _spec_for(inst.n, gamma, k=k), free, _scores(inst, relax))
 
 
 def round_reg(inst: Instance, gamma: float, mu: float, relax: RelaxSolution) -> Incumbent:
@@ -82,7 +82,5 @@ def round_reg(inst: Instance, gamma: float, mu: float, relax: RelaxSolution) -> 
     The support is ``{i : gamma delta_i >= mu}``; when it is empty the
     zero solution is returned.
     """
-    if mu <= 0:
-        raise InvalidInputError("mu must be positive")
     free = np.full(inst.n, FixState.FREE, dtype=np.int8)
-    return _node_round(inst, ProblemSpec.reg(gamma, mu), free, _scores(inst, relax))
+    return _node_round(inst, _spec_for(inst.n, gamma, mu=mu), free, _scores(inst, relax))

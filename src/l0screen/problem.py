@@ -126,7 +126,8 @@ class ProblemSpec:
             if self.k is not None:
                 raise InvalidInputError("reg variant takes no k")
         else:
-            if self.k is None or int(self.k) != self.k or self.k < 1:
+            # range first: int() of a NaN or infinite k raises on its own
+            if self.k is None or not (1 <= self.k < np.inf) or int(self.k) != self.k:
                 raise InvalidInputError("card variant needs integer k >= 1")
             if self.mu is not None:
                 raise InvalidInputError("card variant takes no mu")
@@ -139,6 +140,38 @@ class ProblemSpec:
     @classmethod
     def card(cls, gamma: float, k: int) -> "ProblemSpec":
         return cls(variant=Variant.CARD, gamma=gamma, k=k)
+
+
+def _spec_for(n: int, gamma: float, mu: Optional[float] = None, k=None) -> ProblemSpec:
+    """The reg spec of ``(gamma, mu)`` or the card spec of ``(gamma, k)`` on n columns.
+
+    The one check of the public functions' parameters: gamma and mu
+    positive and finite, k an integer in [1, n].
+    """
+    if k is None:
+        return ProblemSpec.reg(gamma, mu)
+    # range first: int() of a NaN or infinite k raises on its own
+    if not (1 <= k <= n) or int(k) != k:
+        raise InvalidInputError(f"k must be an integer in [1, {n}]")
+    return ProblemSpec.card(gamma, k)
+
+
+def _settle(spec: ProblemSpec, fixes: np.ndarray) -> np.ndarray:
+    """``fixes`` under the card budget; the one place that budget is applied.
+
+    Raises InfeasibleError when more than k variables are fixed in, and
+    fixes every free variable out once exactly k are (in a copy).  Reg
+    fixes pass through unchanged.
+    """
+    if spec.variant is Variant.REG:
+        return fixes
+    n_one = int(np.count_nonzero(fixes == FixState.ONE))
+    if n_one > spec.k:
+        raise InfeasibleError(f"{n_one} variables fixed in but k={spec.k}")
+    if n_one == spec.k:
+        fixes = fixes.copy()
+        fixes[fixes == FixState.FREE] = FixState.ZERO
+    return fixes
 
 
 @dataclass(frozen=True)

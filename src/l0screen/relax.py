@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .problem import FixState, InfeasibleError, Instance, InvalidInputError, ProblemSpec, Variant
+from .problem import FixState, Instance, InvalidInputError, ProblemSpec, Variant, _settle, _spec_for
 
 # operator_norm_sq is exact only to rounding, a relative error of order
 # max(m, n) machine epsilons on either side of ||A||^2; the pad keeps
@@ -193,20 +193,16 @@ def _bound_card_terms(y, eps, ateps, gamma, k_budget, free_mask=None) -> float:
 
 def certified_lower_bound_reg(inst: Instance, gamma: float, mu: float, epsilon_bar) -> float:
     """Certified lower bound on the reg relaxation, valid for any residual."""
-    if gamma <= 0 or mu <= 0:
-        raise InvalidInputError("gamma and mu must be positive")
+    spec = _spec_for(inst.n, gamma, mu=mu)
     eps = _check_residual(inst, epsilon_bar)
-    return _bound_reg_terms(inst.y, eps, inst.a.T @ eps, gamma, mu)
+    return _bound_reg_terms(inst.y, eps, inst.a.T @ eps, spec.gamma, spec.mu)
 
 
 def certified_lower_bound_card(inst: Instance, gamma: float, k: int, epsilon_bar) -> float:
     """Certified lower bound on the card relaxation, valid for any residual."""
-    if gamma <= 0:
-        raise InvalidInputError("gamma must be positive")
-    if not (1 <= int(k) <= inst.n) or int(k) != k:
-        raise InvalidInputError(f"k must be an integer in [1, {inst.n}]")
+    spec = _spec_for(inst.n, gamma, k=k)
     eps = _check_residual(inst, epsilon_bar)
-    return _bound_card_terms(inst.y, eps, inst.a.T @ eps, gamma, int(k))
+    return _bound_card_terms(inst.y, eps, inst.a.T @ eps, spec.gamma, spec.k)
 
 
 def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, max_iter, x0):
@@ -310,7 +306,7 @@ def solve_cr(inst: Instance, gamma: float, mu: float, cfg: Optional[SolverConfig
         within ``max_iter`` the best iterate is returned with
         ``converged=False``; the bound is still valid.
     """
-    spec = ProblemSpec.reg(gamma, mu)
+    spec = _spec_for(inst.n, gamma, mu=mu)
     return _relax(inst, spec, np.full(inst.n, FixState.FREE, dtype=np.int8), cfg or SolverConfig())
 
 
@@ -413,20 +409,18 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=N
     """The relaxation of ``spec`` with the variables in ``fixes`` fixed.
 
     Fixed-out columns leave the problem, and so do the free ones once a
-    card budget is spent.  When no more columns are free than the budget
-    (``k - n_one`` for card, 0 for reg) the ridge closed form is
-    certified as it stands; otherwise the Berhu or k-support problem is
-    solved, reg from ``x_warm`` when given and card from zero.
+    card budget is spent (``problem._settle``).  When no more columns
+    are free than the budget (``k - n_one`` for card, 0 for reg) the
+    ridge closed form is certified as it stands; otherwise the Berhu or
+    k-support problem is solved, reg from ``x_warm`` when given and card
+    from zero.
     """
     card = spec.variant is Variant.CARD
+    fixes = _settle(spec, fixes)
     one = fixes == FixState.ONE
     n_one = int(np.count_nonzero(one))
     budget = spec.k - n_one if card else 0
-    if budget < 0:
-        raise InfeasibleError(f"{n_one} variables forced in but k={spec.k}")
     free = fixes == FixState.FREE
-    if card and budget == 0:
-        free[:] = False
     active = np.flatnonzero(one | free)
     a = inst.a if active.size == inst.n else inst.a[:, active]
     free_mask = free[active]
@@ -475,7 +469,5 @@ def solve_cc(inst: Instance, gamma: float, k: int, cfg: Optional[SolverConfig] =
     did not close within ``max_iter`` the final iterate is returned
     with ``converged=False``; the bound is still valid.
     """
-    spec = ProblemSpec.card(gamma, k)
-    if spec.k > inst.n:
-        raise InvalidInputError(f"k must be an integer in [1, {inst.n}]")
+    spec = _spec_for(inst.n, gamma, k=k)
     return _relax(inst, spec, np.full(inst.n, FixState.FREE, dtype=np.int8), cfg or SolverConfig())

@@ -31,6 +31,8 @@ from .problem import (
     InvalidInputError,
     ProblemSpec,
     Variant,
+    _settle,
+    _spec_for,
 )
 
 # Strict inequalities carry an absolute slack so borderline float noise
@@ -128,24 +130,23 @@ def _screen_fixes(spec: ProblemSpec, fixes, delta, lower, zeta_bar):
     """Run the variant's rule on the free variables of ``fixes``.
 
     ``delta`` holds the scores of all n variables and ``lower`` the
-    certified bound of the residual they come from.  The card rule
-    works with the budget the fixed-in variables leave of k; with none
-    left, every free variable is fixed out.  Returns the new fix vector
-    and the card pivots ``(delta_[k], delta_[k+1])`` over the free
-    scores, both None when no card rule ran.
+    certified bound of the residual they come from.  ``fixes`` is
+    settled under the card budget first, and the card rule works with
+    the budget the fixed-in variables leave of k.  Returns the new fix
+    vector and the card pivots ``(delta_[k], delta_[k+1])`` over the
+    free scores, both None when no card rule ran.
     """
-    free_idx = np.flatnonzero(fixes == FixState.FREE)
+    out = _settle(spec, fixes).copy()
+    free_idx = np.flatnonzero(out == FixState.FREE)
+    if free_idx.size == 0:
+        return out, None, None
     d = delta[free_idx]
     dk = dk1 = None
     if spec.variant is Variant.REG:
         zero, one = _rules_reg(d, lower, spec.gamma, spec.mu, zeta_bar)
     else:
-        budget = min(spec.k - int(np.count_nonzero(fixes == FixState.ONE)), d.size)
-        if budget > 0:
-            zero, one, dk, dk1 = _rules_card(d, lower, spec.gamma, budget, zeta_bar)
-        else:
-            zero, one = np.ones(d.size, dtype=bool), np.zeros(d.size, dtype=bool)
-    out = fixes.copy()
+        budget = min(spec.k - int(np.count_nonzero(out == FixState.ONE)), d.size)
+        zero, one, dk, dk1 = _rules_card(d, lower, spec.gamma, budget, zeta_bar)
     out[free_idx[zero]] = FixState.ZERO
     out[free_idx[one]] = FixState.ONE
     return out, dk, dk1
@@ -174,9 +175,7 @@ def screen_reg(inst: Instance, gamma: float, mu: float, cert, zeta_bar: float) -
     exceeds ``zeta_bar`` and fixed in when ``L - mu + gamma delta_i``
     does.
     """
-    if gamma <= 0 or mu <= 0:
-        raise InvalidInputError("gamma and mu must be positive")
-    return _screen(inst, ProblemSpec.reg(gamma, mu), cert, zeta_bar)
+    return _screen(inst, _spec_for(inst.n, gamma, mu=mu), cert, zeta_bar)
 
 
 def screen_card(inst: Instance, gamma: float, k: int, cert, zeta_bar: float) -> ScreenReport:
@@ -188,8 +187,4 @@ def screen_card(inst: Instance, gamma: float, k: int, cert, zeta_bar: float) -> 
     pivot values leave variables free.  At most k variables can be
     fixed in.
     """
-    if gamma <= 0:
-        raise InvalidInputError("gamma must be positive")
-    if not (1 <= int(k) <= inst.n) or int(k) != k:
-        raise InvalidInputError(f"k must be an integer in [1, {inst.n}]")
-    return _screen(inst, ProblemSpec.card(gamma, int(k)), cert, zeta_bar)
+    return _screen(inst, _spec_for(inst.n, gamma, k=k), cert, zeta_bar)

@@ -87,6 +87,16 @@ class TestScreen:
                   "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("params", [["--gamma", "nan", "--mu", "1"],
+                                        ["--gamma", "inf", "--mu", "1"],
+                                        ["--gamma", "1", "--mu", "nan"]],
+                             ids=["gamma-nan", "gamma-inf", "mu-nan"])
+    def test_non_finite_parameter_is_usage_error(self, dataset, capsys, params):
+        with pytest.raises(SystemExit) as err:
+            main(["screen", "--variant", "reg", *params,
+                  "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv"])
+        assert err.value.code == 2
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code, _, errtxt = run_cli(capsys, "screen", "--variant", "reg", "--gamma", "1",
                                   "--mu", "1", "--a", str(tmp_path / "no.csv"),
@@ -142,6 +152,13 @@ class TestSolve:
                        "--k", "3", "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv",
                        "--forced-in", "7")
         assert 7 in rep["solve"]["support"]
+
+    def test_nan_time_limit_is_usage_error(self, dataset, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--variant", "card", "--gamma", "0.8", "--k", "3",
+                  "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv",
+                  "--time-limit", "nan"])
+        assert err.value.code == 2
 
     def test_forced_in_out_of_range_is_usage_error(self, dataset, capsys):
         with pytest.raises(SystemExit) as err:

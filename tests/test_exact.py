@@ -300,10 +300,32 @@ class TestBranchAndBound:
         assert 2 in stats.best.support and 5 not in stats.best.support
         assert stats.best.objective == pytest.approx(want.objective, rel=1e-9)
 
+    @pytest.mark.parametrize("screen", [True, False], ids=["screen", "noscreen"])
+    def test_card_exactly_k_forced_in_matches_brute_force(self, screen):
+        inst = random_instance(47, 8, 10)
+        spec = ProblemSpec.card(1.0, 3)
+        fixed = np.zeros(10, dtype=np.int8)
+        fixed[[1, 4, 8]] = FixState.ONE
+        stats = branch_and_bound(inst, spec, BnBConfig(screen_at_root=screen), fixed=fixed)
+        want, _ = brute_force(inst, spec, fixed=fixed)
+        assert stats.optimal and stats.best.support == want.support == (1, 4, 8)
+        assert stats.best.objective == want.objective
+
     def test_card_forced_over_budget_raises(self, tiny):
         fixed = np.array([FixState.ONE, FixState.ONE], dtype=np.int8)
         with pytest.raises(InfeasibleError):
             branch_and_bound(tiny, ProblemSpec.card(1.0, 1), fixed=fixed)
+
+
+class TestBnBConfig:
+    @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+    def test_bad_time_limit_rejected(self, limit):
+        with pytest.raises(InvalidInputError, match="time_limit_s"):
+            BnBConfig(time_limit_s=limit)
+
+    def test_infinite_time_limit_means_none(self, tiny):
+        cfg = BnBConfig(time_limit_s=float("inf"))
+        assert branch_and_bound(tiny, ProblemSpec.card(1.0, 1), cfg).optimal
 
 
 @pytest.mark.parametrize("fixed", [[0], [0, 0, 0], [[0, 0]], [3, 0], [0, -1], [0.0, 2.5]],

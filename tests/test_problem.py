@@ -3,14 +3,25 @@ import pytest
 
 from l0screen import (
     ConstraintViolationError,
+    FixState,
+    InfeasibleError,
     Instance,
     InvalidInputError,
     ProblemSpec,
     Variant,
+    certified_lower_bound_card,
+    certified_lower_bound_reg,
     objective_card,
     objective_reg,
     ridge_restricted_solve,
+    round_card,
+    round_reg,
+    screen_card,
+    screen_reg,
+    solve_cc,
+    solve_cr,
 )
+from l0screen.problem import _settle
 
 from ._oracles import ridge_ls
 from .conftest import random_instance
@@ -71,11 +82,73 @@ class TestProblemSpec:
             dict(variant="card", gamma=1.0, k=2, mu=1.0),
             dict(variant="card", gamma=0.0, k=2),
             dict(variant="reg", gamma=-3.0, mu=1.0),
+            dict(variant="card", gamma=1.0, k=float("nan")),
+            dict(variant="card", gamma=1.0, k=float("inf")),
         ],
     )
     def test_rejects_bad_spec(self, kwargs):
         with pytest.raises(InvalidInputError):
             ProblemSpec(**kwargs)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+# every public (gamma, mu) and (gamma, k) entry point, called with a
+# solution of the tiny instance's relaxation at gamma = mu = k = 1
+_REG_WRAPPERS = {
+    "solve_cr": lambda inst, g, mu, rel: solve_cr(inst, g, mu),
+    "round_reg": lambda inst, g, mu, rel: round_reg(inst, g, mu, rel),
+    "screen_reg": lambda inst, g, mu, rel: screen_reg(inst, g, mu, rel, rel.objective),
+    "certified_lower_bound_reg":
+        lambda inst, g, mu, rel: certified_lower_bound_reg(inst, g, mu, rel.epsilon),
+}
+_CARD_WRAPPERS = {
+    "solve_cc": lambda inst, g, k, rel: solve_cc(inst, g, k),
+    "round_card": lambda inst, g, k, rel: round_card(inst, g, k, rel),
+    "screen_card": lambda inst, g, k, rel: screen_card(inst, g, k, rel, rel.objective),
+    "certified_lower_bound_card":
+        lambda inst, g, k, rel: certified_lower_bound_card(inst, g, k, rel.epsilon),
+}
+_BAD_GAMMAS = [(g, 1) for g in (_NAN, _INF, 0.0, -1.0)]
+
+
+class TestWrapperParameters:
+    @pytest.mark.parametrize("name", sorted(_REG_WRAPPERS))
+    @pytest.mark.parametrize("gamma, mu", _BAD_GAMMAS + [(1.0, v) for v in (_NAN, _INF, 0.0)])
+    def test_reg_rejects(self, tiny, name, gamma, mu):
+        rel = solve_cr(tiny, 1.0, 1.0)
+        with pytest.raises(InvalidInputError):
+            _REG_WRAPPERS[name](tiny, gamma, mu, rel)
+
+    @pytest.mark.parametrize("name", sorted(_CARD_WRAPPERS))
+    @pytest.mark.parametrize("gamma, k", _BAD_GAMMAS + [(1.0, v) for v in (0, 2.5, _NAN, _INF, 3)])
+    def test_card_rejects(self, tiny, name, gamma, k):
+        rel = solve_cc(tiny, 1.0, 1)
+        with pytest.raises(InvalidInputError):
+            _CARD_WRAPPERS[name](tiny, gamma, k, rel)
+
+
+class TestSettle:
+    F, Z, O = FixState.FREE, FixState.ZERO, FixState.ONE
+
+    def test_over_budget_raises(self):
+        fixes = np.array([self.O, self.O, self.F], dtype=np.int8)
+        with pytest.raises(InfeasibleError, match="2 variables fixed in but k=1"):
+            _settle(ProblemSpec.card(1.0, 1), fixes)
+
+    def test_spent_budget_fixes_free_out(self):
+        fixes = np.array([self.O, self.F, self.Z, self.O, self.F], dtype=np.int8)
+        got = _settle(ProblemSpec.card(1.0, 2), fixes)
+        assert got.tolist() == [self.O, self.Z, self.Z, self.O, self.Z]
+        assert fixes.tolist() == [self.O, self.F, self.Z, self.O, self.F]  # input kept
+
+    def test_open_budget_unchanged(self):
+        fixes = np.array([self.O, self.F, self.Z], dtype=np.int8)
+        assert _settle(ProblemSpec.card(1.0, 2), fixes) is fixes
+
+    def test_reg_untouched(self):
+        fixes = np.array([self.O, self.O, self.F], dtype=np.int8)
+        assert _settle(ProblemSpec.reg(1.0, 1.0), fixes) is fixes
 
 
 class TestObjectives:
