@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -54,15 +55,20 @@ def _parse_float_list(text: str, parser, flag: str):
         parser.error(f"{flag} expects a comma-separated list of numbers")
 
 
+def _from_flags(parser, make, **kwargs):
+    """``make(**kwargs)``; its InvalidInputError is a usage error."""
+    try:
+        return make(**kwargs)
+    except InvalidInputError as exc:
+        parser.error(str(exc))
+
+
 def _spec_from_args(args, parser) -> ProblemSpec:
     name = "mu" if args.variant == "reg" else "k"
     value = getattr(args, name)
     if value is None:
         parser.error(f"--{name} is required for --variant {args.variant}")
-    try:
-        return ProblemSpec(args.variant, args.gamma, **{name: value})
-    except InvalidInputError as exc:
-        parser.error(str(exc))
+    return _from_flags(parser, ProblemSpec, variant=args.variant, gamma=args.gamma, **{name: value})
 
 
 def _load_instance(args, parser, spec: ProblemSpec) -> Instance:
@@ -101,9 +107,8 @@ def cmd_gen(args, parser) -> int:
     return 0
 
 
-def _screen_pipeline(inst: Instance, spec: ProblemSpec, tol: float, zeta_bar):
+def _screen_pipeline(inst: Instance, spec: ProblemSpec, cfg: SolverConfig, zeta_bar):
     """Relax, round, screen.  Returns (report, relax, incumbent, timings)."""
-    cfg = SolverConfig(tol=tol)
     timings = {}
     t = time.perf_counter()
     if spec.variant is Variant.REG:
@@ -168,8 +173,9 @@ def _write_reduced(out_dir: str, inst: Instance, spec: ProblemSpec, rep) -> dict
 
 def cmd_screen(args, parser) -> int:
     spec = _spec_from_args(args, parser)
+    cfg = _from_flags(parser, SolverConfig, tol=args.tol)
     inst = _load_instance(args, parser, spec)
-    rep, rel, inc, timings = _screen_pipeline(inst, spec, args.tol, args.zeta_bar)
+    rep, rel, inc, timings = _screen_pipeline(inst, spec, cfg, args.zeta_bar)
     out = None
     if args.out_reduced:
         out = _write_reduced(args.out_reduced, inst, spec, rep)
@@ -204,6 +210,10 @@ def _spec_block(spec: ProblemSpec) -> dict:
 
 def cmd_solve(args, parser) -> int:
     spec = _spec_from_args(args, parser)
+    # B&B relaxes its nodes at its own tolerance; --tol is still checked
+    _from_flags(parser, SolverConfig, tol=args.tol)
+    cfg = _from_flags(parser, BnBConfig, time_limit_s=args.time_limit, node_limit=args.node_limit,
+                      screen_at_root=args.screen == "on", screen_per_node=False)
     inst = _load_instance(args, parser, spec)
     fixed = None
     if args.forced_in:
@@ -227,13 +237,6 @@ def cmd_solve(args, parser) -> int:
             "wall_time_s": time.perf_counter() - t, "optimal": True, "root_fixed": 0,
         }
     else:
-        try:
-            cfg = BnBConfig(
-                time_limit_s=args.time_limit, node_limit=args.node_limit,
-                screen_at_root=args.screen == "on", screen_per_node=False,
-            )
-        except InvalidInputError as exc:
-            parser.error(str(exc))
         stats = branch_and_bound(inst, spec, cfg, fixed=fixed)
         inc = stats.best
         solve_block = {
@@ -255,14 +258,13 @@ def cmd_solve(args, parser) -> int:
     return 0
 
 
-def _bench_methods_row(inst, k, gamma, method, time_limit, node_limit, tol):
+def _bench_methods_row(inst, k, gamma, method, solver_cfg: SolverConfig, bnb_cfg: BnBConfig):
     """One bench measurement; returns (fixed_count, nodes, time_s, optimal)."""
     t0 = time.perf_counter()
     if method == "screen":
-        rep, _, _, _ = _screen_pipeline(inst, ProblemSpec.card(gamma, k), tol, None)
+        rep, _, _, _ = _screen_pipeline(inst, ProblemSpec.card(gamma, k), solver_cfg, None)
         return rep.n_zero + rep.n_one, 0, time.perf_counter() - t0, rep.n_free == 0
-    cfg = BnBConfig(time_limit_s=time_limit, node_limit=node_limit,
-                    screen_at_root=method == "bnb_screen")
+    cfg = dataclasses.replace(bnb_cfg, screen_at_root=method == "bnb_screen")
     stats = branch_and_bound(inst, ProblemSpec.card(gamma, k), cfg)
     fixed = stats.root_fixed if method == "bnb_screen" else 0
     return fixed, stats.nodes_explored, stats.wall_time_s, stats.optimal
@@ -273,6 +275,8 @@ def cmd_bench(args, parser) -> int:
     for m in methods:
         if m not in _BENCH_METHODS:
             parser.error(f"unknown method {m!r}")
+    solver_cfg = _from_flags(parser, SolverConfig, tol=args.tol)
+    bnb_cfg = _from_flags(parser, BnBConfig, time_limit_s=args.time_limit, node_limit=args.node_limit)
     k_grid = _parse_index_list(args.k_grid, parser, "--k-grid")
     gamma_exps = _parse_float_list(args.gamma_exps, parser, "--gamma-exps")
     if not k_grid or not gamma_exps:
@@ -322,7 +326,7 @@ def cmd_bench(args, parser) -> int:
         for method in methods:
             try:
                 fixed, nodes, secs, optimal = _bench_methods_row(
-                    inst, k, gamma, method, args.time_limit, args.node_limit, args.tol
+                    inst, k, gamma, method, solver_cfg, bnb_cfg
                 )
                 writer.writerow([
                     iid, method, k, gexp, rho_str, snr_str, fixed,

@@ -11,6 +11,9 @@ solved by an accelerated proximal gradient method with adaptive
 restart.  Every residual ``eps = y - A x`` yields a dual-feasible point
 and hence a certified lower bound, valid whether or not the iteration
 has converged; termination is decided by the certified gap itself.
+Each iteration takes one product pair, ``A x - y`` and ``A'`` of it,
+at its new iterate; the same pair gives that iterate's certificate and
+the next gradient, so every iterate's gap is tested.
 
 One private function, ``_relax``, turns a fix vector into a relaxation:
 ``solve_cr`` and ``solve_cc`` run it with every variable free, and every
@@ -105,9 +108,10 @@ class SolverConfig:
             raise InvalidInputError("tol must lie in (0, 1)")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
-        # 0 is what operator_norm_sq returns for an all-zero matrix
-        if self.lipschitz is not None and self.lipschitz < 0:
-            raise InvalidInputError("lipschitz must be non-negative when given")
+        # 0 is what operator_norm_sq returns for an all-zero matrix;
+        # written so that NaN fails
+        if self.lipschitz is not None and not (0 <= self.lipschitz < math.inf):
+            raise InvalidInputError("lipschitz must be non-negative and finite when given")
 
 
 @dataclass
@@ -206,12 +210,16 @@ def certified_lower_bound_card(inst: Instance, gamma: float, k: int, epsilon_bar
 
 
 def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, max_iter, x0):
-    """Accelerated proximal gradient with gradient-based restart.
+    """Accelerated proximal gradient (FISTA) with gradient-based restart.
 
-    Minimizes ``||y - a x||^2 + sum_i psi_i(x_i)`` where the separable
-    part enters through ``prox``/``penalty_value``.  Terminates when the
-    certified relative gap drops below ``tol``, and stops unconverged at
-    the first non-finite primal value or bound.  Returns
+    Minimizes ``||y - a x||^2 + sum_i psi_i(x_i)``; ``prox`` returns the
+    new point with its penalty, and ``penalty_value`` prices ``x0``.
+    Each iteration takes one product pair at its new iterate,
+    ``r = a x - y`` and ``g = a' r``, which both certify that iterate
+    (``eps = -r``, ``a' eps = -g``) and, by linearity, give the gradient
+    at the next extrapolated point.  Returns at the first iterate whose
+    certified relative gap is below ``tol``, unconverged at the first
+    non-finite primal value or bound, as
     ``(x, eps, primal, lower_bound, iterations, converged)``.
     """
     lip = float(lipschitz)
@@ -219,33 +227,37 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
         lip = 1.0  # gradient is then zero or the prox does all the work
     step = 1.0 / lip
     x = np.array(x0, dtype=float)
-    v = x.copy()
+    pen = penalty_value(x)
+    r = a @ x - y
+    g = a.T @ r
+    v, gv = x, g
     t_mom = 1.0
-    check_every = 1 if a.size <= 20_000 else 10
     it = 0
     while True:
-        eps = y - a @ x
-        primal = float(eps @ eps) + penalty_value(x)
-        lb = certificate(eps, a.T @ eps)
+        eps = -r
+        primal = float(eps @ eps) + pen
+        lb = certificate(eps, -g)
         if not (math.isfinite(primal) and math.isfinite(lb)):
             # a diverged run: inf - (-inf) <= inf would pass the gap test
             return x, eps, primal, lb, it, False
         ok = primal - lb <= tol * (1.0 + abs(primal))
         if ok or it >= max_iter:
             return x, eps, primal, lb, it, ok
-        stop = min(max_iter, it + check_every)
-        while it < stop:
-            grad = 2.0 * (a.T @ (a @ v - y))
-            x_new = prox(v - step * grad, step)
-            if float((v - x_new) @ (x_new - x)) > 0.0:
-                t_mom = 1.0
-                v = x_new.copy()
-            else:
-                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-                v = x_new + ((t_mom - 1.0) / t_next) * (x_new - x)
-                t_mom = t_next
-            x = x_new
-            it += 1
+        x_new, pen = prox(v - step * (2.0 * gv), step)
+        g_old = g
+        r = a @ x_new - y
+        g = a.T @ r
+        if float((v - x_new) @ (x_new - x)) > 0.0:
+            t_mom, v, gv = 1.0, x_new, g
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
+            beta = (t_mom - 1.0) / t_next
+            # a' (a v - y) = g + beta (g - g_old), with no product at v
+            v = x_new + beta * (x_new - x)
+            gv = g + beta * (g - g_old)
+            t_mom = t_next
+        x = x_new
+        it += 1
 
 
 def _auto_lipschitz(a, cfg: SolverConfig) -> float:
@@ -264,13 +276,13 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
     n_one = 0 if free_mask is None else int(np.count_nonzero(~free_mask))
 
     if free_mask is None:
-        prox = lambda w, s: berhu_prox(pen, s, w)
+        shrink = lambda w, s: berhu_prox(pen, s, w)
         penval = lambda xv: float(np.sum(berhu_value(pen, xv)))
     else:
         fm = free_mask
         om = ~free_mask
 
-        def prox(w, s):
+        def shrink(w, s):
             out = np.empty_like(w)
             out[fm] = berhu_prox(pen, s, w[fm])
             out[om] = w[om] / (1.0 + 2.0 * s / gamma)
@@ -279,6 +291,10 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
         def penval(xv):
             xo = xv[om]
             return float(np.sum(berhu_value(pen, xv[fm])) + (xo @ xo) / gamma) + mu * n_one
+
+    def prox(w, s):
+        xv = shrink(w, s)
+        return xv, penval(xv)
 
     cert = lambda e, ae: _bound_reg_terms(y, e, ae, gamma, mu, free_mask)
     return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0)
@@ -352,12 +368,15 @@ def _ksupport_prox(w, c, k):
     ``sum(z) = k``.  That sum is piecewise linear and nondecreasing in
     ``beta``, with breakpoints ``c / |w_i|`` (entry starts rising) and
     ``(1 + c) / |w_i|`` (entry caps at 1), so sorting the breakpoints
-    and summing slopes and offsets along them locates the root.
+    and summing slopes and offsets along them locates the root.  Returns
+    ``(x, ||x||_{sp,k}^2)``: ``z`` attains the norm at ``x``, so the
+    value is ``sum_i x_i^2 / z_i = x @ (w / (z + c))``.
     """
     aw = np.abs(w)
     nz = aw[aw > 0.0]
     if nz.size <= k:
-        return w / (1.0 + c)
+        x = w / (1.0 + c)
+        return x, float(x @ x)
     bp = np.concatenate([c / nz, (1.0 + c) / nz])
     order = np.argsort(bp, kind="stable")
     bp = bp[order]
@@ -372,7 +391,8 @@ def _ksupport_prox(w, c, k):
         # beta on it gives the same z, so stay inside the segment
         beta = min(beta, bp[j - 1] + (k - mass[j - 1]) / slope[j - 1])
     z = np.clip(beta * aw - c, 0.0, 1.0)
-    return w * z / (z + c)
+    x = w * z / (z + c)
+    return x, float(x @ (w / (z + c)))
 
 
 def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, tol, max_iter, x0):
@@ -389,8 +409,9 @@ def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, tol, max_iter, x0):
     def prox(w, s):
         c = 2.0 * s / gamma
         out = w / (1.0 + c)
-        out[free] = _ksupport_prox(w[free], c, k_budget)
-        return out
+        out[free], sq = _ksupport_prox(w[free], c, k_budget)
+        xo = out[one]
+        return out, (sq + float(xo @ xo)) / gamma
 
     def penval(xv):
         xo = xv[one]

@@ -86,7 +86,8 @@ def kth_largest_pair(delta, k: int):
     """
     arr = np.asarray(delta, dtype=float).ravel()
     n = arr.size
-    if not (1 <= int(k) <= n) or int(k) != k:
+    # range first: int() of a NaN or infinite k raises on its own
+    if not (1 <= k <= n) or int(k) != k:
         raise InvalidInputError(f"k must be an integer in [1, {n}]")
     k = int(k)
     part = np.partition(arr, n - k)

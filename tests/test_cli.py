@@ -97,6 +97,13 @@ class TestScreen:
                   "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "0"])
+    def test_bad_tol_is_usage_error(self, dataset, capsys, tol):
+        with pytest.raises(SystemExit) as err:
+            main(["screen", "--variant", "card", "--gamma", "0.8", "--k", "3",
+                  "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv", "--tol", tol])
+        assert err.value.code == 2
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code, _, errtxt = run_cli(capsys, "screen", "--variant", "reg", "--gamma", "1",
                                   "--mu", "1", "--a", str(tmp_path / "no.csv"),
@@ -158,6 +165,14 @@ class TestSolve:
             main(["solve", "--variant", "card", "--gamma", "0.8", "--k", "3",
                   "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv",
                   "--time-limit", "nan"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "0"], ["--node-limit", "0"]],
+                             ids=["tol-nan", "tol-0", "node-limit-0"])
+    def test_bad_solver_flag_is_usage_error(self, dataset, capsys, flags):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--variant", "card", "--gamma", "0.8", "--k", "3",
+                  "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv", *flags])
         assert err.value.code == 2
 
     def test_forced_in_out_of_range_is_usage_error(self, dataset, capsys):
@@ -241,3 +256,13 @@ class TestBench:
         by_method = {r[1]: r for r in rows}
         assert by_method["bnb"][6] == "0"  # plain bnb reports no fixing
         assert int(by_method["bnb_screen"][8]) <= int(by_method["bnb"][8])
+
+    @pytest.mark.parametrize("flags", [["--time-limit", "nan"], ["--node-limit", "0"], ["--tol", "nan"]],
+                             ids=["time-limit-nan", "node-limit-0", "tol-nan"])
+    def test_bad_solver_flag_is_usage_error(self, capsys, flags):
+        # the flags are checked once, before any row is written
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--suite", "synthetic", "--n", "12", "--m", "10",
+                  "--k-grid", "2", "--methods", "bnb", *flags])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from l0screen import (
     DualCertificate,
+    FixState,
     Instance,
     InvalidInputError,
     ProblemSpec,
@@ -19,7 +20,18 @@ from l0screen import (
     solve_cc,
     solve_cr,
 )
-from l0screen.relax import _auto_lipschitz, _ksupport, _ksupport_prox
+from l0screen.relax import (
+    BerhuPenalty,
+    _auto_lipschitz,
+    _berhu_solve,
+    _bound_card_terms,
+    _bound_reg_terms,
+    _ksupport,
+    _ksupport_prox,
+    _ksupport_solve,
+    _relax,
+    berhu_value,
+)
 
 from ._oracles import ksupport_prox_bisect, ksupport_sq_bisect, relax_value_grid, ridge_ls
 from .conftest import random_instance
@@ -156,7 +168,7 @@ class TestKSupport:
     @settings(max_examples=300, deadline=None)
     def test_prox_matches_oracle(self, w, c, data):
         k = data.draw(st.integers(min_value=1, max_value=w.size))
-        got = _ksupport_prox(w, c, k)
+        got, _ = _ksupport_prox(w, c, k)
         np.testing.assert_allclose(got, ksupport_prox_bisect(w, c, k), rtol=1e-9, atol=1e-12)
 
     @given(w=_vectors, c=st.floats(min_value=1e-3, max_value=1e2),
@@ -165,12 +177,21 @@ class TestKSupport:
     def test_prox_minimizes_its_objective(self, w, c, seed, data):
         k = data.draw(st.integers(min_value=1, max_value=w.size))
         obj = lambda v: 0.5 * float((v - w) @ (v - w)) + 0.5 * c * ksupport_sq_bisect(v, k)[0]
-        p = _ksupport_prox(w, c, k)
+        p, _ = _ksupport_prox(w, c, k)
         best = obj(p)
         rng = np.random.default_rng(seed)
         for scale in (1e-1, 1e-3):
             d = rng.standard_normal(w.size) * scale
             assert best <= obj(p + d) + 1e-9 * (1.0 + abs(best))
+
+
+    @given(w=_vectors, c=st.floats(min_value=1e-3, max_value=1e2), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_prox_value_is_norm_of_its_output(self, w, c, data):
+        # the APG loop prices each iterate with the value the prox returns
+        k = data.draw(st.integers(min_value=1, max_value=w.size))
+        x, val = _ksupport_prox(w, c, k)
+        assert val == pytest.approx(ksupport_sq_bisect(x, k)[0], rel=1e-9, abs=1e-12)
 
 
 class TestSolveCr:
@@ -339,3 +360,98 @@ def test_relaxation_never_exceeds_any_support_value(seed):
     sup = [int(i) for i in rng.choice(n, size=2, replace=False)]
     _, val = ridge_ls(inst.a[:, sup], inst.y, gamma)
     assert sol.lower_bound <= val + mu * len(sup) + 1e-7
+
+
+@pytest.mark.parametrize("lipschitz", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("solve", [
+    lambda inst, cfg: solve_cr(inst, 1.0, 0.5, cfg),
+    lambda inst, cfg: solve_cc(inst, 1.0, 1, cfg),
+], ids=["solve_cr", "solve_cc"])
+def test_non_finite_lipschitz_is_rejected(tiny, solve, lipschitz):
+    with pytest.raises(InvalidInputError, match="lipschitz"):
+        solve(tiny, SolverConfig(lipschitz=lipschitz))
+
+
+class _CountingMatrix:
+    """A matrix that counts its products with vectors, transposed or not."""
+
+    def __init__(self, a, calls):
+        self.a, self.calls, self.shape = a, calls, a.shape
+
+    @property
+    def T(self):
+        return _CountingMatrix(self.a.T, self.calls)
+
+    def __matmul__(self, v):
+        self.calls.append(v.shape)
+        return self.a @ v
+
+
+def _apg_case(variant, fixed_in, m, n):
+    """A README-grid-like instance, its spec and a fix vector (two fixed in, or none)."""
+    inst, _ = generate(SyntheticSpec(n=n, m=m, k_true=5, rho=0.5, snr=6.0, seed=17))
+    gamma = gamma_zero(inst, 5)
+    if variant == "card":
+        spec = ProblemSpec.card(gamma, 5)
+    else:
+        # prices a variable like the benchmark's reg cells: gamma times the 10th score
+        spec = ProblemSpec.reg(gamma, gamma * float(np.sort((inst.a.T @ inst.y) ** 2)[-10]))
+    fixes = np.full(n, FixState.FREE, dtype=np.int8)
+    if fixed_in:
+        fixes[[0, 3]] = FixState.ONE
+    return inst, spec, fixes
+
+
+# 60x120 is the README grid; 100x250 has more than 20,000 entries
+_APG_CASES = [
+    pytest.param(variant, fixed_in, m, n, id=f"{variant}-{'fixed' if fixed_in else 'free'}-{m}x{n}")
+    for variant in ("reg", "card")
+    for fixed_in in (False, True)
+    for m, n in ((60, 120), (100, 250))
+]
+
+
+class TestApgLoop:
+    @pytest.mark.parametrize("variant,fixed_in,m,n", _APG_CASES)
+    def test_returned_iterate_carries_its_own_certificate(self, variant, fixed_in, m, n):
+        inst, spec, fixes = _apg_case(variant, fixed_in, m, n)
+        sol = _relax(inst, spec, fixes, SolverConfig())
+        assert sol.converged and sol.iterations > 1
+        x, eps = sol.x, sol.epsilon
+        np.testing.assert_array_equal(eps, inst.y - inst.a @ x)
+        free = fixes == FixState.FREE
+        mask = None if free.all() else free
+        xo = x[~free]
+        if variant == "card":
+            budget = spec.k - int(np.count_nonzero(~free))
+            lb = _bound_card_terms(inst.y, eps, inst.a.T @ eps, spec.gamma, budget, mask)
+            penalty = (ksupport_sq_bisect(x[free], budget)[0] + xo @ xo) / spec.gamma
+        else:
+            pen = BerhuPenalty(mu=spec.mu, gamma=spec.gamma)
+            lb = _bound_reg_terms(inst.y, eps, inst.a.T @ eps, spec.gamma, spec.mu, mask)
+            penalty = float(np.sum(berhu_value(pen, x[free]))) + xo @ xo / spec.gamma + spec.mu * xo.size
+        assert sol.lower_bound == lb
+        assert sol.objective == pytest.approx(float(eps @ eps) + penalty, rel=1e-9)
+
+    @pytest.mark.parametrize("variant,fixed_in,m,n", _APG_CASES)
+    def test_stops_at_the_first_iterate_whose_gap_passes(self, variant, fixed_in, m, n):
+        inst, spec, fixes = _apg_case(variant, fixed_in, m, n)
+        iters = _relax(inst, spec, fixes, SolverConfig()).iterations
+        short = _relax(inst, spec, fixes, SolverConfig(max_iter=iters - 1))
+        assert not short.converged
+        assert short.iterations == iters - 1
+
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_one_product_pair_per_iteration(self, variant):
+        inst, spec, _ = _apg_case(variant, False, 60, 120)
+        calls = []
+        a = _CountingMatrix(inst.a, calls)
+        lip = _auto_lipschitz(inst.a, SolverConfig())
+        x0 = np.zeros(inst.n)
+        if variant == "card":
+            res = _ksupport_solve(a, inst.y, spec.gamma, spec.k, None, lip, 1e-8, 50_000, x0)
+        else:
+            res = _berhu_solve(a, inst.y, spec.gamma, spec.mu, None, lip, 1e-8, 50_000, x0)
+        iters, converged = res[4], res[5]
+        assert converged and iters > 1
+        assert len(calls) == 2 * iters + 2

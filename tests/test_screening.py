@@ -65,6 +65,11 @@ class TestKthLargestPair:
         with pytest.raises(InvalidInputError):
             kth_largest_pair(np.array([1.0, 2.0]), k)
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_k(self, k):
+        with pytest.raises(InvalidInputError, match=r"k must be an integer in \[1, 2\]"):
+            kth_largest_pair(np.array([1.0, 2.0]), k)
+
     @given(data=st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=300),
            k_frac=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=100)
