@@ -14,7 +14,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import platform
 import sys
@@ -23,8 +22,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .datagen import GENERATOR_NAME, SyntheticSpec, gamma_zero, generate, load_csv, save_dataset
-from .exact import BnBConfig, branch_and_bound, brute_force
+from .datagen import (GENERATOR_NAME, SyntheticSpec, _write_matrix, gamma_zero, generate, load_csv,
+                      save_dataset)
+from .exact import BnBConfig, _enumeration, branch_and_bound, brute_force
 from .heuristics import round_card, round_reg
 from .problem import FixState, Instance, InvalidInputError, ProblemSpec, Variant
 from .relax import SolverConfig, solve_cc, solve_cr
@@ -41,18 +41,12 @@ def _emit(report: dict):
     print(json.dumps(report, indent=2))
 
 
-def _parse_index_list(text: str, parser, flag: str):
+def _parse_list(text: str, parser, flag: str, kind):
+    """The comma-separated ``kind`` values of ``text``; a bad one is a usage error."""
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        return [kind(v) for v in text.split(",") if v != ""]
     except ValueError:
-        parser.error(f"{flag} expects a comma-separated list of integers")
-
-
-def _parse_float_list(text: str, parser, flag: str):
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        parser.error(f"{flag} expects a comma-separated list of numbers")
+        parser.error(f"{flag} expects a comma-separated list of {kind.__name__} values")
 
 
 def _from_flags(parser, make, **kwargs):
@@ -79,14 +73,8 @@ def _load_instance(args, parser, spec: ProblemSpec) -> Instance:
 
 
 def cmd_gen(args, parser) -> int:
-    if args.k_true > args.n:
-        parser.error("--k-true cannot exceed --n")
-    if not (0.0 <= args.rho < 1.0):
-        parser.error("--rho must lie in [0, 1)")
-    if args.snr <= 0:
-        parser.error("--snr must be positive")
-    spec = SyntheticSpec(n=args.n, m=args.m, k_true=args.k_true,
-                         rho=args.rho, snr=args.snr, seed=args.seed)
+    spec = _from_flags(parser, SyntheticSpec, n=args.n, m=args.m, k_true=args.k_true,
+                       rho=args.rho, snr=args.snr, seed=args.seed)
     inst, support = generate(spec)
     meta = {
         "n": spec.n, "m": spec.m, "k_true": spec.k_true, "rho": spec.rho,
@@ -108,32 +96,27 @@ def cmd_gen(args, parser) -> int:
 
 
 def _screen_pipeline(inst: Instance, spec: ProblemSpec, cfg: SolverConfig, zeta_bar):
-    """Relax, round, screen.  Returns (report, relax, incumbent, timings)."""
+    """Relax, round (unless ``zeta_bar`` is given), screen.  Returns (report, timings)."""
+    # read from this module's names at each call, so that a wrapper put on
+    # them (benchmarks/tracer.py) sees the call
+    if spec.variant is Variant.REG:
+        relax, rounding, screen, par = solve_cr, round_reg, screen_reg, spec.mu
+    else:
+        relax, rounding, screen, par = solve_cc, round_card, screen_card, spec.k
     timings = {}
     t = time.perf_counter()
-    if spec.variant is Variant.REG:
-        rel = solve_cr(inst, spec.gamma, spec.mu, cfg)
-    else:
-        rel = solve_cc(inst, spec.gamma, spec.k, cfg)
+    rel = relax(inst, spec.gamma, par, cfg)
     timings["relax"] = (time.perf_counter() - t) * 1e3
 
-    inc = None
     t = time.perf_counter()
     if zeta_bar is None:
-        if spec.variant is Variant.REG:
-            inc = round_reg(inst, spec.gamma, spec.mu, rel)
-        else:
-            inc = round_card(inst, spec.gamma, spec.k, rel)
-        zeta_bar = inc.objective
+        zeta_bar = rounding(inst, spec.gamma, par, rel).objective
     timings["heuristic"] = (time.perf_counter() - t) * 1e3
 
     t = time.perf_counter()
-    if spec.variant is Variant.REG:
-        rep = screen_reg(inst, spec.gamma, spec.mu, rel, zeta_bar)
-    else:
-        rep = screen_card(inst, spec.gamma, spec.k, rel, zeta_bar)
+    rep = screen(inst, spec.gamma, par, rel, zeta_bar)
     timings["screen"] = (time.perf_counter() - t) * 1e3
-    return rep, rel, inc, timings
+    return rep, timings
 
 
 _FIX_NAMES = {int(FixState.FREE): "free", int(FixState.ZERO): "zero", int(FixState.ONE): "one"}
@@ -158,24 +141,22 @@ def _write_reduced(out_dir: str, inst: Instance, spec: ProblemSpec, rep) -> dict
         "kept_columns": [int(i) for i in keep],
         "forced_in": forced_new,
     }
-    if keep.size == 0:
-        os.makedirs(out_dir, exist_ok=True)
+    data = {"A.csv": inst.a[:, keep], "y.csv": inst.y.reshape(-1, 1)} if keep.size else {}
+    if not data:
         meta["trivial"] = True
-        with open(os.path.join(out_dir, "meta_reduced.json"), "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2)
-        return {"dir": out_dir, "files": ["meta_reduced.json"], **meta}
-    sub = Instance(inst.a[:, keep], inst.y)
-    save_dataset(out_dir, sub, {})
+    os.makedirs(out_dir, exist_ok=True)
+    for name, arr in data.items():
+        _write_matrix(os.path.join(out_dir, name), arr)
     with open(os.path.join(out_dir, "meta_reduced.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
-    return {"dir": out_dir, "files": ["A.csv", "y.csv", "meta_reduced.json"], **meta}
+    return {"dir": out_dir, "files": [*data, "meta_reduced.json"], **meta}
 
 
 def cmd_screen(args, parser) -> int:
     spec = _spec_from_args(args, parser)
     cfg = _from_flags(parser, SolverConfig, tol=args.tol)
     inst = _load_instance(args, parser, spec)
-    rep, rel, inc, timings = _screen_pipeline(inst, spec, cfg, args.zeta_bar)
+    rep, timings = _screen_pipeline(inst, spec, cfg, args.zeta_bar)
     out = None
     if args.out_reduced:
         out = _write_reduced(args.out_reduced, inst, spec, rep)
@@ -210,30 +191,22 @@ def _spec_block(spec: ProblemSpec) -> dict:
 
 def cmd_solve(args, parser) -> int:
     spec = _spec_from_args(args, parser)
-    # B&B relaxes its nodes at its own tolerance; --tol is still checked
-    _from_flags(parser, SolverConfig, tol=args.tol)
     cfg = _from_flags(parser, BnBConfig, time_limit_s=args.time_limit, node_limit=args.node_limit,
-                      screen_at_root=args.screen == "on", screen_per_node=False)
+                      screen_at_root=args.screen == "on")
     inst = _load_instance(args, parser, spec)
-    fixed = None
+    fixed = np.full(inst.n, FixState.FREE, dtype=np.int8)
     if args.forced_in:
-        idx = _parse_index_list(args.forced_in, parser, "--forced-in")
+        idx = _parse_list(args.forced_in, parser, "--forced-in", int)
         if idx and (min(idx) < 0 or max(idx) >= inst.n):
             parser.error(f"--forced-in indices must lie in [0, {inst.n})")
-        fixed = np.full(inst.n, FixState.FREE, dtype=np.int8)
         fixed[idx] = FixState.ONE
 
     t = time.perf_counter()
     if args.method == "brute":
         inc, _ = brute_force(inst, spec, fixed=fixed)
-        n_free = inst.n if fixed is None else int(np.count_nonzero(fixed == FixState.FREE))
-        if spec.variant is Variant.REG:
-            nodes = 2 ** n_free
-        else:
-            room = spec.k - (0 if fixed is None else int(np.count_nonzero(fixed == FixState.ONE)))
-            nodes = sum(math.comb(n_free, j) for j in range(min(room, n_free) + 1))
         solve_block = {
-            "objective": inc.objective, "support": list(inc.support), "nodes": int(nodes),
+            "objective": inc.objective, "support": list(inc.support),
+            "nodes": _enumeration(spec, fixed)[1],
             "wall_time_s": time.perf_counter() - t, "optimal": True, "root_fixed": 0,
         }
     else:
@@ -262,7 +235,7 @@ def _bench_methods_row(inst, k, gamma, method, solver_cfg: SolverConfig, bnb_cfg
     """One bench measurement; returns (fixed_count, nodes, time_s, optimal)."""
     t0 = time.perf_counter()
     if method == "screen":
-        rep, _, _, _ = _screen_pipeline(inst, ProblemSpec.card(gamma, k), solver_cfg, None)
+        rep, _ = _screen_pipeline(inst, ProblemSpec.card(gamma, k), solver_cfg, None)
         return rep.n_zero + rep.n_one, 0, time.perf_counter() - t0, rep.n_free == 0
     cfg = dataclasses.replace(bnb_cfg, screen_at_root=method == "bnb_screen")
     stats = branch_and_bound(inst, ProblemSpec.card(gamma, k), cfg)
@@ -277,8 +250,8 @@ def cmd_bench(args, parser) -> int:
             parser.error(f"unknown method {m!r}")
     solver_cfg = _from_flags(parser, SolverConfig, tol=args.tol)
     bnb_cfg = _from_flags(parser, BnBConfig, time_limit_s=args.time_limit, node_limit=args.node_limit)
-    k_grid = _parse_index_list(args.k_grid, parser, "--k-grid")
-    gamma_exps = _parse_float_list(args.gamma_exps, parser, "--gamma-exps")
+    k_grid = _parse_list(args.k_grid, parser, "--k-grid", int)
+    gamma_exps = _parse_list(args.gamma_exps, parser, "--gamma-exps", float)
     if not k_grid or not gamma_exps:
         parser.error("--k-grid and --gamma-exps must be non-empty")
 
@@ -286,23 +259,23 @@ def cmd_bench(args, parser) -> int:
     if args.suite == "synthetic":
         if args.n is None or args.m is None:
             parser.error("--suite synthetic needs --n and --m")
-        snr_grid = _parse_float_list(args.snr_grid, parser, "--snr-grid")
+        snr_grid = _parse_list(args.snr_grid, parser, "--snr-grid", float)
         if args.seeds < 1:
             parser.error("--seeds must be >= 1")
         for k in k_grid:
-            if k > args.n:
-                parser.error(f"--k-grid value {k} exceeds --n")
             for gexp in gamma_exps:
                 for snr in snr_grid:
                     for rep in range(args.seeds):
                         seed = args.seed_base + rep
                         iid = f"syn-n{args.n}-m{args.m}-k{k}-g{gexp:g}-r{args.rho:g}-s{snr:g}-seed{seed}"
-                        sspec = SyntheticSpec(n=args.n, m=args.m, k_true=k,
-                                              rho=args.rho, snr=snr, seed=seed)
+                        sspec = _from_flags(parser, SyntheticSpec, n=args.n, m=args.m, k_true=k,
+                                            rho=args.rho, snr=snr, seed=seed)
                         tasks.append((iid, sspec, k, gexp, f"{args.rho:g}", f"{snr:g}"))
     else:
         if not args.a or not args.y:
             parser.error("--suite files needs --a and --y")
+        if min(k_grid) < 1:
+            parser.error("--k-grid values must be >= 1")
         base = os.path.basename(args.a)
         for k in k_grid:
             for gexp in gamma_exps:
@@ -361,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int)
         p.add_argument("--a", required=True, help="matrix CSV, one row per line")
         p.add_argument("--y", required=True, help="response CSV, one value per line")
-        p.add_argument("--tol", type=float, default=1e-8)
+    sub.choices["screen"].add_argument("--tol", type=float, default=1e-8)
     sub.choices["screen"].add_argument("--zeta-bar", type=float, default=None,
                                        help="use this upper bound instead of the rounding heuristic")
     sub.choices["screen"].add_argument("--out-reduced", default=None,

@@ -83,6 +83,20 @@ def _gram_value(g, b, yy, gamma, idx) -> float:
     return float(yy - bs @ xs)
 
 
+def _enumeration(spec: ProblemSpec, fixes: np.ndarray):
+    """The support sizes ``brute_force`` tries among the free variables
+    of ``fixes``, and how many supports they make: ``(sizes, count)``.
+
+    ``fixes`` must not fix in more variables than a card budget allows.
+    """
+    n_free = int(np.count_nonzero(fixes == FixState.FREE))
+    if spec.variant is Variant.REG:
+        sizes = range(n_free + 1)
+    else:
+        sizes = range(min(spec.k - int(np.count_nonzero(fixes == FixState.ONE)), n_free) + 1)
+    return sizes, sum(math.comb(n_free, j) for j in sizes)
+
+
 def brute_force(inst: Instance, spec: ProblemSpec, fixed=None):
     """Enumerate supports exhaustively.
 
@@ -91,7 +105,7 @@ def brute_force(inst: Instance, spec: ProblemSpec, fixed=None):
     1e-9 relative.  ``fixed`` optionally pins variables (FixState
     values) before enumeration.  Refuses instances beyond the size caps
     (25 free variables for reg; one million candidate supports for
-    card).
+    card).  ``_enumeration`` gives the number of supports tried.
     """
     n = inst.n
     fixed = np.full(n, FixState.FREE, dtype=np.int8) if fixed is None else _check_fixes(fixed, n)
@@ -99,16 +113,11 @@ def brute_force(inst: Instance, spec: ProblemSpec, fixed=None):
     forced = [int(i) for i in np.flatnonzero(fixed == FixState.ONE)]
     free = [int(i) for i in np.flatnonzero(fixed == FixState.FREE)]
 
-    if spec.variant is Variant.REG:
-        if len(free) > _BRUTE_N_CAP:
-            raise SizeCapError(f"{len(free)} free variables exceeds the cap of {_BRUTE_N_CAP}")
-        sizes = range(len(free) + 1)
-    else:
-        k_free = spec.k - len(forced)
-        sizes = range(min(k_free, len(free)) + 1)
-        count = sum(math.comb(len(free), j) for j in sizes)
-        if count > _BRUTE_COMB_CAP:
-            raise SizeCapError(f"{count} candidate supports exceeds the cap of {_BRUTE_COMB_CAP}")
+    if spec.variant is Variant.REG and len(free) > _BRUTE_N_CAP:
+        raise SizeCapError(f"{len(free)} free variables exceeds the cap of {_BRUTE_N_CAP}")
+    sizes, count = _enumeration(spec, fixed)
+    if spec.variant is Variant.CARD and count > _BRUTE_COMB_CAP:
+        raise SizeCapError(f"{count} candidate supports exceeds the cap of {_BRUTE_COMB_CAP}")
 
     g = inst.a.T @ inst.a
     b = inst.a.T @ inst.y

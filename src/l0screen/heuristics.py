@@ -17,6 +17,7 @@ from .problem import (
     Instance,
     ProblemSpec,
     Variant,
+    _check_residual,
     _spec_for,
     ridge_restricted_solve,
 )
@@ -24,8 +25,7 @@ from .relax import RelaxSolution
 
 
 def _scores(inst: Instance, relax: RelaxSolution) -> np.ndarray:
-    eps = np.asarray(relax.epsilon, dtype=float)
-    return (inst.a.T @ eps) ** 2
+    return (inst.a.T @ _check_residual(inst, relax.epsilon)) ** 2
 
 
 def _ridge_on(inst, gamma, idx):

@@ -200,6 +200,14 @@ def _check_fixes(fixes, n: int) -> np.ndarray:
     return f.astype(np.int8)
 
 
+def _check_residual(inst: Instance, epsilon_bar) -> np.ndarray:
+    """A residual as a float vector, after checking that it has ``inst.m`` entries."""
+    eps = np.asarray(epsilon_bar, dtype=float).ravel()
+    if eps.shape[0] != inst.m:
+        raise InvalidInputError(f"residual has length {eps.shape[0]}, expected {inst.m}")
+    return eps
+
+
 def _check_x(x, n: int, support: Optional[np.ndarray] = None) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != n:

@@ -29,7 +29,8 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .problem import FixState, Instance, InvalidInputError, ProblemSpec, Variant, _settle, _spec_for
+from .problem import (FixState, Instance, InvalidInputError, ProblemSpec, Variant, _check_residual,
+                      _settle, _spec_for)
 
 # operator_norm_sq is exact only to rounding, a relative error of order
 # max(m, n) machine epsilons on either side of ||A||^2; the pad keeps
@@ -158,13 +159,6 @@ def operator_norm_sq(a) -> float:
         )
     # rounding can leave the top eigenvalue of a PSD matrix just below 0
     return max(0.0, float(np.linalg.eigvalsh(g)[-1]))
-
-
-def _check_residual(inst: Instance, epsilon_bar) -> np.ndarray:
-    eps = np.asarray(epsilon_bar, dtype=float).ravel()
-    if eps.shape[0] != inst.m:
-        raise InvalidInputError(f"residual has length {eps.shape[0]}, expected {inst.m}")
-    return eps
 
 
 def _bound_reg_terms(y, eps, ateps, gamma, mu, free_mask=None) -> float:

@@ -99,10 +99,14 @@ BENCH_COLUMNS = [
 
 _BENCH_METHODS = {"screen", "bnb", "bnb_screen"}
 
+# built once: jsonschema.validate would check the constant schema against
+# its metaschema again on every call
+_RUN_REPORT_VALIDATOR = jsonschema.Draft202012Validator(RUN_REPORT_SCHEMA)
+
 
 def validate_run_report(obj: dict):
     """Raise jsonschema.ValidationError if ``obj`` is not a valid report."""
-    jsonschema.validate(obj, RUN_REPORT_SCHEMA)
+    _RUN_REPORT_VALIDATOR.validate(obj)
 
 
 def _cell_float(value: str, column: str, allow_empty: bool = False) -> None:

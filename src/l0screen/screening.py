@@ -31,6 +31,7 @@ from .problem import (
     InvalidInputError,
     ProblemSpec,
     Variant,
+    _check_residual,
     _settle,
     _spec_for,
 )
@@ -58,12 +59,12 @@ class ScreenReport:
             raise InvalidInputError("fix counts do not add up")
 
 
-def _cert_parts(cert):
-    """Accept either a RelaxSolution or a DualCertificate."""
+def _cert_parts(inst: Instance, cert):
+    """The checked residual and the lower bound of a RelaxSolution or a DualCertificate."""
     if hasattr(cert, "epsilon_bar"):
-        return np.asarray(cert.epsilon_bar, dtype=float), float(cert.lower_bound)
+        return _check_residual(inst, cert.epsilon_bar), float(cert.lower_bound)
     if hasattr(cert, "epsilon"):
-        return np.asarray(cert.epsilon, dtype=float), float(cert.lower_bound)
+        return _check_residual(inst, cert.epsilon), float(cert.lower_bound)
     raise InvalidInputError("cert must carry a residual and a lower bound")
 
 
@@ -154,7 +155,7 @@ def _screen_fixes(spec: ProblemSpec, fixes, delta, lower, zeta_bar):
 
 
 def _screen(inst: Instance, spec: ProblemSpec, cert, zeta_bar: float) -> ScreenReport:
-    eps_bar, lower = _cert_parts(cert)
+    eps_bar, lower = _cert_parts(inst, cert)
     _check_bounds(lower, zeta_bar)
     delta = (inst.a.T @ eps_bar) ** 2
     free = np.full(inst.n, FixState.FREE, dtype=np.int8)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -56,6 +57,22 @@ class TestGen:
             main(["gen", "--n", "4", "--m", "3", "--k-true", "5",
                   "--out", str(tmp_path / "x")])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--m", "0", "n and m must be >= 1"),
+        ("--n", "0", "n and m must be >= 1"),
+        ("--k-true", "0", "k_true must lie in [1, n]"),
+        ("--seed", "-1", "seed must be non-negative"),
+    ], ids=["m-0", "n-0", "k-true-0", "seed-negative"])
+    def test_bad_generator_value_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        # a repeated flag takes its last value
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as err:
+            main(["gen", "--n", "4", "--m", "3", "--k-true", "1", "--out", str(out), flag, value])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert not out.exists()
 
 
 class TestScreen:
@@ -167,13 +184,34 @@ class TestSolve:
                   "--time-limit", "nan"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "0"], ["--node-limit", "0"]],
-                             ids=["tol-nan", "tol-0", "node-limit-0"])
+    @pytest.mark.parametrize("flags", [["--node-limit", "0"]], ids=["node-limit-0"])
     def test_bad_solver_flag_is_usage_error(self, dataset, capsys, flags):
         with pytest.raises(SystemExit) as err:
             main(["solve", "--variant", "card", "--gamma", "0.8", "--k", "3",
                   "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv", *flags])
         assert err.value.code == 2
+
+    def test_takes_no_tol(self, dataset, capsys):
+        # B&B relaxes its nodes at its own tolerance and brute force relaxes nothing
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--variant", "card", "--gamma", "0.8", "--k", "3",
+                  "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv", "--tol", "1e-8"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params, forced, nodes", [
+        (["--variant", "reg", "--mu", "0.5"], None, 2 ** 12),
+        (["--variant", "reg", "--mu", "0.5"], "7", 2 ** 11),
+        (["--variant", "card", "--k", "3"], None, sum(math.comb(12, j) for j in range(4))),
+        (["--variant", "card", "--k", "3"], "7", sum(math.comb(11, j) for j in range(3))),
+        (["--variant", "card", "--k", "3"], "1,7,9", 1),
+    ], ids=["reg", "reg-forced", "card", "card-forced", "card-forced-full"])
+    def test_brute_nodes_count_the_supports_tried(self, dataset, capsys, params, forced, nodes):
+        args = ["solve", *params, "--gamma", "0.8", "--a", f"{dataset}/A.csv",
+                "--y", f"{dataset}/y.csv", "--method", "brute"]
+        if forced:
+            args += ["--forced-in", forced]
+        assert run_json(capsys, *args)["solve"]["nodes"] == nodes
 
     def test_forced_in_out_of_range_is_usage_error(self, dataset, capsys):
         with pytest.raises(SystemExit) as err:
@@ -184,6 +222,19 @@ class TestSolve:
 
 
 class TestReducedRoundTrip:
+    @pytest.mark.parametrize("y, files", [("3\n0.1\n", ["A.csv", "meta_reduced.json", "y.csv"]),
+                                          ("0.1\n0.1\n", ["meta_reduced.json"])],
+                             ids=["kept", "trivial"])
+    def test_directory_holds_the_listed_files(self, tmp_path, capsys, y, files):
+        (tmp_path / "A.csv").write_text("1,0\n0,1\n")
+        (tmp_path / "y.csv").write_text(y)
+        red = tmp_path / "red"
+        rep = run_json(capsys, "screen", "--variant", "reg", "--gamma", "1", "--mu", "1",
+                       "--a", str(tmp_path / "A.csv"), "--y", str(tmp_path / "y.csv"),
+                       "--out-reduced", str(red))
+        assert sorted(rep["out"]["files"]) == files
+        assert sorted(os.listdir(red)) == files
+
     def test_reduced_problem_solves_to_same_objective(self, dataset, tmp_path, capsys):
         red = str(tmp_path / "red")
         rep = run_json(capsys, "screen", "--variant", "card", "--gamma", "0.5",
@@ -256,6 +307,23 @@ class TestBench:
         by_method = {r[1]: r for r in rows}
         assert by_method["bnb"][6] == "0"  # plain bnb reports no fixing
         assert int(by_method["bnb_screen"][8]) <= int(by_method["bnb"][8])
+
+    @pytest.mark.parametrize("flags", [["--rho", "2"], ["--snr-grid", "-1"], ["--seed-base", "-1"],
+                                       ["--k-grid", "0"], ["--k-grid", "13"]],
+                             ids=["rho-2", "snr-negative", "seed-base-negative", "k-0", "k-above-n"])
+    def test_bad_generator_value_is_usage_error(self, capsys, flags):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--suite", "synthetic", "--n", "12", "--m", "10",
+                  "--k-grid", "2", "--methods", "screen", *flags])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_files_suite_rejects_k_0_before_any_output(self, dataset, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--suite", "files", "--a", f"{dataset}/A.csv",
+                  "--y", f"{dataset}/y.csv", "--k-grid", "2,0", "--methods", "screen"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flags", [["--time-limit", "nan"], ["--node-limit", "0"], ["--tol", "nan"]],
                              ids=["time-limit-nan", "node-limit-0", "tol-nan"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,37 @@ class TestWrapperParameters:
         rel = solve_cc(tiny, 1.0, 1)
         with pytest.raises(InvalidInputError):
             _CARD_WRAPPERS[name](tiny, gamma, k, rel)
+
+
+# the wrappers that read a residual, each with its variant's relaxation
+_RESIDUAL_READERS = {
+    **{name: (fn, 1.0, solve_cr) for name, fn in _REG_WRAPPERS.items() if name != "solve_cr"},
+    **{name: (fn, 1, solve_cc) for name, fn in _CARD_WRAPPERS.items() if name != "solve_cc"},
+}
+
+
+def _outcome(out):
+    if hasattr(out, "fixes"):
+        return out.fixes.tolist(), out.lower_bound
+    if hasattr(out, "support"):
+        return out.support, out.objective
+    return out
+
+
+class TestWrapperResiduals:
+    @pytest.mark.parametrize("name", sorted(_RESIDUAL_READERS))
+    def test_wrong_length_rejected(self, tiny, name):
+        fn, par, relax = _RESIDUAL_READERS[name]
+        rel = dataclasses.replace(relax(tiny, 1.0, par), epsilon=np.zeros(tiny.m + 1))
+        with pytest.raises(InvalidInputError, match="residual has length 3, expected 2"):
+            fn(tiny, 1.0, par, rel)
+
+    @pytest.mark.parametrize("name", sorted(_RESIDUAL_READERS))
+    def test_column_residual_reads_as_flat(self, tiny, name):
+        fn, par, relax = _RESIDUAL_READERS[name]
+        rel = relax(tiny, 1.0, par)
+        col = dataclasses.replace(rel, epsilon=rel.epsilon.reshape(-1, 1))
+        assert _outcome(fn(tiny, 1.0, par, col)) == _outcome(fn(tiny, 1.0, par, rel))
 
 
 class TestSettle:

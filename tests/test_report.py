@@ -1,6 +1,8 @@
+import jsonschema
 import pytest
 
 from l0screen import BENCH_COLUMNS, validate_bench_csv, validate_run_report
+from l0screen.report import RUN_REPORT_SCHEMA
 
 _GOOD = {
     "command": "screen",
@@ -15,6 +17,10 @@ _GOOD = {
 
 
 class TestRunReport:
+    def test_schema_is_valid(self):
+        # validate_run_report does not check the schema itself
+        jsonschema.Draft202012Validator.check_schema(RUN_REPORT_SCHEMA)
+
     def test_valid_report_passes(self):
         validate_run_report(_GOOD)
 
