@@ -184,7 +184,9 @@ class TestSolve:
                   "--time-limit", "nan"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("flags", [["--node-limit", "0"]], ids=["node-limit-0"])
+    # solve has no --tol, so any --tol is rejected as an unrecognized argument
+    @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "0"], ["--node-limit", "0"]],
+                             ids=["tol-nan", "tol-0", "node-limit-0"])
     def test_bad_solver_flag_is_usage_error(self, dataset, capsys, flags):
         with pytest.raises(SystemExit) as err:
             main(["solve", "--variant", "card", "--gamma", "0.8", "--k", "3",
