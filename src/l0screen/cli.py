@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import platform
 import sys
@@ -26,7 +27,7 @@ from .datagen import (GENERATOR_NAME, SyntheticSpec, _write_matrix, gamma_zero, 
                       save_dataset)
 from .exact import BnBConfig, _enumeration, branch_and_bound, brute_force
 from .heuristics import round_card, round_reg
-from .problem import FixState, Instance, InvalidInputError, ProblemSpec, Variant
+from .problem import FixState, Instance, InvalidInputError, ProblemSpec, Variant, _check_support, _spec_for
 from .relax import SolverConfig, solve_cc, solve_cr
 from .report import _BENCH_METHODS, BENCH_COLUMNS, validate_run_report
 from .screening import screen_card, screen_reg
@@ -38,7 +39,7 @@ def _versions():
 
 def _emit(report: dict):
     validate_run_report(report)
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
 
 
 def _parse_list(text: str, parser, flag: str, kind):
@@ -57,19 +58,14 @@ def _from_flags(parser, make, **kwargs):
         parser.error(str(exc))
 
 
-def _spec_from_args(args, parser) -> ProblemSpec:
+def _load_with_spec(args, parser):
+    """The ``--a``/``--y`` instance and the spec of the flags on its n columns."""
     name = "mu" if args.variant == "reg" else "k"
     value = getattr(args, name)
     if value is None:
         parser.error(f"--{name} is required for --variant {args.variant}")
-    return _from_flags(parser, ProblemSpec, variant=args.variant, gamma=args.gamma, **{name: value})
-
-
-def _load_instance(args, parser, spec: ProblemSpec) -> Instance:
     inst = load_csv(args.a, args.y)
-    if spec.k is not None and spec.k > inst.n:
-        parser.error(f"--k exceeds the number of columns ({inst.n})")
-    return inst
+    return inst, _from_flags(parser, _spec_for, n=inst.n, gamma=args.gamma, **{name: value})
 
 
 def cmd_gen(args, parser) -> int:
@@ -153,9 +149,11 @@ def _write_reduced(out_dir: str, inst: Instance, spec: ProblemSpec, rep) -> dict
 
 
 def cmd_screen(args, parser) -> int:
-    spec = _spec_from_args(args, parser)
     cfg = _from_flags(parser, SolverConfig, tol=args.tol)
-    inst = _load_instance(args, parser, spec)
+    # a report is strict JSON, which has no inf or NaN
+    if args.zeta_bar is not None and not math.isfinite(args.zeta_bar):
+        parser.error("--zeta-bar must be finite")
+    inst, spec = _load_with_spec(args, parser)
     rep, timings = _screen_pipeline(inst, spec, cfg, args.zeta_bar)
     out = None
     if args.out_reduced:
@@ -190,16 +188,13 @@ def _spec_block(spec: ProblemSpec) -> dict:
 
 
 def cmd_solve(args, parser) -> int:
-    spec = _spec_from_args(args, parser)
     cfg = _from_flags(parser, BnBConfig, time_limit_s=args.time_limit, node_limit=args.node_limit,
                       screen_at_root=args.screen == "on")
-    inst = _load_instance(args, parser, spec)
+    inst, spec = _load_with_spec(args, parser)
     fixed = np.full(inst.n, FixState.FREE, dtype=np.int8)
     if args.forced_in:
         idx = _parse_list(args.forced_in, parser, "--forced-in", int)
-        if idx and (min(idx) < 0 or max(idx) >= inst.n):
-            parser.error(f"--forced-in indices must lie in [0, {inst.n})")
-        fixed[idx] = FixState.ONE
+        fixed[_from_flags(parser, _check_support, support=idx, n=inst.n)] = FixState.ONE
 
     t = time.perf_counter()
     if args.method == "brute":
@@ -231,14 +226,19 @@ def cmd_solve(args, parser) -> int:
     return 0
 
 
-def _bench_methods_row(inst, k, gamma, method, solver_cfg: SolverConfig, bnb_cfg: BnBConfig):
+def _bench_spec(inst: Instance, k, gexp: float) -> ProblemSpec:
+    """The card spec of one bench cell: ``k`` and ``gamma = 2^gexp gamma_zero``."""
+    return _spec_for(inst.n, (2.0 ** gexp) * gamma_zero(inst, k), k=k)
+
+
+def _bench_methods_row(inst, spec: ProblemSpec, method, solver_cfg: SolverConfig, bnb_cfg: BnBConfig):
     """One bench measurement; returns (fixed_count, nodes, time_s, optimal)."""
     t0 = time.perf_counter()
     if method == "screen":
-        rep, _ = _screen_pipeline(inst, ProblemSpec.card(gamma, k), solver_cfg, None)
+        rep, _ = _screen_pipeline(inst, spec, solver_cfg, None)
         return rep.n_zero + rep.n_one, 0, time.perf_counter() - t0, rep.n_free == 0
     cfg = dataclasses.replace(bnb_cfg, screen_at_root=method == "bnb_screen")
-    stats = branch_and_bound(inst, ProblemSpec.card(gamma, k), cfg)
+    stats = branch_and_bound(inst, spec, cfg)
     fixed = stats.root_fixed if method == "bnb_screen" else 0
     return fixed, stats.nodes_explored, stats.wall_time_s, stats.optimal
 
@@ -255,7 +255,7 @@ def cmd_bench(args, parser) -> int:
     if not k_grid or not gamma_exps:
         parser.error("--k-grid and --gamma-exps must be non-empty")
 
-    tasks = []  # (instance_id, loader, k, gexp, rho_str, snr_str)
+    tasks = []  # (instance_id, SyntheticSpec or (Instance, ProblemSpec), k, gexp, rho_str, snr_str)
     if args.suite == "synthetic":
         if args.n is None or args.m is None:
             parser.error("--suite synthetic needs --n and --m")
@@ -274,33 +274,23 @@ def cmd_bench(args, parser) -> int:
     else:
         if not args.a or not args.y:
             parser.error("--suite files needs --a and --y")
-        if min(k_grid) < 1:
-            parser.error("--k-grid values must be >= 1")
+        # read before the header, so that bad data or a bad cell prints nothing
+        inst = load_csv(args.a, args.y)
         base = os.path.basename(args.a)
         for k in k_grid:
             for gexp in gamma_exps:
-                tasks.append((f"file-{base}-k{k}-g{gexp:g}", None, k, gexp, "", ""))
+                spec = _from_flags(parser, _bench_spec, inst=inst, k=k, gexp=gexp)
+                tasks.append((f"file-{base}-k{k}-g{gexp:g}", (inst, spec), k, gexp, "", ""))
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
-    file_inst = None
-    for iid, sspec, k, gexp, rho_str, snr_str in tasks:
-        if sspec is not None:
-            inst, _ = generate(sspec)
-        else:
-            if file_inst is None:
-                file_inst = load_csv(args.a, args.y)
-            inst = file_inst
-        if k > inst.n:
-            writer.writerow([iid, "-", k, gexp, rho_str, snr_str, 0, 0.0, 0, 0.0,
-                             "false", "error:k exceeds columns"])
-            continue
-        gamma = (2.0 ** gexp) * gamma_zero(inst, k)
+    for iid, cell, k, gexp, rho_str, snr_str in tasks:
+        inst, spec = cell if isinstance(cell, tuple) else (generate(cell)[0], None)
         for method in methods:
             try:
-                fixed, nodes, secs, optimal = _bench_methods_row(
-                    inst, k, gamma, method, solver_cfg, bnb_cfg
-                )
+                # a synthetic cell's spec is built here, so that a bad gamma is an error row
+                spec = spec or _bench_spec(inst, k, gexp)
+                fixed, nodes, secs, optimal = _bench_methods_row(inst, spec, method, solver_cfg, bnb_cfg)
                 writer.writerow([
                     iid, method, k, gexp, rho_str, snr_str, fixed,
                     round(100.0 * fixed / inst.n, 3), nodes, round(secs, 4),

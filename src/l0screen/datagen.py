@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import CsvParseError, Instance, InvalidInputError
+from .problem import CsvParseError, Instance, InvalidInputError, _check_k
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -78,9 +78,8 @@ def generate(spec: SyntheticSpec):
 
 
 def gamma_zero(inst: Instance, k: int) -> float:
-    """Reference ridge scale ``n / (m k max_i ||row_i||^2)``."""
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
+    """Reference ridge scale ``n / (m k max_i ||row_i||^2)``, for k an integer in [1, n]."""
+    _check_k(k, inst.n)
     row_sq = float((inst.a * inst.a).sum(axis=1).max())
     if row_sq == 0.0:
         raise ZeroDivisionError("gamma_zero is undefined for an all-zero matrix")

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .problem import (
+    ConstraintViolationError,
     FixState,
     Incumbent,
     Instance,
@@ -27,6 +28,7 @@ from .problem import (
     SizeCapError,
     Variant,
     _check_fixes,
+    _check_support,
     _settle,
 )
 from .heuristics import _evaluate, _node_round
@@ -182,7 +184,9 @@ def branch_and_bound(
     ``zeta_bar - 1e-9``, and (optionally) a screening pass; it then
     branches on one free variable.  Node counts are deterministic for a
     fixed config and instance.  ``optimal`` is True only when the
-    search space was exhausted within the limits.
+    search space was exhausted within the limits.  The support of
+    ``initial`` is refit and priced as the first incumbent; it raises
+    ConstraintViolationError when it breaks the card budget or the fixes.
     """
     cfg = cfg or BnBConfig()
     t0 = time.perf_counter()
@@ -192,8 +196,14 @@ def branch_and_bound(
     root_fixes = np.full(n, FixState.FREE, dtype=np.int8) if fixed is None else _check_fixes(fixed, n)
     root_fixes = _settle(spec, root_fixes)
 
-    incumbent = initial
-    zeta_bar = initial.objective if initial is not None else math.inf
+    incumbent, zeta_bar = None, math.inf
+    if initial is not None:
+        idx = _check_support(initial.support, n)
+        if ((spec.variant is Variant.CARD and idx.size > spec.k) or np.any(root_fixes[idx] == FixState.ZERO)
+                or not np.isin(np.flatnonzero(root_fixes == FixState.ONE), idx).all()):
+            raise ConstraintViolationError("initial support breaks the card budget or the fixes")
+        incumbent = _evaluate(inst, spec, idx)
+        zeta_bar = incumbent.objective
 
     counter = itertools.count()
     heap: list = [(-math.inf, next(counter), 0, root_fixes, None)]

@@ -126,12 +126,9 @@ class ProblemSpec:
             if self.k is not None:
                 raise InvalidInputError("reg variant takes no k")
         else:
-            # range first: int() of a NaN or infinite k raises on its own
-            if self.k is None or not (1 <= self.k < np.inf) or int(self.k) != self.k:
-                raise InvalidInputError("card variant needs integer k >= 1")
             if self.mu is not None:
                 raise InvalidInputError("card variant takes no mu")
-            object.__setattr__(self, "k", int(self.k))
+            object.__setattr__(self, "k", _check_k(self.k))
 
     @classmethod
     def reg(cls, gamma: float, mu: float) -> "ProblemSpec":
@@ -142,6 +139,14 @@ class ProblemSpec:
         return cls(variant=Variant.CARD, gamma=gamma, k=k)
 
 
+def _check_k(k, n=np.inf) -> int:
+    """``k`` as an int, after checking that it is an integer in [1, n]."""
+    # range first: int() of a NaN or infinite k raises on its own
+    if k is None or not (1 <= k <= n and k < np.inf) or int(k) != k:
+        raise InvalidInputError(f"k must be an integer in [1, {n}]")
+    return int(k)
+
+
 def _spec_for(n: int, gamma: float, mu: Optional[float] = None, k=None) -> ProblemSpec:
     """The reg spec of ``(gamma, mu)`` or the card spec of ``(gamma, k)`` on n columns.
 
@@ -150,10 +155,7 @@ def _spec_for(n: int, gamma: float, mu: Optional[float] = None, k=None) -> Probl
     """
     if k is None:
         return ProblemSpec.reg(gamma, mu)
-    # range first: int() of a NaN or infinite k raises on its own
-    if not (1 <= k <= n) or int(k) != k:
-        raise InvalidInputError(f"k must be an integer in [1, {n}]")
-    return ProblemSpec.card(gamma, k)
+    return ProblemSpec.card(gamma, _check_k(k, n))
 
 
 def _settle(spec: ProblemSpec, fixes: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from .problem import (
     InvalidInputError,
     ProblemSpec,
     Variant,
+    _check_k,
     _check_residual,
     _settle,
     _spec_for,
@@ -87,10 +88,7 @@ def kth_largest_pair(delta, k: int):
     """
     arr = np.asarray(delta, dtype=float).ravel()
     n = arr.size
-    # range first: int() of a NaN or infinite k raises on its own
-    if not (1 <= k <= n) or int(k) != k:
-        raise InvalidInputError(f"k must be an integer in [1, {n}]")
-    k = int(k)
+    k = _check_k(k, n)
     part = np.partition(arr, n - k)
     dk1 = -np.inf if k == n else float(part[:n - k].max())
     return float(part[n - k]), dk1

@@ -1,11 +1,17 @@
+import dataclasses
 import json
 import math
 import os
 
 import pytest
 
-from l0screen import validate_bench_csv, validate_run_report
+from l0screen import cli, validate_bench_csv, validate_run_report
 from l0screen.cli import main
+
+
+def read_text(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def run_cli(capsys, *argv):
@@ -37,7 +43,7 @@ class TestGen:
                        "--rho", "0.2", "--snr", "6", "--seed", "7", "--out", out)
         assert rep["command"] == "gen"
         assert sorted(os.listdir(out)) == ["A.csv", "meta.json", "y.csv"]
-        meta = json.loads(open(os.path.join(out, "meta.json")).read())
+        meta = json.loads(read_text(os.path.join(out, "meta.json")))
         assert meta["n"] == 4 and meta["m"] == 3 and meta["k_true"] == 1
         assert meta["rho"] == 0.2 and meta["seed"] == 7
         assert meta["generator_name"] == "numpy-pcg64"
@@ -50,7 +56,7 @@ class TestGen:
         run_json(capsys, *args, "--out", d1)
         run_json(capsys, *args, "--out", d2)
         for name in ("A.csv", "y.csv"):
-            assert open(os.path.join(d1, name)).read() == open(os.path.join(d2, name)).read()
+            assert read_text(os.path.join(d1, name)) == read_text(os.path.join(d2, name))
 
     def test_k_true_larger_than_n_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
@@ -97,6 +103,28 @@ class TestScreen:
                        "--zeta-bar", "1e12")
         assert rep["screen"]["zeta_bar"] == 1e12
         assert rep["screen"]["n_free"] == 12  # nothing fires against a huge bound
+
+    @pytest.mark.parametrize("zeta_bar", ["inf", "-inf", "nan"])
+    def test_non_finite_zeta_bar_is_usage_error(self, dataset, capsys, zeta_bar):
+        # a report is strict JSON, which cannot carry the value back
+        with pytest.raises(SystemExit) as err:
+            main(["screen", "--variant", "card", "--gamma", "0.5", "--k", "3",
+                  "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv", f"--zeta-bar={zeta_bar}"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--zeta-bar must be finite" in captured.err
+
+    def test_report_with_a_non_finite_value_is_refused(self, dataset, capsys, monkeypatch):
+        def pipeline(*args):
+            rep, timings = real(*args)
+            return dataclasses.replace(rep, lower_bound=float("-inf")), timings
+
+        real = cli._screen_pipeline
+        monkeypatch.setattr(cli, "_screen_pipeline", pipeline)
+        code, out, errtxt = run_cli(capsys, "screen", "--variant", "card", "--gamma", "0.5",
+                                    "--k", "3", "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv")
+        assert code == 1 and out == ""
+        assert "JSON" in errtxt
 
     def test_missing_mu_is_usage_error(self, dataset, capsys):
         with pytest.raises(SystemExit) as err:
@@ -223,6 +251,17 @@ class TestSolve:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["screen", "solve"])
+@pytest.mark.parametrize("k", ["13", "0"])
+def test_k_outside_the_columns_is_usage_error(dataset, capsys, command, k):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--variant", "card", "--gamma", "0.8", "--k", k,
+              "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "k must be an integer in [1, 12]" in captured.err
+
+
 class TestReducedRoundTrip:
     @pytest.mark.parametrize("y, files", [("3\n0.1\n", ["A.csv", "meta_reduced.json", "y.csv"]),
                                           ("0.1\n0.1\n", ["meta_reduced.json"])],
@@ -244,7 +283,7 @@ class TestReducedRoundTrip:
                        "--out-reduced", red)
         full = run_json(capsys, "solve", "--variant", "card", "--gamma", "0.5",
                         "--k", "3", "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv")
-        meta = json.loads(open(os.path.join(red, "meta_reduced.json")).read())
+        meta = json.loads(read_text(os.path.join(red, "meta_reduced.json")))
         assert meta["k"] == 3
         args = ["solve", "--variant", "card", "--gamma", "0.5", "--k", "3",
                 "--a", f"{red}/A.csv", "--y", f"{red}/y.csv"]
@@ -326,6 +365,44 @@ class TestBench:
                   "--y", f"{dataset}/y.csv", "--k-grid", "2,0", "--methods", "screen"])
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_files_suite_rejects_k_above_n_before_any_output(self, dataset, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--suite", "files", "--a", f"{dataset}/A.csv",
+                  "--y", f"{dataset}/y.csv", "--k-grid", "2,13", "--methods", "screen"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "k must be an integer in [1, 12]" in captured.err
+
+    def test_files_suite_rejects_bad_gamma_before_any_output(self, dataset, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--suite", "files", "--a", f"{dataset}/A.csv",
+                  "--y", f"{dataset}/y.csv", "--k-grid", "2", "--gamma-exps", "0,-2000",
+                  "--methods", "screen"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("a_text", [None, "1,0\nbroken\n"], ids=["missing", "malformed"])
+    def test_files_suite_bad_data_prints_nothing(self, tmp_path, capsys, a_text):
+        if a_text is not None:
+            (tmp_path / "A.csv").write_text(a_text)
+        (tmp_path / "y.csv").write_text("3\n0.1\n")
+        code, out, errtxt = run_cli(capsys, "bench", "--suite", "files",
+                                    "--a", str(tmp_path / "A.csv"), "--y", str(tmp_path / "y.csv"),
+                                    "--k-grid", "1", "--methods", "screen")
+        assert code == 1
+        assert out == "" and errtxt.startswith("error:")
+
+    def test_files_suite_every_method(self, dataset, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "--suite", "files", "--a", f"{dataset}/A.csv",
+            "--y", f"{dataset}/y.csv", "--k-grid", "1,12", "--gamma-exps", "0,1",
+            "--methods", "screen,bnb,bnb_screen")
+        assert code == 0
+        validate_bench_csv(out)
+        rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+        assert len(rows) == 2 * 2 * 3
+        assert {r[-1] for r in rows} == {"ok"}
 
     @pytest.mark.parametrize("flags", [["--time-limit", "nan"], ["--node-limit", "0"], ["--tol", "nan"]],
                              ids=["time-limit-nan", "node-limit-0", "tol-nan"])

@@ -3,7 +3,9 @@ import pytest
 
 from l0screen import (
     BnBConfig,
+    ConstraintViolationError,
     FixState,
+    Incumbent,
     InfeasibleError,
     Instance,
     InvalidInputError,
@@ -17,6 +19,7 @@ from l0screen import (
     solve_cc,
     solve_cr,
 )
+from l0screen import exact
 
 from ._oracles import enumerate_optima, ridge_ls
 from .conftest import random_instance
@@ -315,6 +318,66 @@ class TestBranchAndBound:
         fixed = np.array([FixState.ONE, FixState.ONE], dtype=np.int8)
         with pytest.raises(InfeasibleError):
             branch_and_bound(tiny, ProblemSpec.card(1.0, 1), fixed=fixed)
+
+    def test_initial_over_card_budget_raises(self):
+        # six variables at k = 3, with an objective below every feasible one
+        inst = random_instance(48, 10, 12)
+        bad = Incumbent(support=(0, 1, 2, 3, 4, 5), x=np.zeros(12), objective=-1.0)
+        with pytest.raises(ConstraintViolationError, match="card budget"):
+            branch_and_bound(inst, ProblemSpec.card(1.0, 3), initial=bad)
+
+    @pytest.mark.parametrize("support, state", [((0, 2), FixState.ZERO), ((0,), FixState.ONE)],
+                             ids=["uses-fixed-out", "misses-fixed-in"])
+    def test_initial_breaking_the_fixes_raises(self, support, state):
+        inst = random_instance(48, 10, 12)
+        fixed = np.zeros(12, dtype=np.int8)
+        fixed[2] = state
+        bad = Incumbent(support=support, x=np.zeros(12), objective=-1.0)
+        with pytest.raises(ConstraintViolationError, match="fixes"):
+            branch_and_bound(inst, ProblemSpec.card(1.0, 3), initial=bad, fixed=fixed)
+
+    @pytest.mark.parametrize("spec", [ProblemSpec.card(1.0, 3), ProblemSpec.reg(1.0, 1.0)],
+                             ids=["card", "reg"])
+    def test_initial_objective_is_repriced(self, spec):
+        # a feasible support with a claimed objective below the optimum
+        # must not prune the optimum away
+        inst = random_instance(48, 10, 12)
+        want, _ = brute_force(inst, spec)
+        stats = branch_and_bound(inst, spec, initial=Incumbent((0, 1), np.zeros(12), -1.0))
+        assert stats.optimal
+        assert stats.best.objective == pytest.approx(want.objective, rel=1e-9)
+
+
+class _CountingCap(int):
+    """An open-node cap that counts the pushes it sends to the depth-first stack.
+
+    ``len(heap) + len(stack) >= cap`` calls this subclass's ``__le__``
+    ahead of ``int.__ge__``.
+    """
+
+    def __new__(cls, value):
+        cap = super().__new__(cls, value)
+        cap.stack_pushes = 0
+        return cap
+
+    def __le__(self, open_nodes):
+        full = int(self) <= open_nodes
+        self.stack_pushes += full
+        return full
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("spec", [ProblemSpec.card(1.0, 3), ProblemSpec.reg(1.0, 0.5)],
+                         ids=["card", "reg"])
+def test_depth_first_fallback_matches_brute_force(monkeypatch, seed, spec):
+    cap = _CountingCap(2)
+    monkeypatch.setattr(exact, "_OPEN_NODE_CAP", cap)
+    inst = random_instance(500 + seed, 8, 10)
+    want, _ = brute_force(inst, spec)
+    stats = branch_and_bound(inst, spec, BnBConfig(screen_at_root=False))
+    assert cap.stack_pushes > 0
+    assert stats.optimal
+    assert stats.best.objective == pytest.approx(want.objective, rel=1e-9)
 
 
 class TestBnBConfig:
