@@ -228,7 +228,11 @@ def cmd_solve(args, parser) -> int:
 
 def _bench_spec(inst: Instance, k, gexp: float) -> ProblemSpec:
     """The card spec of one bench cell: ``k`` and ``gamma = 2^gexp gamma_zero``."""
-    return _spec_for(inst.n, (2.0 ** gexp) * gamma_zero(inst, k), k=k)
+    try:
+        scale = 2.0 ** gexp
+    except OverflowError:  # an infinite gamma fails _spec_for, as a zero one does
+        scale = math.inf
+    return _spec_for(inst.n, scale * gamma_zero(inst, k), k=k)
 
 
 def _bench_methods_row(inst, spec: ProblemSpec, method, solver_cfg: SolverConfig, bnb_cfg: BnBConfig):

@@ -161,11 +161,12 @@ def node_relaxation(
     node's subproblem value directly).  Raises InvalidInputError for a
     fix vector of the wrong length or with entries other than FixState
     values, and InfeasibleError when more variables are forced in than
-    a card budget allows.  The step size comes from ``cfg.lipschitz``
-    when set (branch and bound passes the full matrix's value, which
-    bounds every column subset) and from ``operator_norm_sq`` of the
-    active columns otherwise.
-    ``x_warm`` starts the reg solve; card solves start from zero.
+    a card budget allows.  The solve runs in rounds on a working set
+    of columns, and each round's step comes from ``cfg.lipschitz`` when
+    set (branch and bound passes the full matrix's value, which bounds
+    every column subset) and from ``operator_norm_sq`` of the working
+    set's columns otherwise.  ``x_warm`` starts the reg solve, and its
+    support joins the first working set; card solves start from zero.
     """
     return _relax(inst, spec, _check_fixes(fixes, inst.n), cfg or SolverConfig(), x_warm)
 

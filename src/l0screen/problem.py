@@ -82,11 +82,17 @@ class Instance:
             )
         if not np.all(np.isfinite(a)) or not np.all(np.isfinite(y)):
             raise InvalidInputError("matrix and response entries must be finite")
-        with np.errstate(over="ignore"):  # reported below as an error
+        with np.errstate(over="ignore"):  # reported below as errors
             yy = float(y @ y)
+            # bounds every Gram entry and ||A||^2, so no solve overflows them
+            aa = float(a.ravel(order="K") @ a.ravel(order="K"))
         if not np.isfinite(yy):
             raise InvalidInputError(
                 "the squared norm of y overflows; divide y by a scale s and a reg mu by s**2"
+            )
+        if not np.isfinite(aa):
+            raise InvalidInputError(
+                "the squared Frobenius norm of A overflows; divide A by a scale s and multiply gamma by s**2"
             )
         a.setflags(write=False)
         y.setflags(write=False)

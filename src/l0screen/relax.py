@@ -15,6 +15,11 @@ Each iteration takes one product pair, ``A x - y`` and ``A'`` of it,
 at its new iterate; the same pair gives that iterate's certificate and
 the next gradient, so every iterate's gap is tested.
 
+The relaxed solutions are sparse, so the method runs in rounds on a
+working set of columns, and one product ``A' eps`` per round prices
+the certificate over every column; the returned bound always holds for
+the full problem.
+
 One private function, ``_relax``, turns a fix vector into a relaxation:
 ``solve_cr`` and ``solve_cc`` run it with every variable free, and every
 branch-and-bound node runs it through ``exact.node_relaxation``.
@@ -375,7 +380,9 @@ def _ksupport_prox(w, c, k):
     order = np.argsort(bp, kind="stable")
     bp = bp[order]
     slope = np.cumsum(np.concatenate([nz, -nz])[order])
-    offset = np.cumsum(np.repeat([-c, 1.0 + c], nz.size)[order])
+    offset = np.full(2 * nz.size, -c)
+    offset[nz.size:] = 1.0 + c
+    offset = np.cumsum(offset[order])
     mass = bp * slope + offset
     # mass[0] = 0 < k and mass[-1] = nnz > k, so 1 <= j < 2 nnz
     j = int(np.argmax(mass >= k))
@@ -384,7 +391,7 @@ def _ksupport_prox(w, c, k):
         # a flat segment at mass k can carry a rounding-sized slope; any
         # beta on it gives the same z, so stay inside the segment
         beta = min(beta, bp[j - 1] + (k - mass[j - 1]) / slope[j - 1])
-    z = np.clip(beta * aw - c, 0.0, 1.0)
+    z = np.minimum(np.maximum(beta * aw - c, 0.0), 1.0)
     x = w * z / (z + c)
     return x, float(x @ (w / (z + c)))
 
@@ -420,6 +427,12 @@ def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, tol, max_iter, x0):
 _cc_bisection = _ksupport_solve
 
 
+# Free columns in the first round of a working-set relaxation (at least
+# twice the card budget); a relaxation with no more free columns than
+# that runs as one round on all of its columns.
+_WS_START = 128
+
+
 def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=None) -> RelaxSolution:
     """The relaxation of ``spec`` with the variables in ``fixes`` fixed.
 
@@ -429,6 +442,22 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=N
     ridge closed form is certified as it stands; otherwise the Berhu or
     k-support problem is solved, reg from ``x_warm`` when given and card
     from zero.
+
+    The solve runs in rounds on a working set W of columns: the
+    fixed-in ones, the warm start's support and the free columns of
+    largest ``|a_i' y|``, ``_WS_START`` free columns in all (at least
+    twice the card budget).  Each round solves on ``A[:, W]`` at
+    ``cfg.tol`` from the last round's ``x``, with its step from
+    ``cfg.lipschitz`` or else ``A[:, W]``, and one product ``A' eps``
+    then certifies the round's residual over every column.  That bound
+    holds for the full problem, and a round whose full gap passes
+    ``cfg.tol`` ends the solve.  Otherwise the free columns outside W
+    that lower the full bound join W, the highest-scoring |W| of them:
+    for reg those with ``gamma delta_i > mu``, for card those above W's
+    k-th largest free score, and when rounding leaves none, the
+    highest-scoring outside columns.  A relaxation with no more free
+    columns than the start runs as one round on all of them.
+    ``iterations`` sums the rounds, and ``cfg.max_iter`` caps that sum.
     """
     card = spec.variant is Variant.CARD
     fixes = _settle(spec, fixes)
@@ -438,29 +467,67 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=N
     free = fixes == FixState.FREE
     active = np.flatnonzero(one | free)
     a = inst.a if active.size == inst.n else inst.a[:, active]
+    y = inst.y
     free_mask = free[active]
+    n_free = int(np.count_nonzero(free_mask))
     # a mask costs gathers in every APG iteration, so pass none when
     # every active column is free
     mask = None if n_one == 0 else free_mask
-    lip = _auto_lipschitz(a, cfg)
+    inner, bound, par = (_ksupport_solve, _bound_card_terms, budget) if card else \
+        (_berhu_solve, _bound_reg_terms, spec.mu)
     max_iter = cfg.max_iter
-    if np.count_nonzero(free_mask) <= budget:
-        max_iter, x0 = 0, _ridge_full(a, inst.y, spec.gamma)
+    if n_free <= budget:
+        max_iter, xa = 0, _ridge_full(a, y, spec.gamma)
     elif card or x_warm is None:
-        x0 = np.zeros(active.size)
+        xa = np.zeros(active.size)
     else:
-        x0 = np.asarray(x_warm, dtype=float)[active]
+        xa = np.asarray(x_warm, dtype=float)[active]
+
+    start = max(_WS_START, 2 * budget)
+    in_w = np.ones(active.size, dtype=bool)
+    if n_free > start:
+        in_w = ~free_mask | (xa != 0.0)
+        room = start - int(np.count_nonzero(in_w & free_mask))
+        if room > 0:
+            score = np.abs(a.T @ y)
+            score[in_w] = -1.0
+            in_w[np.argsort(-score, kind="stable")[:room]] = True
+    iters = 0
+    while True:
+        w = np.flatnonzero(in_w)
+        whole = w.size == active.size
+        aw = a if whole else a[:, w]
+        xw, eps, primal, lb, it, ok = inner(
+            aw, y, spec.gamma, par, None if mask is None else free_mask[w],
+            _auto_lipschitz(aw, cfg), cfg.tol, max_iter - iters, xa[w],
+        )
+        iters += it
+        xa = np.zeros(active.size)
+        xa[w] = xw
+        if whole:
+            break
+        # the round's own bound covers W only; certify over every column
+        ateps = a.T @ eps
+        lb = bound(y, eps, ateps, spec.gamma, par, mask)
+        stop = not (ok and math.isfinite(lb)) or iters >= max_iter  # diverged or out of iterations
+        ok = math.isfinite(primal) and math.isfinite(lb) and primal - lb <= cfg.tol * (1.0 + abs(primal))
+        if ok or stop:
+            break
+        d = ateps * ateps
+        outside = ~in_w
+        if card:
+            dw = d[in_w & free_mask]
+            joins = outside & (d > np.partition(dw, dw.size - budget)[dw.size - budget])
+        else:
+            joins = outside & (spec.gamma * d > spec.mu)
+        # rounding can leave the full gap open with no such column
+        cand = np.flatnonzero(joins if joins.any() else outside)
+        in_w[cand[np.argsort(-d[cand], kind="stable")[:w.size]]] = True
 
     if card:
-        xa, eps, primal, lb, iters, ok = _ksupport_solve(
-            a, inst.y, spec.gamma, budget, mask, lip, cfg.tol, max_iter, x0,
-        )
         za = np.ones(active.size)
         za[free_mask] = _ksupport(xa[free_mask], budget)[1]
     else:
-        xa, eps, primal, lb, iters, ok = _berhu_solve(
-            a, inst.y, spec.gamma, spec.mu, mask, lip, cfg.tol, max_iter, x0,
-        )
         crossover = BerhuPenalty(mu=spec.mu, gamma=spec.gamma).crossover
         za = np.where(free_mask, np.minimum(1.0, np.abs(xa) / crossover), 1.0)
     x = np.zeros(inst.n)

@@ -382,6 +382,16 @@ class TestBench:
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_files_suite_rejects_overflowing_gamma_before_any_output(self, dataset, capsys):
+        # 2.0 ** 2000 overflows a float; the cell is a usage error, as a zero gamma is
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--suite", "files", "--a", f"{dataset}/A.csv",
+                  "--y", f"{dataset}/y.csv", "--k-grid", "2", "--gamma-exps", "0,2000",
+                  "--methods", "screen"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "gamma must be positive and finite" in captured.err
+
     @pytest.mark.parametrize("a_text", [None, "1,0\nbroken\n"], ids=["missing", "malformed"])
     def test_files_suite_bad_data_prints_nothing(self, tmp_path, capsys, a_text):
         if a_text is not None:

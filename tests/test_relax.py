@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l0screen import (
+    BnBConfig,
     DualCertificate,
     FixState,
     Instance,
@@ -11,12 +12,19 @@ from l0screen import (
     ProblemSpec,
     SolverConfig,
     SyntheticSpec,
+    Variant,
     branch_and_bound,
+    brute_force,
     certified_lower_bound_card,
     certified_lower_bound_reg,
     gamma_zero,
     generate,
     operator_norm_sq,
+    relax,
+    round_card,
+    round_reg,
+    screen_card,
+    screen_reg,
     solve_cc,
     solve_cr,
 )
@@ -78,9 +86,23 @@ class TestOperatorNorm:
         lambda inst: branch_and_bound(inst, ProblemSpec.reg(1.0, 1.0)),
     ], ids=["solve_cr", "solve_cc", "branch_and_bound"])
     def test_overflowing_gram_is_a_clear_error(self, solve):
-        inst = Instance(_gaussian(0, 6, 10) * 1e160, np.ones(6))
+        # Instance rejects the matrix, so no solve meets an overflowing Gram
         with pytest.raises(InvalidInputError, match="overflows.*divide A"):
-            solve(inst)
+            solve(Instance(_gaussian(0, 6, 10) * 1e160, np.ones(6)))
+
+
+    @pytest.mark.parametrize("huge", [slice(None), slice(100, 103)], ids=["every", "three"])
+    @pytest.mark.parametrize("solve", [
+        lambda inst: solve_cr(inst, 1.0, 1.0),
+        lambda inst: solve_cc(inst, 1.0, 2),
+        lambda inst: branch_and_bound(inst, ProblemSpec.reg(1.0, 1.0)),
+    ], ids=["solve_cr", "solve_cc", "branch_and_bound"])
+    def test_overflowing_gram_above_the_start_size_is_a_clear_error(self, solve, huge):
+        # the solves form only the Gram of a working set's columns
+        a = _gaussian(0, 6, 300)
+        a[:, huge] *= 1e160
+        with pytest.raises(InvalidInputError, match="overflows.*divide A"):
+            solve(Instance(a, np.ones(6)))
 
 
 class TestCertifiedBoundReg:
@@ -321,6 +343,20 @@ def test_diverged_run_is_not_converged(solve):
     assert sol.iterations < 5000
 
 
+@pytest.mark.parametrize("solve", [
+    lambda inst, cfg: solve_cr(inst, 1.0, 0.5, cfg),
+    lambda inst, cfg: solve_cc(inst, 1.0, 3, cfg),
+], ids=["solve_cr", "solve_cc"])
+def test_diverged_working_set_run_is_not_converged(solve):
+    # more columns than the working set starts with
+    rng = np.random.default_rng(0)
+    inst = Instance(rng.standard_normal((8, 300)), rng.standard_normal(8))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve(inst, SolverConfig(lipschitz=1e-3, max_iter=5000))
+    assert not sol.converged
+    assert sol.iterations < 5000
+
+
 class TestMonotonicity:
     def test_cr_value_decreases_in_gamma(self):
         # a larger gamma weakens the ridge term, so the optimum shrinks
@@ -455,3 +491,127 @@ class TestApgLoop:
         iters, converged = res[4], res[5]
         assert converged and iters > 1
         assert len(calls) == 2 * iters + 2
+
+
+def _ws_case(variant, fixed_in, seed, n):
+    """A random 16 x n instance, its spec and a fix vector (column 0 fixed in, or none).
+
+    A weak ridge (16 gamma0) and a low reg price (the 8th largest score)
+    spread the relaxation over more columns than a small start holds.
+    """
+    inst = random_instance(seed, 16, n)
+    gamma = 16.0 * gamma_zero(inst, 3)
+    if variant == "card":
+        spec = ProblemSpec.card(gamma, 3)
+    else:
+        spec = ProblemSpec.reg(gamma, gamma * float(np.sort((inst.a.T @ inst.y) ** 2)[-8]))
+    fixes = np.full(n, FixState.FREE, dtype=np.int8)
+    if fixed_in:
+        fixes[0] = FixState.ONE
+    return inst, spec, fixes
+
+
+def _full_bound(inst, spec, fixes, eps):
+    """The certificate of ``eps`` over every column, recomputed from scratch."""
+    free = fixes == FixState.FREE
+    card = spec.variant is Variant.CARD
+    if free.all():
+        if card:
+            return certified_lower_bound_card(inst, spec.gamma, spec.k, eps)
+        return certified_lower_bound_reg(inst, spec.gamma, spec.mu, eps)
+    ateps = inst.a.T @ eps
+    if card:
+        budget = spec.k - int(np.count_nonzero(~free))
+        return _bound_card_terms(inst.y, eps, ateps, spec.gamma, budget, free)
+    return _bound_reg_terms(inst.y, eps, ateps, spec.gamma, spec.mu, free)
+
+
+def _count_rounds(monkeypatch, variant):
+    """Patch the variant's inner solver to record the width of each round."""
+    name = "_ksupport_solve" if variant == "card" else "_berhu_solve"
+    inner = getattr(relax, name)
+    widths = []
+
+    def counted(a, *args):
+        widths.append(a.shape[1])
+        return inner(a, *args)
+
+    monkeypatch.setattr(relax, name, counted)
+    return widths
+
+
+_WS_CASES = [
+    pytest.param(variant, fixed_in, id=f"{variant}-{'fixed' if fixed_in else 'free'}")
+    for variant in ("reg", "card")
+    for fixed_in in (False, True)
+]
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("start", [1, 2, 4])
+    @pytest.mark.parametrize("variant,fixed_in", _WS_CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rounds_match_the_one_round_solve(self, monkeypatch, start, variant, fixed_in, seed):
+        inst, spec, fixes = _ws_case(variant, fixed_in, seed, 24)
+        cfg = SolverConfig()
+        monkeypatch.setattr(relax, "_WS_START", inst.n)
+        whole = _relax(inst, spec, fixes, cfg)
+        widths = _count_rounds(monkeypatch, variant)
+        monkeypatch.setattr(relax, "_WS_START", start)
+        sol = _relax(inst, spec, fixes, cfg)
+        assert len(widths) > 1 and widths == sorted(widths) and widths[-1] <= inst.n
+        assert sol.converged
+        assert sol.lower_bound == _full_bound(inst, spec, fixes, sol.epsilon)
+        slack = cfg.tol * (1.0 + abs(whole.objective))
+        assert abs(sol.objective - whole.objective) <= slack
+        assert abs(sol.lower_bound - whole.lower_bound) <= slack
+
+    @pytest.mark.parametrize("variant,fixed_in", _WS_CASES)
+    def test_max_iter_inside_a_round_returns_the_full_bound(self, monkeypatch, variant, fixed_in):
+        inst, spec, fixes = _ws_case(variant, fixed_in, 0, 24)
+        monkeypatch.setattr(relax, "_WS_START", 1)
+        iters = _relax(inst, spec, fixes, SolverConfig()).iterations
+        for max_iter in (1, iters - 1):
+            short = _relax(inst, spec, fixes, SolverConfig(max_iter=max_iter))
+            assert not short.converged
+            assert short.iterations == max_iter
+            assert short.lower_bound == _full_bound(inst, spec, fixes, short.epsilon)
+            assert short.lower_bound <= short.objective
+
+    @pytest.mark.parametrize("variant,n", [("card", 24), ("reg", 14)])
+    def test_root_screening_is_safe(self, monkeypatch, variant, n):
+        fired = 0
+        for seed in range(4):
+            inst, spec, _ = _ws_case(variant, False, 10 + seed, n)
+            want, optima = brute_force(inst, spec)
+            for start in (1, 2, 4):
+                monkeypatch.setattr(relax, "_WS_START", start)
+                if variant == "card":
+                    rel = solve_cc(inst, spec.gamma, spec.k)
+                    inc = round_card(inst, spec.gamma, spec.k, rel)
+                    screen = lambda zeta: screen_card(inst, spec.gamma, spec.k, rel, zeta)
+                else:
+                    rel = solve_cr(inst, spec.gamma, spec.mu)
+                    inc = round_reg(inst, spec.gamma, spec.mu, rel)
+                    screen = lambda zeta: screen_reg(inst, spec.gamma, spec.mu, rel, zeta)
+                for zeta in (inc.objective, want.objective):
+                    rep = screen(zeta)
+                    fired += rep.n_zero + rep.n_one
+                    out = set(np.flatnonzero(rep.fixes == FixState.ZERO).tolist())
+                    into = set(np.flatnonzero(rep.fixes == FixState.ONE).tolist())
+                    for support in optima:
+                        assert not out & set(support) and into <= set(support)
+        assert fired > 0
+
+    @pytest.mark.parametrize("screen_at_root", [True, False], ids=["screen", "noscreen"])
+    @pytest.mark.parametrize("variant,n", [("card", 24), ("reg", 14)])
+    def test_branch_and_bound_matches_brute_force(self, monkeypatch, variant, n, screen_at_root):
+        for seed in range(2):
+            inst, spec, _ = _ws_case(variant, False, 20 + seed, n)
+            want, optima = brute_force(inst, spec)
+            for start in (1, 2, 4):
+                monkeypatch.setattr(relax, "_WS_START", start)
+                stats = branch_and_bound(inst, spec, BnBConfig(screen_at_root=screen_at_root))
+                assert stats.optimal
+                assert stats.best.objective == pytest.approx(want.objective, rel=1e-9)
+                assert stats.best.support in optima
