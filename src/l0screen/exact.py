@@ -228,8 +228,7 @@ def branch_and_bound(
         nodes_explored += 1
         node_lb = max(bound, rel.lower_bound)
 
-        delta = (inst.a.T @ rel.epsilon) ** 2
-        cand = _node_round(inst, spec, fixes, delta)
+        cand = _node_round(inst, spec, fixes, rel.scores)
         if cand.objective < zeta_bar:
             incumbent, zeta_bar = cand, cand.objective
 
@@ -239,7 +238,7 @@ def branch_and_bound(
         if (depth == 0 and cfg.screen_at_root) or cfg.screen_per_node:
             # the rules need the bound that belongs to this node's
             # residual, not the (possibly larger) inherited one
-            screened, _, _ = _screen_fixes(spec, fixes, delta, rel.lower_bound, zeta_bar)
+            screened, _, _ = _screen_fixes(spec, fixes, rel.scores, rel.lower_bound, zeta_bar)
             if depth == 0:
                 root_fixed = int(np.count_nonzero(screened != fixes))
             fixes = _settle(spec, screened)
@@ -251,7 +250,7 @@ def branch_and_bound(
                 incumbent, zeta_bar = cand, cand.objective
             continue
 
-        j = int(free_idx[np.argmax(delta[free_idx])])
+        j = int(free_idx[np.argmax(rel.scores[free_idx])])
 
         # fixes is settled and has a free variable, so the fixed-in child
         # stays within a card budget

@@ -1,10 +1,11 @@
 """Feasible incumbents from relaxation output.
 
-Rounding reads the support off the relaxation's residual scores and
-refits ridge coefficients on it.  These incumbents supply the upper
-bounds the screening rules and branch-and-bound pruning run on.  Branch
-and bound rounds every node through ``_node_round``, the same code
-``round_card`` and ``round_reg`` run with every variable free.
+Rounding reads the support off the scores the relaxation returns with
+its residual and refits ridge coefficients on it.  These incumbents
+supply the upper bounds the screening rules and branch-and-bound
+pruning run on.  Branch and bound rounds every node through
+``_node_round``, the same code ``round_card`` and ``round_reg`` run with
+every variable free.
 """
 
 from __future__ import annotations
@@ -18,14 +19,11 @@ from .problem import (
     ProblemSpec,
     Variant,
     _check_residual,
+    _check_scores,
     _spec_for,
     ridge_restricted_solve,
 )
 from .relax import RelaxSolution
-
-
-def _scores(inst: Instance, relax: RelaxSolution) -> np.ndarray:
-    return (inst.a.T @ _check_residual(inst, relax.epsilon)) ** 2
 
 
 def _ridge_on(inst, gamma, idx):
@@ -68,19 +66,25 @@ def _node_round(inst: Instance, spec: ProblemSpec, fixes, delta) -> Incumbent:
 
 
 def round_card(inst: Instance, gamma: float, k: int, relax: RelaxSolution) -> Incumbent:
-    """Keep the k best-scoring variables and refit.
+    """Keep the k variables of best score ``relax.scores`` and refit.
 
-    Ties are broken toward the lower index.
+    Ties are broken toward the lower index.  No product with ``A`` is
+    taken beyond the refit.
     """
+    spec = _spec_for(inst.n, gamma, k=k)
+    _check_residual(inst, relax.epsilon)
     free = np.full(inst.n, FixState.FREE, dtype=np.int8)
-    return _node_round(inst, _spec_for(inst.n, gamma, k=k), free, _scores(inst, relax))
+    return _node_round(inst, spec, free, _check_scores(inst, relax.scores))
 
 
 def round_reg(inst: Instance, gamma: float, mu: float, relax: RelaxSolution) -> Incumbent:
     """Keep every variable whose score clears the selection price.
 
-    The support is ``{i : gamma delta_i >= mu}``; when it is empty the
-    zero solution is returned.
+    The support is ``{i : gamma delta_i >= mu}`` over the scores
+    ``relax.scores``; when it is empty the zero solution is returned.
+    No product with ``A`` is taken beyond the refit.
     """
+    spec = _spec_for(inst.n, gamma, mu=mu)
+    _check_residual(inst, relax.epsilon)
     free = np.full(inst.n, FixState.FREE, dtype=np.int8)
-    return _node_round(inst, _spec_for(inst.n, gamma, mu=mu), free, _scores(inst, relax))
+    return _node_round(inst, spec, free, _check_scores(inst, relax.scores))

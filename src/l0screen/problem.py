@@ -216,6 +216,14 @@ def _check_residual(inst: Instance, epsilon_bar) -> np.ndarray:
     return eps
 
 
+def _check_scores(inst: Instance, scores) -> np.ndarray:
+    """Scores as a float vector, after checking that they have ``inst.n`` entries."""
+    d = np.asarray(scores, dtype=float).ravel()
+    if d.shape[0] != inst.n:
+        raise InvalidInputError(f"scores have length {d.shape[0]}, expected {inst.n}")
+    return d
+
+
 def _check_x(x, n: int, support: Optional[np.ndarray] = None) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != n:

@@ -122,11 +122,19 @@ class SolverConfig:
 
 @dataclass
 class RelaxSolution:
-    """Relaxation output: primal point, recovered indicators, certificate."""
+    """Relaxation output: primal point, recovered indicators, certificate.
+
+    ``scores`` holds ``delta_i = (a_i' epsilon)^2`` for every column the
+    relaxation kept, taken from the product its certificate already
+    priced; columns fixed out of a node relaxation read 0.  Rounding,
+    the screening rules and branching read them in place of a new
+    product with ``A``.
+    """
 
     x: NDArray[np.float64]
     z: NDArray[np.float64]
     epsilon: NDArray[np.float64]
+    scores: NDArray[np.float64]
     objective: float
     lower_bound: float
     converged: bool = True
@@ -166,11 +174,17 @@ def operator_norm_sq(a) -> float:
     return max(0.0, float(np.linalg.eigvalsh(g)[-1]))
 
 
-def _bound_reg_terms(y, eps, ateps, gamma, mu, free_mask=None) -> float:
-    # Dual value at p = 2 gamma A'eps: the x-part is 2 eps'y - ||eps||^2
-    # for any eps, the z-part clips each margin mu - gamma delta_i at 0
-    # for free variables and takes it as-is for variables fixed in.
-    d = ateps * ateps
+def _scores(a, eps):
+    """The scores ``delta_i = (a_i' eps)^2`` of a residual, from one product with ``a``."""
+    ateps = a.T @ eps
+    return ateps * ateps
+
+
+def _bound_reg_terms(y, eps, d, gamma, mu, free_mask=None) -> float:
+    # Dual value at p = 2 gamma A'eps, priced from the scores d: the
+    # x-part is 2 eps'y - ||eps||^2 for any eps, the z-part clips each
+    # margin mu - gamma delta_i at 0 for free variables and takes it
+    # as-is for variables fixed in.
     margin = mu - gamma * d
     if free_mask is None:
         zpart = float(np.minimum(0.0, margin).sum())
@@ -179,10 +193,9 @@ def _bound_reg_terms(y, eps, ateps, gamma, mu, free_mask=None) -> float:
     return float(2.0 * (eps @ y) - eps @ eps + zpart)
 
 
-def _bound_card_terms(y, eps, ateps, gamma, k_budget, free_mask=None) -> float:
+def _bound_card_terms(y, eps, d, gamma, k_budget, free_mask=None) -> float:
     # z-part: variables fixed in contribute -gamma delta_i outright; the
     # budget then buys the k largest scores among the free variables.
-    d = ateps * ateps
     if free_mask is None:
         df = d
         fixed = 0.0
@@ -198,14 +211,14 @@ def certified_lower_bound_reg(inst: Instance, gamma: float, mu: float, epsilon_b
     """Certified lower bound on the reg relaxation, valid for any residual."""
     spec = _spec_for(inst.n, gamma, mu=mu)
     eps = _check_residual(inst, epsilon_bar)
-    return _bound_reg_terms(inst.y, eps, inst.a.T @ eps, spec.gamma, spec.mu)
+    return _bound_reg_terms(inst.y, eps, _scores(inst.a, eps), spec.gamma, spec.mu)
 
 
 def certified_lower_bound_card(inst: Instance, gamma: float, k: int, epsilon_bar) -> float:
     """Certified lower bound on the card relaxation, valid for any residual."""
     spec = _spec_for(inst.n, gamma, k=k)
     eps = _check_residual(inst, epsilon_bar)
-    return _bound_card_terms(inst.y, eps, inst.a.T @ eps, spec.gamma, spec.k)
+    return _bound_card_terms(inst.y, eps, _scores(inst.a, eps), spec.gamma, spec.k)
 
 
 def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, max_iter, x0):
@@ -215,11 +228,13 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
     new point with its penalty, and ``penalty_value`` prices ``x0``.
     Each iteration takes one product pair at its new iterate,
     ``r = a x - y`` and ``g = a' r``, which both certify that iterate
-    (``eps = -r``, ``a' eps = -g``) and, by linearity, give the gradient
+    (``eps = -r``, scores ``g * g``) and, by linearity, give the gradient
     at the next extrapolated point.  Returns at the first iterate whose
     certified relative gap is below ``tol``, unconverged at the first
     non-finite primal value or bound, as
-    ``(x, eps, primal, lower_bound, iterations, converged)``.
+    ``(x, eps, primal, lower_bound, iterations, converged, scores)``;
+    benchmarks/tracer.py reads ``iterations`` and ``converged`` by
+    position.
     """
     lip = float(lipschitz)
     if lip <= 0.0:
@@ -234,14 +249,15 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
     it = 0
     while True:
         eps = -r
+        d = g * g
         primal = float(eps @ eps) + pen
-        lb = certificate(eps, -g)
+        lb = certificate(eps, d)
         if not (math.isfinite(primal) and math.isfinite(lb)):
             # a diverged run: inf - (-inf) <= inf would pass the gap test
-            return x, eps, primal, lb, it, False
+            return x, eps, primal, lb, it, False, d
         ok = primal - lb <= tol * (1.0 + abs(primal))
         if ok or it >= max_iter:
-            return x, eps, primal, lb, it, ok
+            return x, eps, primal, lb, it, ok, d
         x_new, pen = prox(v - step * (2.0 * gv), step)
         g_old = g
         r = a @ x_new - y
@@ -295,7 +311,7 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
         xv = shrink(w, s)
         return xv, penval(xv)
 
-    cert = lambda e, ae: _bound_reg_terms(y, e, ae, gamma, mu, free_mask)
+    cert = lambda e, d: _bound_reg_terms(y, e, d, gamma, mu, free_mask)
     return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0)
 
 
@@ -418,7 +434,7 @@ def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, tol, max_iter, x0):
         xo = xv[one]
         return (_ksupport(xv[free], k_budget)[0] + float(xo @ xo)) / gamma
 
-    cert = lambda e, ae: _bound_card_terms(y, e, ae, gamma, k_budget, free_mask)
+    cert = lambda e, d: _bound_card_terms(y, e, d, gamma, k_budget, free_mask)
     return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0)
 
 
@@ -458,6 +474,9 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=N
     highest-scoring outside columns.  A relaxation with no more free
     columns than the start runs as one round on all of them.
     ``iterations`` sums the rounds, and ``cfg.max_iter`` caps that sum.
+    The returned ``scores`` come from the product that priced the
+    returned bound: the last round's ``A' eps``, or the one-round
+    solve's final pair.
     """
     card = spec.variant is Variant.CARD
     fixes = _settle(spec, fixes)
@@ -497,7 +516,7 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=N
         w = np.flatnonzero(in_w)
         whole = w.size == active.size
         aw = a if whole else a[:, w]
-        xw, eps, primal, lb, it, ok = inner(
+        xw, eps, primal, lb, it, ok, d = inner(
             aw, y, spec.gamma, par, None if mask is None else free_mask[w],
             _auto_lipschitz(aw, cfg), cfg.tol, max_iter - iters, xa[w],
         )
@@ -507,13 +526,12 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=N
         if whole:
             break
         # the round's own bound covers W only; certify over every column
-        ateps = a.T @ eps
-        lb = bound(y, eps, ateps, spec.gamma, par, mask)
+        d = _scores(a, eps)
+        lb = bound(y, eps, d, spec.gamma, par, mask)
         stop = not (ok and math.isfinite(lb)) or iters >= max_iter  # diverged or out of iterations
         ok = math.isfinite(primal) and math.isfinite(lb) and primal - lb <= cfg.tol * (1.0 + abs(primal))
         if ok or stop:
             break
-        d = ateps * ateps
         outside = ~in_w
         if card:
             dw = d[in_w & free_mask]
@@ -532,9 +550,11 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=N
         za = np.where(free_mask, np.minimum(1.0, np.abs(xa) / crossover), 1.0)
     x = np.zeros(inst.n)
     z = np.zeros(inst.n)
+    scores = np.zeros(inst.n)
     x[active] = xa
     z[active] = za
-    return RelaxSolution(x=x, z=z, epsilon=eps, objective=primal, lower_bound=lb,
+    scores[active] = d
+    return RelaxSolution(x=x, z=z, epsilon=eps, scores=scores, objective=primal, lower_bound=lb,
                          converged=ok, iterations=iters)
 
 

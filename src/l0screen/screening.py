@@ -33,9 +33,11 @@ from .problem import (
     Variant,
     _check_k,
     _check_residual,
+    _check_scores,
     _settle,
     _spec_for,
 )
+from .relax import _scores
 
 # Strict inequalities carry an absolute slack so borderline float noise
 # can never flip a fix the mathematics does not justify.
@@ -61,11 +63,16 @@ class ScreenReport:
 
 
 def _cert_parts(inst: Instance, cert):
-    """The checked residual and the lower bound of a RelaxSolution or a DualCertificate."""
+    """The scores and the lower bound of a RelaxSolution or a DualCertificate.
+
+    A RelaxSolution carries the scores of its residual; a
+    DualCertificate's come from one product with ``A``.
+    """
     if hasattr(cert, "epsilon_bar"):
-        return _check_residual(inst, cert.epsilon_bar), float(cert.lower_bound)
+        return _scores(inst.a, _check_residual(inst, cert.epsilon_bar)), float(cert.lower_bound)
     if hasattr(cert, "epsilon"):
-        return _check_residual(inst, cert.epsilon), float(cert.lower_bound)
+        _check_residual(inst, cert.epsilon)
+        return _check_scores(inst, cert.scores), float(cert.lower_bound)
     raise InvalidInputError("cert must carry a residual and a lower bound")
 
 
@@ -153,9 +160,8 @@ def _screen_fixes(spec: ProblemSpec, fixes, delta, lower, zeta_bar):
 
 
 def _screen(inst: Instance, spec: ProblemSpec, cert, zeta_bar: float) -> ScreenReport:
-    eps_bar, lower = _cert_parts(inst, cert)
+    delta, lower = _cert_parts(inst, cert)
     _check_bounds(lower, zeta_bar)
-    delta = (inst.a.T @ eps_bar) ** 2
     free = np.full(inst.n, FixState.FREE, dtype=np.int8)
     fixes, dk, dk1 = _screen_fixes(spec, free, delta, lower, zeta_bar)
     n_zero = int(np.count_nonzero(fixes == FixState.ZERO))

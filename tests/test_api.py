@@ -8,7 +8,8 @@ import pytest
 
 import l0screen
 
-_TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TRACER = _ROOT / "benchmarks" / "tracer.py"
 
 
 def _tracer_targets():
@@ -29,3 +30,12 @@ def test_benchmark_tracer_targets_resolve():
     missing = [f"{layer}.{fname}" for layer, fname in _tracer_targets()
                if not callable(getattr(importlib.import_module(f"l0screen.{layer}"), fname, None))]
     assert not missing
+
+
+def test_readme_quickstart_prints_what_it_says(capsys):
+    readme = (_ROOT / "README.md").read_text()
+    block = readme.split("## Python quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    said = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert said == ["116 4 0", "(0, 1, 2, 3) 1"]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == said

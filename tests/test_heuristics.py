@@ -16,10 +16,11 @@ from ._oracles import ridge_ls
 from .conftest import random_instance
 
 
-def _fake_relax(eps, n):
-    """Wrap a residual so the rounding heuristics can score with it."""
+def _fake_relax(inst, eps):
+    """Wrap a residual and its scores so the rounding heuristics can read them."""
+    eps = np.asarray(eps, dtype=float)
     return RelaxSolution(
-        x=np.zeros(n), z=np.zeros(n), epsilon=np.asarray(eps, dtype=float),
+        x=np.zeros(inst.n), z=np.zeros(inst.n), epsilon=eps, scores=(inst.a.T @ eps) ** 2,
         objective=0.0, lower_bound=0.0,
     )
 
@@ -40,7 +41,7 @@ class TestRoundCard:
 
     def test_tie_breaks_to_lowest_index(self, tiny):
         r5 = np.sqrt(5.0)
-        inc = round_card(tiny, 1.0, 1, _fake_relax([r5, r5], 2))
+        inc = round_card(tiny, 1.0, 1, _fake_relax(tiny, [r5, r5]))
         assert inc.support == (0,)
 
     def test_coefficients_solve_restricted_ridge(self):
@@ -76,7 +77,7 @@ class TestRoundReg:
         np.testing.assert_array_equal(inc.x, 0.0)
 
     def test_vanishing_mu_selects_every_scored_column(self, tiny):
-        inc = round_reg(tiny, 1.0, 1e-12, _fake_relax([1.5, 0.1], 2))
+        inc = round_reg(tiny, 1.0, 1e-12, _fake_relax(tiny, [1.5, 0.1]))
         assert inc.support == (0, 1)
 
     def test_upper_bounds_the_optimum(self):

@@ -160,6 +160,14 @@ class TestWrapperResiduals:
         col = dataclasses.replace(rel, epsilon=rel.epsilon.reshape(-1, 1))
         assert _outcome(fn(tiny, 1.0, par, col)) == _outcome(fn(tiny, 1.0, par, rel))
 
+    @pytest.mark.parametrize("length", [1, 3])
+    @pytest.mark.parametrize("name", sorted(n for n in _RESIDUAL_READERS if n.startswith(("round", "screen"))))
+    def test_wrong_length_scores_rejected(self, tiny, name, length):
+        fn, par, relax = _RESIDUAL_READERS[name]
+        rel = dataclasses.replace(relax(tiny, 1.0, par), scores=np.zeros(length))
+        with pytest.raises(InvalidInputError, match=f"scores have length {length}, expected 2"):
+            fn(tiny, 1.0, par, rel)
+
 
 class TestSettle:
     F, Z, O = FixState.FREE, FixState.ZERO, FixState.ONE

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from l0screen import (
     certified_lower_bound_reg,
     gamma_zero,
     generate,
+    exact,
+    node_relaxation,
     operator_norm_sq,
     relax,
     round_card,
@@ -422,6 +426,20 @@ class _CountingMatrix:
         self.calls.append(v.shape)
         return self.a @ v
 
+    def __getitem__(self, key):
+        # a column subset is a new matrix, not a product with this one
+        return self.a[key]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.a, dtype=dtype)
+
+
+def _counted(inst, calls):
+    """A copy of ``inst`` whose matrix counts its products with vectors."""
+    out = copy.copy(inst)
+    object.__setattr__(out, "a", _CountingMatrix(inst.a, calls))
+    return out
+
 
 def _apg_case(variant, fixed_in, m, n):
     """A README-grid-like instance, its spec and a fix vector (two fixed in, or none)."""
@@ -460,11 +478,11 @@ class TestApgLoop:
         xo = x[~free]
         if variant == "card":
             budget = spec.k - int(np.count_nonzero(~free))
-            lb = _bound_card_terms(inst.y, eps, inst.a.T @ eps, spec.gamma, budget, mask)
+            lb = _bound_card_terms(inst.y, eps, (inst.a.T @ eps) ** 2, spec.gamma, budget, mask)
             penalty = (ksupport_sq_bisect(x[free], budget)[0] + xo @ xo) / spec.gamma
         else:
             pen = BerhuPenalty(mu=spec.mu, gamma=spec.gamma)
-            lb = _bound_reg_terms(inst.y, eps, inst.a.T @ eps, spec.gamma, spec.mu, mask)
+            lb = _bound_reg_terms(inst.y, eps, (inst.a.T @ eps) ** 2, spec.gamma, spec.mu, mask)
             penalty = float(np.sum(berhu_value(pen, x[free]))) + xo @ xo / spec.gamma + spec.mu * xo.size
         assert sol.lower_bound == lb
         assert sol.objective == pytest.approx(float(eps @ eps) + penalty, rel=1e-9)
@@ -493,6 +511,87 @@ class TestApgLoop:
         assert len(calls) == 2 * iters + 2
 
 
+def _solve(inst, spec):
+    if spec.variant is Variant.CARD:
+        return solve_cc(inst, spec.gamma, spec.k)
+    return solve_cr(inst, spec.gamma, spec.mu)
+
+
+# None runs the default start, one round on every column at 60x120; a
+# start of 4 certifies its rounds with the full product A' eps
+_STARTS = [pytest.param(None, id="one-round"), pytest.param(4, id="rounds")]
+
+
+class TestScores:
+    @pytest.mark.parametrize("start", _STARTS)
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_scores_are_those_of_the_residual(self, monkeypatch, variant, start):
+        inst, spec, _ = _apg_case(variant, False, 60, 120)
+        widths = _count_rounds(monkeypatch, variant)
+        if start is not None:
+            monkeypatch.setattr(relax, "_WS_START", start)
+        rel = _solve(inst, spec)
+        assert (widths[0] < inst.n) == (start is not None)
+        assert rel.scores.tobytes() == ((inst.a.T @ rel.epsilon) ** 2).tobytes()
+
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_scores_after_several_rounds(self, monkeypatch, variant):
+        inst, spec, _ = _ws_case(variant, False, 0, 24)
+        widths = _count_rounds(monkeypatch, variant)
+        monkeypatch.setattr(relax, "_WS_START", 1)
+        rel = _solve(inst, spec)
+        assert len(widths) > 1
+        assert rel.scores.tobytes() == ((inst.a.T @ rel.epsilon) ** 2).tobytes()
+
+    @pytest.mark.parametrize("start", _STARTS)
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_node_scores_read_zero_on_fixed_out_columns(self, monkeypatch, variant, start):
+        inst, spec, fixes = _apg_case(variant, True, 60, 120)
+        fixes[[1, 7, 50]] = FixState.ZERO
+        if start is not None:
+            monkeypatch.setattr(relax, "_WS_START", start)
+        rel = node_relaxation(inst, spec, fixes)
+        out = fixes == FixState.ZERO
+        want = (inst.a.T @ rel.epsilon) ** 2
+        np.testing.assert_allclose(rel.scores[~out], want[~out], rtol=1e-12, atol=0.0)
+        assert not rel.scores[out].any()
+
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_round_and_screen_take_no_product(self, variant):
+        inst, spec, _ = _apg_case(variant, False, 60, 120)
+        rel = _solve(inst, spec)
+        calls = []
+        counted = _counted(inst, calls)
+        if variant == "card":
+            inc = round_card(counted, spec.gamma, spec.k, rel)
+            rep = screen_card(counted, spec.gamma, spec.k, rel, inc.objective)
+        else:
+            inc = round_reg(counted, spec.gamma, spec.mu, rel)
+            rep = screen_reg(counted, spec.gamma, spec.mu, rel, inc.objective)
+        assert calls == []
+        assert rep.n_zero + rep.n_one > 0
+
+    @pytest.mark.parametrize("spec", [ProblemSpec.card(0.8, 3), ProblemSpec.reg(0.8, 0.5)],
+                             ids=["card", "reg"])
+    def test_branch_and_bound_takes_products_only_in_relax(self, monkeypatch, spec):
+        inner = exact._relax
+        calls, inside = [], []
+
+        def counted_relax(*args, **kwargs):
+            before = len(calls)
+            out = inner(*args, **kwargs)
+            inside.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(exact, "_relax", counted_relax)
+        # the per-tree step size reads A through __array__, a Gram
+        # product rather than a product with a residual
+        stats = branch_and_bound(_counted(random_instance(41, 9, 14), calls), spec)
+        assert stats.optimal and stats.nodes_explored > 1
+        assert sum(inside) > 0
+        assert len(calls) == sum(inside)
+
+
 def _ws_case(variant, fixed_in, seed, n):
     """A random 16 x n instance, its spec and a fix vector (column 0 fixed in, or none).
 
@@ -519,11 +618,11 @@ def _full_bound(inst, spec, fixes, eps):
         if card:
             return certified_lower_bound_card(inst, spec.gamma, spec.k, eps)
         return certified_lower_bound_reg(inst, spec.gamma, spec.mu, eps)
-    ateps = inst.a.T @ eps
+    d = (inst.a.T @ eps) ** 2
     if card:
         budget = spec.k - int(np.count_nonzero(~free))
-        return _bound_card_terms(inst.y, eps, ateps, spec.gamma, budget, free)
-    return _bound_reg_terms(inst.y, eps, ateps, spec.gamma, spec.mu, free)
+        return _bound_card_terms(inst.y, eps, d, spec.gamma, budget, free)
+    return _bound_reg_terms(inst.y, eps, d, spec.gamma, spec.mu, free)
 
 
 def _count_rounds(monkeypatch, variant):
