@@ -3,8 +3,9 @@
 ``brute_force`` enumerates supports outright and reports every optimal
 support, which makes it the reference oracle for safety checks.
 ``branch_and_bound`` explores fix patterns best-first, bounding each
-node by the certified dual value of its relaxation; screening can fix
-variables at the root and optionally at every node.
+node by the certified dual value of its relaxation; with screening on,
+every node screens its free variables with the scores and bound of its
+own relaxation.
 """
 
 from __future__ import annotations
@@ -52,10 +53,15 @@ _OPEN_NODE_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class BnBConfig:
+    """Search limits and the screening switch of ``branch_and_bound``.
+
+    ``screen_at_root`` switches screening on at every node, the root and
+    each node below it; ``BnBStats.root_fixed`` counts the root's fixes.
+    """
+
     time_limit_s: float = 3600.0
     node_limit: int = 1_000_000
     screen_at_root: bool = True
-    screen_per_node: bool = False
 
     def __post_init__(self):
         # written so that NaN fails; inf means no limit
@@ -181,9 +187,10 @@ def branch_and_bound(
     """Best-first branch and bound with certified node bounds.
 
     Every popped node gets a relaxation solve, a rounding pass to
-    tighten the incumbent, a prune test against
-    ``zeta_bar - 1e-9``, and (optionally) a screening pass; it then
-    branches on one free variable.  Node counts are deterministic for a
+    tighten the incumbent, a prune test against ``zeta_bar - 1e-9``
+    and, with ``cfg.screen_at_root`` on, a screening pass; it then
+    branches on the free variable of largest score.  Rounding,
+    screening and branching read the scores the relaxation returns.  Node counts are deterministic for a
     fixed config and instance.  ``optimal`` is True only when the
     search space was exhausted within the limits.  The support of
     ``initial`` is refit and priced as the first incumbent; it raises
@@ -235,7 +242,7 @@ def branch_and_bound(
         if node_lb >= zeta_bar - _PRUNE_SLACK:
             continue
 
-        if (depth == 0 and cfg.screen_at_root) or cfg.screen_per_node:
+        if cfg.screen_at_root:
             # the rules need the bound that belongs to this node's
             # residual, not the (possibly larger) inherited one
             screened, _, _ = _screen_fixes(spec, fixes, rel.scores, rel.lower_bound, zeta_bar)

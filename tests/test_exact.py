@@ -251,9 +251,30 @@ class TestBranchAndBound:
             for seed in (41, 42, 43):
                 inst = random_instance(seed, 9, 14)
                 want, _ = brute_force(inst, spec)
-                stats = branch_and_bound(inst, spec, BnBConfig(screen_per_node=True))
+                stats = branch_and_bound(inst, spec, BnBConfig())
                 assert stats.optimal
                 assert stats.best.objective == pytest.approx(want.objective, rel=1e-8)
+
+    @pytest.mark.parametrize("spec", [ProblemSpec.card(0.8, 3), ProblemSpec.reg(0.8, 0.5)],
+                             ids=["card", "reg"])
+    def test_screening_runs_below_the_root(self, monkeypatch, spec):
+        rules = exact._screen_fixes
+        fixed_on_entry = []
+
+        def counted(spec_, fixes, *args):
+            fixed_on_entry.append(int(np.count_nonzero(fixes != FixState.FREE)))
+            return rules(spec_, fixes, *args)
+
+        monkeypatch.setattr(exact, "_screen_fixes", counted)
+        inst = random_instance(41, 9, 14)
+        on = branch_and_bound(inst, spec, BnBConfig(screen_at_root=True))
+        assert on.optimal and on.nodes_explored > 1
+        # the root starts with no fixes; a node below it has branched on one
+        assert fixed_on_entry[0] == 0 and len(fixed_on_entry) > 1
+        assert min(fixed_on_entry[1:]) > 0
+        fixed_on_entry.clear()
+        branch_and_bound(inst, spec, BnBConfig(screen_at_root=False))
+        assert fixed_on_entry == []
 
     @pytest.mark.parametrize("shape", [(5, 4), (3, 8)])
     @pytest.mark.parametrize("spec", [ProblemSpec.card(1.0, 2), ProblemSpec.reg(1.0, 0.5)],
