@@ -190,11 +190,12 @@ def branch_and_bound(
     tighten the incumbent, a prune test against ``zeta_bar - 1e-9``
     and, with ``cfg.screen_at_root`` on, a screening pass; it then
     branches on the free variable of largest score.  Rounding,
-    screening and branching read the scores the relaxation returns.  Node counts are deterministic for a
-    fixed config and instance.  ``optimal`` is True only when the
-    search space was exhausted within the limits.  The support of
-    ``initial`` is refit and priced as the first incumbent; it raises
-    ConstraintViolationError when it breaks the card budget or the fixes.
+    screening and branching read the scores the relaxation returns.
+    Node counts are deterministic for a fixed config and instance.
+    ``optimal`` is True only when the search space was exhausted
+    within the limits.  The support of ``initial`` is refit and priced
+    as the first incumbent; it raises ConstraintViolationError when it
+    breaks the card budget or the fixes.
     """
     cfg = cfg or BnBConfig()
     t0 = time.perf_counter()

@@ -68,8 +68,7 @@ def _node_round(inst: Instance, spec: ProblemSpec, fixes, delta) -> Incumbent:
 def round_card(inst: Instance, gamma: float, k: int, relax: RelaxSolution) -> Incumbent:
     """Keep the k variables of best score ``relax.scores`` and refit.
 
-    Ties are broken toward the lower index.  No product with ``A`` is
-    taken beyond the refit.
+    Ties are broken toward the lower index.
     """
     spec = _spec_for(inst.n, gamma, k=k)
     _check_residual(inst, relax.epsilon)
@@ -82,7 +81,6 @@ def round_reg(inst: Instance, gamma: float, mu: float, relax: RelaxSolution) -> 
 
     The support is ``{i : gamma delta_i >= mu}`` over the scores
     ``relax.scores``; when it is empty the zero solution is returned.
-    No product with ``A`` is taken beyond the refit.
     """
     spec = _spec_for(inst.n, gamma, mu=mu)
     _check_residual(inst, relax.epsilon)
