@@ -1,11 +1,10 @@
 """Safe screening and exact solvers for best-subset regression.
 
-The public surface: problem containers (:class:`Instance`,
-:class:`ProblemSpec`), perspective-relaxation solvers (:func:`solve_cr`,
-:func:`solve_cc`), certified lower bounds valid for any dual candidate,
-safe fixing rules (:func:`screen_reg`, :func:`screen_card`), rounding
-heuristics, and two exact solvers (:func:`brute_force`,
-:func:`branch_and_bound`).
+The package exports the pipeline the README's "Library API" lists, layer
+by layer: problem containers and errors, the relaxation solvers and
+their dual certificates, the fixing rules, rounding, the exact solvers,
+data generation and loading, and the report schemas.  Helpers such as
+the berhu prox or the node relaxation stay in their modules.
 """
 
 from .problem import (
@@ -20,26 +19,19 @@ from .problem import (
     ProblemSpec,
     SizeCapError,
     Variant,
-    objective_card,
-    objective_reg,
-    ridge_restricted_solve,
 )
 from .relax import (
-    BerhuPenalty,
     DualCertificate,
     RelaxSolution,
     SolverConfig,
-    berhu_prox,
-    berhu_value,
     certified_lower_bound_card,
     certified_lower_bound_reg,
-    operator_norm_sq,
     solve_cc,
     solve_cr,
 )
-from .screening import ScreenReport, kth_largest_pair, screen_card, screen_reg
+from .screening import ScreenReport, screen_card, screen_reg
 from .heuristics import round_card, round_reg
-from .exact import BnBConfig, BnBStats, branch_and_bound, brute_force, node_relaxation
+from .exact import BnBConfig, BnBStats, branch_and_bound, brute_force
 from .datagen import SyntheticSpec, gamma_zero, generate, load_csv, save_dataset
 from .report import BENCH_COLUMNS, RUN_REPORT_SCHEMA, validate_bench_csv, validate_run_report
 
@@ -47,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BENCH_COLUMNS",
-    "BerhuPenalty",
     "BnBConfig",
     "BnBStats",
     "ConstraintViolationError",
@@ -67,21 +58,13 @@ __all__ = [
     "SolverConfig",
     "SyntheticSpec",
     "Variant",
-    "berhu_prox",
-    "berhu_value",
     "branch_and_bound",
     "brute_force",
     "certified_lower_bound_card",
     "certified_lower_bound_reg",
     "gamma_zero",
     "generate",
-    "kth_largest_pair",
     "load_csv",
-    "node_relaxation",
-    "objective_card",
-    "objective_reg",
-    "operator_norm_sq",
-    "ridge_restricted_solve",
     "round_card",
     "round_reg",
     "save_dataset",

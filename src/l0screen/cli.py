@@ -43,11 +43,14 @@ def _emit(report: dict):
 
 
 def _parse_list(text: str, parser, flag: str, kind):
-    """The comma-separated ``kind`` values of ``text``; a bad one is a usage error."""
+    """The comma-separated ``kind`` values of ``text``; a bad one, or none, is a usage error."""
     try:
-        return [kind(v) for v in text.split(",") if v != ""]
+        values = [kind(v) for v in text.split(",") if v != ""]
     except ValueError:
-        parser.error(f"{flag} expects a comma-separated list of {kind.__name__} values")
+        values = []
+    if not values:
+        parser.error(f"{flag} expects a non-empty comma-separated list of {kind.__name__} values")
+    return values
 
 
 def _from_flags(parser, make, **kwargs):
@@ -60,10 +63,12 @@ def _from_flags(parser, make, **kwargs):
 
 def _load_with_spec(args, parser):
     """The ``--a``/``--y`` instance and the spec of the flags on its n columns."""
-    name = "mu" if args.variant == "reg" else "k"
+    name, other = ("mu", "k") if args.variant == "reg" else ("k", "mu")
     value = getattr(args, name)
     if value is None:
         parser.error(f"--{name} is required for --variant {args.variant}")
+    if getattr(args, other) is not None:
+        parser.error(f"--{other} does not apply to --variant {args.variant}")
     inst = load_csv(args.a, args.y)
     return inst, _from_flags(parser, _spec_for, n=inst.n, gamma=args.gamma, **{name: value})
 
@@ -192,7 +197,7 @@ def cmd_solve(args, parser) -> int:
                       screen_at_root=args.screen == "on")
     inst, spec = _load_with_spec(args, parser)
     fixed = np.full(inst.n, FixState.FREE, dtype=np.int8)
-    if args.forced_in:
+    if args.forced_in is not None:
         idx = _parse_list(args.forced_in, parser, "--forced-in", int)
         fixed[_from_flags(parser, _check_support, support=idx, n=inst.n)] = FixState.ONE
 
@@ -249,6 +254,8 @@ def _bench_methods_row(inst, spec: ProblemSpec, method, solver_cfg: SolverConfig
 
 def cmd_bench(args, parser) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        parser.error("--methods expects a non-empty comma-separated list of methods")
     for m in methods:
         if m not in _BENCH_METHODS:
             parser.error(f"unknown method {m!r}")
@@ -256,8 +263,6 @@ def cmd_bench(args, parser) -> int:
     bnb_cfg = _from_flags(parser, BnBConfig, time_limit_s=args.time_limit, node_limit=args.node_limit)
     k_grid = _parse_list(args.k_grid, parser, "--k-grid", int)
     gamma_exps = _parse_list(args.gamma_exps, parser, "--gamma-exps", float)
-    if not k_grid or not gamma_exps:
-        parser.error("--k-grid and --gamma-exps must be non-empty")
 
     tasks = []  # (instance_id, SyntheticSpec or (Instance, ProblemSpec), k, gexp, rho_str, snr_str)
     if args.suite == "synthetic":

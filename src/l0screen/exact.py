@@ -246,7 +246,7 @@ def branch_and_bound(
         if cfg.screen_at_root:
             # the rules need the bound that belongs to this node's
             # residual, not the (possibly larger) inherited one
-            screened, _, _ = _screen_fixes(spec, fixes, rel.scores, rel.lower_bound, zeta_bar)
+            screened = _screen_fixes(spec, fixes, rel.scores, rel.lower_bound, zeta_bar)
             if depth == 0:
                 root_fixed = int(np.count_nonzero(screened != fixes))
             fixes = _settle(spec, screened)

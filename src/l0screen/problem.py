@@ -236,6 +236,7 @@ def _check_x(x, n: int, support: Optional[np.ndarray] = None) -> np.ndarray:
     return x
 
 
+# No library code calls objective_reg or objective_card; they stay while benchmarks/tracer.py names them.
 def objective_reg(inst: Instance, spec: ProblemSpec, support: Iterable[int], x) -> float:
     """Least-squares loss + ridge on the support + mu per selected variable.
 

@@ -19,8 +19,6 @@ out and on the (k+1)-st to fix in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -54,8 +52,6 @@ class ScreenReport:
     n_free: int
     lower_bound: float
     upper_bound: float
-    delta_k: Optional[float] = None
-    delta_k1: Optional[float] = None
 
     def __post_init__(self):
         if self.n_zero + self.n_one + self.n_free != self.fixes.shape[0]:
@@ -129,8 +125,7 @@ def _rules_card(delta, lower, gamma, k, zeta_bar):
     # place of the missing (k+1)-st value; no score lies below the
     # smallest one, so nothing is fixed out.
     in_pivot = 0.0 if k == delta.size else dk1
-    zero, one = _threshold_rules(delta, lower, gamma, zeta_bar, dk, in_pivot)
-    return zero, one, dk, dk1
+    return _threshold_rules(delta, lower, gamma, zeta_bar, dk, in_pivot)
 
 
 def _screen_fixes(spec: ProblemSpec, fixes, delta, lower, zeta_bar):
@@ -140,36 +135,32 @@ def _screen_fixes(spec: ProblemSpec, fixes, delta, lower, zeta_bar):
     certified bound of the residual they come from.  ``fixes`` is
     settled under the card budget first, and the card rule works with
     the budget the fixed-in variables leave of k.  Returns the new fix
-    vector and the card pivots ``(delta_[k], delta_[k+1])`` over the
-    free scores, both None when no card rule ran.
+    vector.
     """
     out = _settle(spec, fixes).copy()
     free_idx = np.flatnonzero(out == FixState.FREE)
     if free_idx.size == 0:
-        return out, None, None
+        return out
     d = delta[free_idx]
-    dk = dk1 = None
     if spec.variant is Variant.REG:
         zero, one = _rules_reg(d, lower, spec.gamma, spec.mu, zeta_bar)
     else:
         budget = min(spec.k - int(np.count_nonzero(out == FixState.ONE)), d.size)
-        zero, one, dk, dk1 = _rules_card(d, lower, spec.gamma, budget, zeta_bar)
+        zero, one = _rules_card(d, lower, spec.gamma, budget, zeta_bar)
     out[free_idx[zero]] = FixState.ZERO
     out[free_idx[one]] = FixState.ONE
-    return out, dk, dk1
+    return out
 
 
 def _screen(inst: Instance, spec: ProblemSpec, cert, zeta_bar: float) -> ScreenReport:
     delta, lower = _cert_parts(inst, cert)
     _check_bounds(lower, zeta_bar)
     free = np.full(inst.n, FixState.FREE, dtype=np.int8)
-    fixes, dk, dk1 = _screen_fixes(spec, free, delta, lower, zeta_bar)
+    fixes = _screen_fixes(spec, free, delta, lower, zeta_bar)
     n_zero = int(np.count_nonzero(fixes == FixState.ZERO))
     n_one = int(np.count_nonzero(fixes == FixState.ONE))
-    return ScreenReport(
-        fixes=fixes, n_zero=n_zero, n_one=n_one, n_free=inst.n - n_zero - n_one,
-        lower_bound=lower, upper_bound=zeta_bar, delta_k=dk, delta_k1=dk1,
-    )
+    return ScreenReport(fixes=fixes, n_zero=n_zero, n_one=n_one, n_free=inst.n - n_zero - n_one,
+                        lower_bound=lower, upper_bound=zeta_bar)
 
 
 def screen_reg(inst: Instance, gamma: float, mu: float, cert, zeta_bar: float) -> ScreenReport:

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,18 @@ def test_readme_quickstart_prints_what_it_says(capsys):
     assert said == ["116 4 0", "(0, 1, 2, 3) 1"]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == said
+
+
+def test_readme_library_api_lists_every_export():
+    # a new export has to be documented, and a documented name exported,
+    # from the module its line names
+    readme = (_ROOT / "README.md").read_text()
+    section = readme.split("## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for line in section.splitlines():
+        if line.startswith("- `"):
+            module, names = line[2:].split(": ", 1)
+            mod = importlib.import_module(f"l0screen.{module.strip('`')}")
+            listed += [(name, mod) for name in re.findall(r"`(\w+)`", names)]
+    assert sorted(name for name, _ in listed) == sorted(l0screen.__all__)
+    assert all(getattr(mod, name) is getattr(l0screen, name) for name, mod in listed)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l0screen import BerhuPenalty, InvalidInputError, berhu_prox, berhu_value
+from l0screen import InvalidInputError
+from l0screen.relax import BerhuPenalty, berhu_prox, berhu_value
 
 from ._oracles import berhu_value_grid, prox_golden
 

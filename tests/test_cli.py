@@ -250,6 +250,13 @@ class TestSolve:
                   "--forced-in", "99"])
         assert err.value.code == 2
 
+    def test_empty_forced_in_is_usage_error(self, dataset, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--variant", "card", "--gamma", "0.8", "--k", "3",
+                  "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv", "--forced-in", ","])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 @pytest.mark.parametrize("command", ["screen", "solve"])
 @pytest.mark.parametrize("k", ["13", "0"])
@@ -260,6 +267,20 @@ def test_k_outside_the_columns_is_usage_error(dataset, capsys, command, k):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "k must be an integer in [1, 12]" in captured.err
+
+
+@pytest.mark.parametrize("command", ["screen", "solve"])
+@pytest.mark.parametrize("flags, stray", [(["--variant", "reg", "--mu", "0.1", "--k", "0"], "--k"),
+                                          (["--variant", "reg", "--mu", "0.1", "--k", "2"], "--k"),
+                                          (["--variant", "card", "--k", "2", "--mu", "nan"], "--mu"),
+                                          (["--variant", "card", "--k", "2", "--mu", "0.1"], "--mu")],
+                         ids=["reg-k-0", "reg-k-2", "card-mu-nan", "card-mu-0.1"])
+def test_flag_of_the_other_variant_is_usage_error(dataset, capsys, command, flags, stray):
+    with pytest.raises(SystemExit) as err:
+        main([command, *flags, "--gamma", "1", "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{stray} does not apply" in captured.err
 
 
 class TestReducedRoundTrip:
@@ -336,6 +357,15 @@ class TestBench:
             main(["bench", "--suite", "synthetic", "--n", "10", "--m", "8",
                   "--methods", "magic"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--methods", "--k-grid", "--gamma-exps", "--snr-grid"])
+    def test_empty_list_is_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--suite", "synthetic", "--n", "12", "--m", "10",
+                  "--k-grid", "2", "--methods", "screen", flag, ","])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{flag} expects a non-empty" in captured.err
 
     def test_bnb_method_rows(self, capsys):
         code, out, _ = run_cli(

@@ -14,12 +14,12 @@ from l0screen import (
     Variant,
     branch_and_bound,
     brute_force,
-    node_relaxation,
-    ridge_restricted_solve,
     solve_cc,
     solve_cr,
 )
 from l0screen import exact
+from l0screen.exact import node_relaxation
+from l0screen.problem import ridge_restricted_solve
 
 from ._oracles import enumerate_optima, ridge_ls
 from .conftest import random_instance

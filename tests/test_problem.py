@@ -13,9 +13,6 @@ from l0screen import (
     Variant,
     certified_lower_bound_card,
     certified_lower_bound_reg,
-    objective_card,
-    objective_reg,
-    ridge_restricted_solve,
     round_card,
     round_reg,
     screen_card,
@@ -23,7 +20,7 @@ from l0screen import (
     solve_cc,
     solve_cr,
 )
-from l0screen.problem import _settle
+from l0screen.problem import _settle, objective_card, objective_reg, ridge_restricted_solve
 
 from ._oracles import ridge_ls
 from .conftest import random_instance

@@ -22,8 +22,6 @@ from l0screen import (
     gamma_zero,
     generate,
     exact,
-    node_relaxation,
-    operator_norm_sq,
     relax,
     round_card,
     round_reg,
@@ -32,6 +30,7 @@ from l0screen import (
     solve_cc,
     solve_cr,
 )
+from l0screen.exact import node_relaxation
 from l0screen.relax import (
     BerhuPenalty,
     _auto_lipschitz,
@@ -43,6 +42,7 @@ from l0screen.relax import (
     _ksupport_solve,
     _relax,
     berhu_value,
+    operator_norm_sq,
 )
 
 from ._oracles import ksupport_prox_bisect, ksupport_sq_bisect, relax_value_grid, ridge_ls

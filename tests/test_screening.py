@@ -17,7 +17,6 @@ from l0screen import (
     brute_force,
     gamma_zero,
     generate,
-    kth_largest_pair,
     round_card,
     round_reg,
     screen_card,
@@ -25,7 +24,7 @@ from l0screen import (
     solve_cc,
     solve_cr,
 )
-from l0screen.screening import SAFETY_SLACK, _rules_card, _rules_reg
+from l0screen.screening import SAFETY_SLACK, _rules_card, _rules_reg, kth_largest_pair
 
 from ._oracles import screening_masks
 from .conftest import random_instance
@@ -91,7 +90,7 @@ def _assert_rules_match_shifted_bounds(inst, spec):
     else:
         sol = solve_cc(inst, spec.gamma, spec.k)
         ub = round_card(inst, spec.gamma, spec.k, sol).objective
-        rules = lambda d: _rules_card(d, sol.lower_bound, spec.gamma, spec.k, ub)[:2]
+        rules = lambda d: _rules_card(d, sol.lower_bound, spec.gamma, spec.k, ub)
     delta = (inst.a.T @ sol.epsilon) ** 2
     want = screening_masks(delta, sol.lower_bound, spec.gamma, ub, SAFETY_SLACK, mu=spec.mu, k=spec.k)
     np.testing.assert_array_equal(np.array(rules(delta)), np.array(want))
@@ -141,7 +140,7 @@ def test_rules_never_fix_both_ways(data, k_frac, lower, offset, gamma, mu):
     zeta_bar = lower + offset
     zero, one = _rules_reg(delta, lower, gamma, mu, zeta_bar)
     assert not np.any(zero & one)
-    zero, one, _, _ = _rules_card(delta, lower, gamma, k, zeta_bar)
+    zero, one = _rules_card(delta, lower, gamma, k, zeta_bar)
     assert not np.any(zero & one)
     assert np.count_nonzero(one) <= k
 
@@ -150,7 +149,7 @@ def test_scores_within_the_slack_stay_free():
     # with zeta_bar = L, scores 2e-10 off a pivot lie inside SAFETY_SLACK
     near = np.array([1.0 - 2e-10, 1.0 + 2e-10])
     assert not np.any(_rules_reg(near, 0.0, 1.0, 1.0, 0.0))
-    assert not np.any(_rules_card(near, 0.0, 1.0, 1, 0.0)[:2])
+    assert not np.any(_rules_card(near, 0.0, 1.0, 1, 0.0))
 
 
 @pytest.mark.parametrize("screen,param", [(screen_reg, 1.0), (screen_card, 1)],
@@ -220,8 +219,6 @@ class TestScreenCard:
         rep = screen_card(tiny, 1.0, 1, sol, 4.51)
         assert rep.fixes[0] == FixState.ONE
         assert rep.fixes[1] == FixState.ZERO
-        assert rep.delta_k == pytest.approx(2.25, abs=1e-4)
-        assert rep.delta_k1 == pytest.approx(0.01, abs=1e-4)
 
     def test_equal_scores_leave_all_free(self, tiny):
         cert = DualCertificate(epsilon_bar=np.array([1.0, 1.0]), lower_bound=3.2)
