@@ -252,6 +252,11 @@ def _bench_methods_row(inst, spec: ProblemSpec, method, solver_cfg: SolverConfig
     return fixed, stats.nodes_explored, stats.wall_time_s, stats.optimal
 
 
+# The generator flags of `bench --suite synthetic` and their defaults.  The
+# parser defaults them to None, so that `--suite files` can reject a given one.
+_SYNTHETIC_DEFAULTS = {"n": None, "m": None, "rho": 0.5, "snr_grid": "6", "seeds": 1, "seed_base": 0}
+
+
 def cmd_bench(args, parser) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
@@ -266,6 +271,9 @@ def cmd_bench(args, parser) -> int:
 
     tasks = []  # (instance_id, SyntheticSpec or (Instance, ProblemSpec), k, gexp, rho_str, snr_str)
     if args.suite == "synthetic":
+        for name, value in _SYNTHETIC_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
         if args.n is None or args.m is None:
             parser.error("--suite synthetic needs --n and --m")
         snr_grid = _parse_list(args.snr_grid, parser, "--snr-grid", float)
@@ -281,6 +289,9 @@ def cmd_bench(args, parser) -> int:
                                             rho=args.rho, snr=snr, seed=seed)
                         tasks.append((iid, sspec, k, gexp, f"{args.rho:g}", f"{snr:g}"))
     else:
+        for name in _SYNTHETIC_DEFAULTS:
+            if getattr(args, name) is not None:
+                parser.error(f"--{name.replace('_', '-')} does not apply to --suite files")
         if not args.a or not args.y:
             parser.error("--suite files needs --a and --y")
         # read before the header, so that bad data or a bad cell prints nothing
@@ -347,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="grid sweep; one CSV row per instance and method")
     p.add_argument("--suite", choices=["synthetic", "files"], required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--rho", type=float, default=0.5)
+    p.add_argument("--n", type=int, help="columns (synthetic)")
+    p.add_argument("--m", type=int, help="rows (synthetic)")
+    p.add_argument("--rho", type=float, help="AR(1) correlation (synthetic; default 0.5)")
     p.add_argument("--k-grid", default="10", help="comma-separated k values")
     p.add_argument("--gamma-exps", default="0", help="comma-separated exponents i for gamma = 2^i gamma0")
-    p.add_argument("--snr-grid", default="6", help="comma-separated SNR values (synthetic)")
-    p.add_argument("--seeds", type=int, default=1, help="instances per cell (synthetic)")
-    p.add_argument("--seed-base", type=int, default=0)
+    p.add_argument("--snr-grid", help="comma-separated SNR values (synthetic; default 6)")
+    p.add_argument("--seeds", type=int, help="instances per cell (synthetic; default 1)")
+    p.add_argument("--seed-base", type=int, help="first data seed (synthetic; default 0)")
     p.add_argument("--a")
     p.add_argument("--y")
     p.add_argument("--methods", default="screen,bnb_screen")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import l0screen
+from l0screen import relax
 
 _ROOT = Path(__file__).resolve().parents[1]
 _TRACER = _ROOT / "benchmarks" / "tracer.py"
@@ -55,3 +56,12 @@ def test_readme_library_api_lists_every_export():
             listed += [(name, mod) for name in re.findall(r"`(\w+)`", names)]
     assert sorted(name for name, _ in listed) == sorted(l0screen.__all__)
     assert all(getattr(mod, name) is getattr(l0screen, name) for name, mod in listed)
+
+
+def test_readme_working_set_start_matches_the_code():
+    # "How it works" names the start twice: the first round's free
+    # columns, and the size that runs as one round
+    readme = (_ROOT / "README.md").read_text()
+    step = readme.split("1. **Relaxation.**", 1)[1].split("2. **Certificates.**", 1)[0]
+    starts = re.findall(r"the (\d+) free columns with the|no more than (\d+) free columns", " ".join(step.split()))
+    assert [int(a or b) for a, b in starts] == [relax._WS_START] * 2

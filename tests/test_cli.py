@@ -389,6 +389,17 @@ class TestBench:
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flag,value", [("--n", "12"), ("--m", "10"), ("--rho", "0.5"),
+                                            ("--snr-grid", "6"), ("--seeds", "1"), ("--seed-base", "0")])
+    def test_files_suite_rejects_synthetic_flags(self, dataset, capsys, flag, value):
+        # a given flag is an error even at its synthetic default
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--suite", "files", "--a", f"{dataset}/A.csv",
+                  "--y", f"{dataset}/y.csv", "--k-grid", "2", "--methods", "screen", flag, value])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{flag} does not apply to --suite files" in captured.err
+
     def test_files_suite_rejects_k_0_before_any_output(self, dataset, capsys):
         with pytest.raises(SystemExit) as err:
             main(["bench", "--suite", "files", "--a", f"{dataset}/A.csv",

@@ -11,9 +11,12 @@ from l0screen import (
     InvalidInputError,
     ProblemSpec,
     SizeCapError,
+    SyntheticSpec,
     Variant,
     branch_and_bound,
     brute_force,
+    gamma_zero,
+    generate,
     solve_cc,
     solve_cr,
 )
@@ -367,6 +370,14 @@ class TestBranchAndBound:
         stats = branch_and_bound(inst, spec, initial=Incumbent((0, 1), np.zeros(12), -1.0))
         assert stats.optimal
         assert stats.best.objective == pytest.approx(want.objective, rel=1e-9)
+
+    def test_anchor_cell_explores_27_nodes(self):
+        # the benchmark's anchor: card, 60x120, k 5, gamma = 4 gamma0, data seed 0
+        inst, _ = generate(SyntheticSpec(n=120, m=60, k_true=5, rho=0.5, snr=6.0, seed=0))
+        spec = ProblemSpec.card(4.0 * gamma_zero(inst, 5), 5)
+        stats = branch_and_bound(inst, spec, BnBConfig(screen_at_root=False))
+        assert stats.optimal
+        assert stats.nodes_explored == 27
 
 
 class _CountingCap(int):

@@ -465,27 +465,46 @@ _APG_CASES = [
 ]
 
 
+def _assert_certificate(inst, spec, fixes, sol):
+    """``sol.lower_bound`` is bitwise the certificate of ``sol.epsilon``, and
+    ``sol.objective`` prices ``sol.x`` with that residual."""
+    x, eps = sol.x, sol.epsilon
+    free = fixes == FixState.FREE
+    mask = None if free.all() else free
+    xo = x[~free]
+    if spec.variant is Variant.CARD:
+        budget = spec.k - int(np.count_nonzero(~free))
+        lb = _bound_card_terms(inst.y, eps, (inst.a.T @ eps) ** 2, spec.gamma, budget, mask)
+        penalty = (ksupport_sq_bisect(x[free], budget)[0] + xo @ xo) / spec.gamma
+    else:
+        pen = BerhuPenalty(mu=spec.mu, gamma=spec.gamma)
+        lb = _bound_reg_terms(inst.y, eps, (inst.a.T @ eps) ** 2, spec.gamma, spec.mu, mask)
+        penalty = float(np.sum(berhu_value(pen, x[free]))) + xo @ xo / spec.gamma + spec.mu * xo.size
+    assert sol.lower_bound == lb
+    assert sol.objective == pytest.approx(float(eps @ eps) + penalty, rel=1e-9)
+
+
 class TestApgLoop:
     @pytest.mark.parametrize("variant,fixed_in,m,n", _APG_CASES)
-    def test_returned_iterate_carries_its_own_certificate(self, variant, fixed_in, m, n):
+    def test_returned_iterate_carries_its_own_certificate(self, monkeypatch, variant, fixed_in, m, n):
         inst, spec, fixes = _apg_case(variant, fixed_in, m, n)
+        # one round on every column, so eps is y - A x as the loop formed it
+        monkeypatch.setattr(relax, "_WS_START", inst.n)
         sol = _relax(inst, spec, fixes, SolverConfig())
         assert sol.converged and sol.iterations > 1
-        x, eps = sol.x, sol.epsilon
-        np.testing.assert_array_equal(eps, inst.y - inst.a @ x)
-        free = fixes == FixState.FREE
-        mask = None if free.all() else free
-        xo = x[~free]
-        if variant == "card":
-            budget = spec.k - int(np.count_nonzero(~free))
-            lb = _bound_card_terms(inst.y, eps, (inst.a.T @ eps) ** 2, spec.gamma, budget, mask)
-            penalty = (ksupport_sq_bisect(x[free], budget)[0] + xo @ xo) / spec.gamma
-        else:
-            pen = BerhuPenalty(mu=spec.mu, gamma=spec.gamma)
-            lb = _bound_reg_terms(inst.y, eps, (inst.a.T @ eps) ** 2, spec.gamma, spec.mu, mask)
-            penalty = float(np.sum(berhu_value(pen, x[free]))) + xo @ xo / spec.gamma + spec.mu * xo.size
-        assert sol.lower_bound == lb
-        assert sol.objective == pytest.approx(float(eps @ eps) + penalty, rel=1e-9)
+        np.testing.assert_array_equal(sol.epsilon, inst.y - inst.a @ sol.x)
+        _assert_certificate(inst, spec, fixes, sol)
+
+    @pytest.mark.parametrize("variant,fixed_in,m,n", _APG_CASES)
+    def test_working_set_iterate_carries_the_full_certificate(self, monkeypatch, variant, fixed_in, m, n):
+        inst, spec, fixes = _apg_case(variant, fixed_in, m, n)
+        widths = _count_rounds(monkeypatch, variant)
+        sol = _relax(inst, spec, fixes, SolverConfig())
+        assert widths[0] < inst.n
+        assert sol.converged and sol.iterations > 1
+        # eps is y - A[:, W] x_W, which is y - A x up to the order of the sums
+        np.testing.assert_allclose(sol.epsilon, inst.y - inst.a @ sol.x, rtol=1e-12, atol=0.0)
+        _assert_certificate(inst, spec, fixes, sol)
 
     @pytest.mark.parametrize("variant,fixed_in,m,n", _APG_CASES)
     def test_stops_at_the_first_iterate_whose_gap_passes(self, variant, fixed_in, m, n):
@@ -517,8 +536,8 @@ def _solve(inst, spec):
     return solve_cr(inst, spec.gamma, spec.mu)
 
 
-# None runs the default start, one round on every column at 60x120; a
-# start of 4 certifies its rounds with the full product A' eps
+# None pins the start to n, one round on every column; a start of 4
+# certifies its rounds with the full product A' eps
 _STARTS = [pytest.param(None, id="one-round"), pytest.param(4, id="rounds")]
 
 
@@ -528,8 +547,7 @@ class TestScores:
     def test_scores_are_those_of_the_residual(self, monkeypatch, variant, start):
         inst, spec, _ = _apg_case(variant, False, 60, 120)
         widths = _count_rounds(monkeypatch, variant)
-        if start is not None:
-            monkeypatch.setattr(relax, "_WS_START", start)
+        monkeypatch.setattr(relax, "_WS_START", start or inst.n)
         rel = _solve(inst, spec)
         assert (widths[0] < inst.n) == (start is not None)
         assert rel.scores.tobytes() == ((inst.a.T @ rel.epsilon) ** 2).tobytes()
@@ -548,8 +566,7 @@ class TestScores:
     def test_node_scores_read_zero_on_fixed_out_columns(self, monkeypatch, variant, start):
         inst, spec, fixes = _apg_case(variant, True, 60, 120)
         fixes[[1, 7, 50]] = FixState.ZERO
-        if start is not None:
-            monkeypatch.setattr(relax, "_WS_START", start)
+        monkeypatch.setattr(relax, "_WS_START", start or inst.n)
         rel = node_relaxation(inst, spec, fixes)
         out = fixes == FixState.ZERO
         want = (inst.a.T @ rel.epsilon) ** 2
@@ -639,6 +656,15 @@ def _count_rounds(monkeypatch, variant):
     return widths
 
 
+def _safe_fixes(rep, optima):
+    """How many variables ``rep`` fixes, after checking every fix against every optimal support."""
+    out = set(np.flatnonzero(rep.fixes == FixState.ZERO).tolist())
+    into = set(np.flatnonzero(rep.fixes == FixState.ONE).tolist())
+    for support in optima:
+        assert not out & set(support) and into <= set(support)
+    return rep.n_zero + rep.n_one
+
+
 _WS_CASES = [
     pytest.param(variant, fixed_in, id=f"{variant}-{'fixed' if fixed_in else 'free'}")
     for variant in ("reg", "card")
@@ -694,12 +720,7 @@ class TestWorkingSet:
                     inc = round_reg(inst, spec.gamma, spec.mu, rel)
                     screen = lambda zeta: screen_reg(inst, spec.gamma, spec.mu, rel, zeta)
                 for zeta in (inc.objective, want.objective):
-                    rep = screen(zeta)
-                    fired += rep.n_zero + rep.n_one
-                    out = set(np.flatnonzero(rep.fixes == FixState.ZERO).tolist())
-                    into = set(np.flatnonzero(rep.fixes == FixState.ONE).tolist())
-                    for support in optima:
-                        assert not out & set(support) and into <= set(support)
+                    fired += _safe_fixes(screen(zeta), optima)
         assert fired > 0
 
     @pytest.mark.parametrize("screen_at_root", [True, False], ids=["screen", "noscreen"])
@@ -714,3 +735,31 @@ class TestWorkingSet:
                 assert stats.optimal
                 assert stats.best.objective == pytest.approx(want.objective, rel=1e-9)
                 assert stats.best.support in optima
+
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_default_start_on_the_readme_grid(self, monkeypatch, variant):
+        inst, spec, _ = _apg_case(variant, False, 60, 120)
+        monkeypatch.setattr(relax, "_WS_START", inst.n)
+        whole = _solve(inst, spec)
+        monkeypatch.undo()
+        widths = _count_rounds(monkeypatch, variant)
+        sol = _solve(inst, spec)
+        assert widths[0] < inst.n
+        assert sol.converged
+        assert sol.lower_bound == pytest.approx(whole.lower_bound, rel=1e-8)
+
+    def test_root_screening_is_safe_at_the_default_start(self, monkeypatch):
+        # 40 free columns is above the default start; k = 3 keeps brute force small
+        fired = 0
+        for seed in range(2):
+            inst = random_instance(10 + seed, 16, 40)
+            gamma = 4.0 * gamma_zero(inst, 3)
+            want, optima = brute_force(inst, ProblemSpec.card(gamma, 3))
+            widths = _count_rounds(monkeypatch, "card")
+            rel = solve_cc(inst, gamma, 3)
+            assert widths[0] < inst.n
+            inc = round_card(inst, gamma, 3, rel)
+            for zeta in (inc.objective, want.objective):
+                fired += _safe_fixes(screen_card(inst, gamma, 3, rel, zeta), optima)
+            monkeypatch.undo()
+        assert fired > 0
