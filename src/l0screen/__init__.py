@@ -23,7 +23,6 @@ from .problem import (
 from .relax import (
     DualCertificate,
     RelaxSolution,
-    SolverConfig,
     certified_lower_bound_card,
     certified_lower_bound_reg,
     solve_cc,
@@ -55,7 +54,6 @@ __all__ = [
     "RelaxSolution",
     "ScreenReport",
     "SizeCapError",
-    "SolverConfig",
     "SyntheticSpec",
     "Variant",
     "branch_and_bound",

@@ -27,8 +27,9 @@ from .datagen import (GENERATOR_NAME, SyntheticSpec, _write_matrix, gamma_zero, 
                       save_dataset)
 from .exact import BnBConfig, _enumeration, branch_and_bound, brute_force
 from .heuristics import round_card, round_reg
-from .problem import FixState, Instance, InvalidInputError, ProblemSpec, Variant, _check_support, _spec_for
-from .relax import SolverConfig, solve_cc, solve_cr
+from .problem import (FixState, InfeasibleError, Instance, InvalidInputError, ProblemSpec, Variant,
+                      _check_support, _check_tol, _settle, _spec_for)
+from .relax import solve_cc, solve_cr
 from .report import _BENCH_METHODS, BENCH_COLUMNS, validate_run_report
 from .screening import screen_card, screen_reg
 
@@ -54,10 +55,10 @@ def _parse_list(text: str, parser, flag: str, kind):
 
 
 def _from_flags(parser, make, **kwargs):
-    """``make(**kwargs)``; its InvalidInputError is a usage error."""
+    """``make(**kwargs)``; its InvalidInputError or InfeasibleError is a usage error."""
     try:
         return make(**kwargs)
-    except InvalidInputError as exc:
+    except (InvalidInputError, InfeasibleError) as exc:
         parser.error(str(exc))
 
 
@@ -96,7 +97,7 @@ def cmd_gen(args, parser) -> int:
     return 0
 
 
-def _screen_pipeline(inst: Instance, spec: ProblemSpec, cfg: SolverConfig, zeta_bar):
+def _screen_pipeline(inst: Instance, spec: ProblemSpec, tol: float, zeta_bar):
     """Relax, round (unless ``zeta_bar`` is given), screen.  Returns (report, timings)."""
     # read from this module's names at each call, so that a wrapper put on
     # them (benchmarks/tracer.py) sees the call
@@ -106,7 +107,7 @@ def _screen_pipeline(inst: Instance, spec: ProblemSpec, cfg: SolverConfig, zeta_
         relax, rounding, screen, par = solve_cc, round_card, screen_card, spec.k
     timings = {}
     t = time.perf_counter()
-    rel = relax(inst, spec.gamma, par, cfg)
+    rel = relax(inst, spec.gamma, par, tol)
     timings["relax"] = (time.perf_counter() - t) * 1e3
 
     t = time.perf_counter()
@@ -154,12 +155,12 @@ def _write_reduced(out_dir: str, inst: Instance, spec: ProblemSpec, rep) -> dict
 
 
 def cmd_screen(args, parser) -> int:
-    cfg = _from_flags(parser, SolverConfig, tol=args.tol)
+    tol = _from_flags(parser, _check_tol, tol=args.tol)
     # a report is strict JSON, which has no inf or NaN
     if args.zeta_bar is not None and not math.isfinite(args.zeta_bar):
         parser.error("--zeta-bar must be finite")
     inst, spec = _load_with_spec(args, parser)
-    rep, timings = _screen_pipeline(inst, spec, cfg, args.zeta_bar)
+    rep, timings = _screen_pipeline(inst, spec, tol, args.zeta_bar)
     out = None
     if args.out_reduced:
         out = _write_reduced(args.out_reduced, inst, spec, rep)
@@ -200,6 +201,7 @@ def cmd_solve(args, parser) -> int:
     if args.forced_in is not None:
         idx = _parse_list(args.forced_in, parser, "--forced-in", int)
         fixed[_from_flags(parser, _check_support, support=idx, n=inst.n)] = FixState.ONE
+        fixed = _from_flags(parser, _settle, spec=spec, fixes=fixed)
 
     t = time.perf_counter()
     if args.method == "brute":
@@ -240,11 +242,11 @@ def _bench_spec(inst: Instance, k, gexp: float) -> ProblemSpec:
     return _spec_for(inst.n, scale * gamma_zero(inst, k), k=k)
 
 
-def _bench_methods_row(inst, spec: ProblemSpec, method, solver_cfg: SolverConfig, bnb_cfg: BnBConfig):
+def _bench_methods_row(inst, spec: ProblemSpec, method, tol: float, bnb_cfg: BnBConfig):
     """One bench measurement; returns (fixed_count, nodes, time_s, optimal)."""
     t0 = time.perf_counter()
     if method == "screen":
-        rep, _ = _screen_pipeline(inst, spec, solver_cfg, None)
+        rep, _ = _screen_pipeline(inst, spec, tol, None)
         return rep.n_zero + rep.n_one, 0, time.perf_counter() - t0, rep.n_free == 0
     cfg = dataclasses.replace(bnb_cfg, screen_at_root=method == "bnb_screen")
     stats = branch_and_bound(inst, spec, cfg)
@@ -264,13 +266,16 @@ def cmd_bench(args, parser) -> int:
     for m in methods:
         if m not in _BENCH_METHODS:
             parser.error(f"unknown method {m!r}")
-    solver_cfg = _from_flags(parser, SolverConfig, tol=args.tol)
+    tol = _from_flags(parser, _check_tol, tol=args.tol)
     bnb_cfg = _from_flags(parser, BnBConfig, time_limit_s=args.time_limit, node_limit=args.node_limit)
     k_grid = _parse_list(args.k_grid, parser, "--k-grid", int)
     gamma_exps = _parse_list(args.gamma_exps, parser, "--gamma-exps", float)
 
     tasks = []  # (instance_id, SyntheticSpec or (Instance, ProblemSpec), k, gexp, rho_str, snr_str)
     if args.suite == "synthetic":
+        for flag in ("a", "y"):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag} does not apply to --suite synthetic")
         for name, value in _SYNTHETIC_DEFAULTS.items():
             if getattr(args, name) is None:
                 setattr(args, name, value)
@@ -310,7 +315,7 @@ def cmd_bench(args, parser) -> int:
             try:
                 # a synthetic cell's spec is built here, so that a bad gamma is an error row
                 spec = spec or _bench_spec(inst, k, gexp)
-                fixed, nodes, secs, optimal = _bench_methods_row(inst, spec, method, solver_cfg, bnb_cfg)
+                fixed, nodes, secs, optimal = _bench_methods_row(inst, spec, method, tol, bnb_cfg)
                 writer.writerow([
                     iid, method, k, gexp, rho_str, snr_str, fixed,
                     round(100.0 * fixed / inst.n, 3), nodes, round(secs, 4),

@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .problem import (
-    ConstraintViolationError,
     FixState,
     Incumbent,
     Instance,
@@ -29,11 +28,10 @@ from .problem import (
     SizeCapError,
     Variant,
     _check_fixes,
-    _check_support,
     _settle,
 )
 from .heuristics import _evaluate, _node_round
-from .relax import RelaxSolution, SolverConfig, _auto_lipschitz, _relax
+from .relax import RelaxSolution, _lipschitz, _relax
 from .screening import _screen_fixes
 
 # Kept bound under their old names because benchmarks/tracer.py looks up
@@ -45,7 +43,6 @@ _BRUTE_N_CAP = 25
 _BRUTE_COMB_CAP = 1_000_000
 _PRUNE_SLACK = 1e-9
 _OPT_REL_TOL = 1e-9
-_NODE_TOL = 1e-8
 # Best-first keeps the whole frontier in memory; above this many open
 # nodes new work is taken depth-first so memory stays bounded.
 _OPEN_NODE_CAP = 1_000_000
@@ -154,8 +151,8 @@ def node_relaxation(
     inst: Instance,
     spec: ProblemSpec,
     fixes,
-    cfg: Optional[SolverConfig] = None,
     x_warm=None,
+    lipschitz=None,
 ) -> RelaxSolution:
     """Relaxation of the subproblem where some variables are fixed.
 
@@ -168,20 +165,20 @@ def node_relaxation(
     fix vector of the wrong length or with entries other than FixState
     values, and InfeasibleError when more variables are forced in than
     a card budget allows.  The solve runs in rounds on a working set
-    of columns, and each round's step comes from ``cfg.lipschitz`` when
-    set (branch and bound passes the full matrix's value, which bounds
-    every column subset) and from ``operator_norm_sq`` of the working
-    set's columns otherwise.  ``x_warm`` starts the reg solve, and its
-    support joins the first working set; card solves start from zero.
+    of columns at the default tolerance, and each round's step comes
+    from ``lipschitz`` when given (branch and bound passes
+    ``relax._lipschitz`` of the full matrix, which bounds every column
+    subset) and from ``relax._lipschitz`` of the working set's columns
+    otherwise.  ``x_warm`` starts the reg solve, and its support joins
+    the first working set; card solves start from zero.
     """
-    return _relax(inst, spec, _check_fixes(fixes, inst.n), cfg or SolverConfig(), x_warm)
+    return _relax(inst, spec, _check_fixes(fixes, inst.n), x_warm=x_warm, lipschitz=lipschitz)
 
 
 def branch_and_bound(
     inst: Instance,
     spec: ProblemSpec,
     cfg: Optional[BnBConfig] = None,
-    initial: Optional[Incumbent] = None,
     fixed=None,
 ) -> BnBStats:
     """Best-first branch and bound with certified node bounds.
@@ -193,26 +190,18 @@ def branch_and_bound(
     screening and branching read the scores the relaxation returns.
     Node counts are deterministic for a fixed config and instance.
     ``optimal`` is True only when the search space was exhausted
-    within the limits.  The support of ``initial`` is refit and priced
-    as the first incumbent; it raises ConstraintViolationError when it
-    breaks the card budget or the fixes.
+    within the limits.  Every node relaxes at the default tolerance,
+    with one Lipschitz value for the whole tree.
     """
     cfg = cfg or BnBConfig()
     t0 = time.perf_counter()
     n = inst.n
-    scfg = SolverConfig(tol=_NODE_TOL, lipschitz=_auto_lipschitz(inst.a, SolverConfig()))
+    lip = _lipschitz(inst.a)
 
     root_fixes = np.full(n, FixState.FREE, dtype=np.int8) if fixed is None else _check_fixes(fixed, n)
     root_fixes = _settle(spec, root_fixes)
 
     incumbent, zeta_bar = None, math.inf
-    if initial is not None:
-        idx = _check_support(initial.support, n)
-        if ((spec.variant is Variant.CARD and idx.size > spec.k) or np.any(root_fixes[idx] == FixState.ZERO)
-                or not np.isin(np.flatnonzero(root_fixes == FixState.ONE), idx).all()):
-            raise ConstraintViolationError("initial support breaks the card budget or the fixes")
-        incumbent = _evaluate(inst, spec, idx)
-        zeta_bar = incumbent.objective
 
     counter = itertools.count()
     heap: list = [(-math.inf, next(counter), 0, root_fixes, None)]
@@ -232,7 +221,7 @@ def branch_and_bound(
         if bound >= zeta_bar - _PRUNE_SLACK:
             continue
 
-        rel = node_relaxation(inst, spec, fixes, scfg, x_warm=warm)
+        rel = node_relaxation(inst, spec, fixes, x_warm=warm, lipschitz=lip)
         nodes_explored += 1
         node_lb = max(bound, rel.lower_bound)
 

@@ -153,6 +153,13 @@ def _check_k(k, n=np.inf) -> int:
     return int(k)
 
 
+def _check_tol(tol) -> float:
+    """``tol`` as a float, after checking that it lies in (0, 1); NaN fails."""
+    if not (0 < tol < 1):
+        raise InvalidInputError("tol must lie in (0, 1)")
+    return float(tol)
+
+
 def _spec_for(n: int, gamma: float, mu: Optional[float] = None, k=None) -> ProblemSpec:
     """The reg spec of ``(gamma, mu)`` or the card spec of ``(gamma, k)`` on n columns.
 

@@ -29,18 +29,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .problem import (FixState, Instance, InvalidInputError, ProblemSpec, Variant, _check_residual,
-                      _settle, _spec_for)
+                      _check_tol, _settle, _spec_for)
 
 # operator_norm_sq is exact only to rounding, a relative error of order
 # max(m, n) machine epsilons on either side of ||A||^2; the pad keeps
 # the fixed step 1 / L valid with room to spare.
 _LIPSCHITZ_PAD = 1.01
+
+# APG iterations one relaxation may take over all of its rounds; at the
+# cap it returns converged=False, with its bound still certified.
+_MAX_ITER = 50_000
 
 
 @dataclass(frozen=True)
@@ -101,23 +104,6 @@ def berhu_prox(pen: BerhuPenalty, t, v):
         np.where(av <= pen.crossover * scale, av - thr, av / scale),
     ) * np.sign(vv)
     return float(out) if vv.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-8
-    max_iter: int = 50_000
-    lipschitz: Optional[float] = None
-
-    def __post_init__(self):
-        if not (0 < self.tol < 1):
-            raise InvalidInputError("tol must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise InvalidInputError("max_iter must be >= 1")
-        # 0 is what operator_norm_sq returns for an all-zero matrix;
-        # written so that NaN fails
-        if self.lipschitz is not None and not (0 <= self.lipschitz < math.inf):
-            raise InvalidInputError("lipschitz must be non-negative and finite when given")
 
 
 @dataclass
@@ -275,9 +261,8 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
         it += 1
 
 
-def _auto_lipschitz(a, cfg: SolverConfig) -> float:
-    if cfg.lipschitz is not None:
-        return cfg.lipschitz
+def _lipschitz(a) -> float:
+    """The padded Lipschitz constant ``2 ||a||^2`` of the least-squares gradient."""
     return 2.0 * operator_norm_sq(a) * _LIPSCHITZ_PAD
 
 
@@ -315,8 +300,8 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
     return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0)
 
 
-def solve_cr(inst: Instance, gamma: float, mu: float, cfg: Optional[SolverConfig] = None) -> RelaxSolution:
-    """Solve the reg relaxation to a certified relative gap of ``cfg.tol``.
+def solve_cr(inst: Instance, gamma: float, mu: float, tol: float = 1e-8) -> RelaxSolution:
+    """Solve the reg relaxation to a certified relative gap of ``tol``.
 
     This is ``_relax`` with every variable free, the same relaxation
     every branch-and-bound node runs.
@@ -326,7 +311,8 @@ def solve_cr(inst: Instance, gamma: float, mu: float, cfg: Optional[SolverConfig
     inst : Instance
     gamma, mu : float
         Ridge scale and per-variable price, both positive.
-    cfg : SolverConfig, optional
+    tol : float
+        Certified relative gap at which the solve stops, in (0, 1).
 
     Returns
     -------
@@ -334,11 +320,12 @@ def solve_cr(inst: Instance, gamma: float, mu: float, cfg: Optional[SolverConfig
         ``objective`` is the primal value of the final iterate,
         ``lower_bound`` the certificate of its residual, and
         ``z = min(1, |x| / sqrt(gamma mu))``.  If the gap did not close
-        within ``max_iter`` the best iterate is returned with
-        ``converged=False``; the bound is still valid.
+        within ``_MAX_ITER`` APG iterations the final iterate is
+        returned with ``converged=False``; the bound is still valid.
     """
+    tol = _check_tol(tol)
     spec = _spec_for(inst.n, gamma, mu=mu)
-    return _relax(inst, spec, np.full(inst.n, FixState.FREE, dtype=np.int8), cfg or SolverConfig())
+    return _relax(inst, spec, np.full(inst.n, FixState.FREE, dtype=np.int8), tol)
 
 
 def _ridge_full(a, y, gamma):
@@ -452,7 +439,7 @@ _cc_bisection = _ksupport_solve
 _WS_START = 32
 
 
-def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=None) -> RelaxSolution:
+def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lipschitz=None) -> RelaxSolution:
     """The relaxation of ``spec`` with the variables in ``fixes`` fixed.
 
     Fixed-out columns leave the problem, and so do the free ones once a
@@ -466,17 +453,19 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=N
     fixed-in ones, the warm start's support and the free columns of
     largest ``|a_i' y|``, ``_WS_START`` free columns in all (at least
     twice the card budget).  Each round solves on ``A[:, W]`` at
-    ``cfg.tol`` from the last round's ``x``, with its step from
-    ``cfg.lipschitz`` or else ``A[:, W]``, and one product ``A' eps``
-    then certifies the round's residual over every column.  That bound
-    holds for the full problem, and a round whose full gap passes
-    ``cfg.tol`` ends the solve.  Otherwise the free columns outside W
+    ``tol`` from the last round's ``x``, with its step from
+    ``lipschitz`` when given (branch and bound passes ``_lipschitz`` of
+    the full matrix, which bounds every column subset) and from
+    ``_lipschitz(A[:, W])`` otherwise, and one product ``A' eps`` then
+    certifies the round's residual over every column.  That bound holds
+    for the full problem, and a round whose full gap passes ``tol``
+    ends the solve.  Otherwise the free columns outside W
     that lower the full bound join W, the highest-scoring |W| of them:
     for reg those with ``gamma delta_i > mu``, for card those above W's
     k-th largest free score, and when rounding leaves none, the
     highest-scoring outside columns.  A relaxation with no more free
     columns than the start runs as one round on all of them.
-    ``iterations`` sums the rounds, and ``cfg.max_iter`` caps that sum.
+    ``iterations`` sums the rounds, and ``_MAX_ITER`` caps that sum.
     The returned ``scores`` come from the product that priced the
     returned bound: the last round's ``A' eps``, or the one-round
     solve's final pair.
@@ -497,7 +486,7 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=N
     mask = None if n_one == 0 else free_mask
     inner, bound, par = (_ksupport_solve, _bound_card_terms, budget) if card else \
         (_berhu_solve, _bound_reg_terms, spec.mu)
-    max_iter = cfg.max_iter
+    max_iter = _MAX_ITER
     if n_free <= budget:
         max_iter, xa = 0, _ridge_full(a, y, spec.gamma)
     elif card or x_warm is None:
@@ -521,7 +510,7 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=N
         aw = a if whole else a[:, w]
         xw, eps, primal, lb, it, ok, d = inner(
             aw, y, spec.gamma, par, None if mask is None else free_mask[w],
-            _auto_lipschitz(aw, cfg), cfg.tol, max_iter - iters, xa[w],
+            _lipschitz(aw) if lipschitz is None else lipschitz, tol, max_iter - iters, xa[w],
         )
         iters += it
         xa = np.zeros(active.size)
@@ -532,7 +521,7 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=N
         d = _scores(a, eps)
         lb = bound(y, eps, d, spec.gamma, par, mask)
         stop = not (ok and math.isfinite(lb)) or iters >= max_iter  # diverged or out of iterations
-        ok = math.isfinite(primal) and math.isfinite(lb) and primal - lb <= cfg.tol * (1.0 + abs(primal))
+        ok = math.isfinite(primal) and math.isfinite(lb) and primal - lb <= tol * (1.0 + abs(primal))
         if ok or stop:
             break
         outside = ~in_w
@@ -561,8 +550,8 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, cfg: SolverConfig, x_warm=N
                          converged=ok, iterations=iters)
 
 
-def solve_cc(inst: Instance, gamma: float, k: int, cfg: Optional[SolverConfig] = None) -> RelaxSolution:
-    """Solve the card relaxation to a certified relative gap of ``cfg.tol``.
+def solve_cc(inst: Instance, gamma: float, k: int, tol: float = 1e-8) -> RelaxSolution:
+    """Solve the card relaxation to a certified relative gap of ``tol``, in (0, 1).
 
     The indicators are minimized out in closed form, leaving a ridge fit
     penalized by the squared k-support norm, which is solved by
@@ -571,8 +560,9 @@ def solve_cc(inst: Instance, gamma: float, k: int, cfg: Optional[SolverConfig] =
     runs.  ``z`` holds the indicators that attain that norm at ``x``:
     ``sum(z) = k`` when the budget binds, and ``z`` is the support
     indicator of ``x`` when it has at most ``k`` nonzeros.  If the gap
-    did not close within ``max_iter`` the final iterate is returned
-    with ``converged=False``; the bound is still valid.
+    did not close within ``_MAX_ITER`` APG iterations the final iterate
+    is returned with ``converged=False``; the bound is still valid.
     """
+    tol = _check_tol(tol)
     spec = _spec_for(inst.n, gamma, k=k)
-    return _relax(inst, spec, np.full(inst.n, FixState.FREE, dtype=np.int8), cfg or SolverConfig())
+    return _relax(inst, spec, np.full(inst.n, FixState.FREE, dtype=np.int8), tol)

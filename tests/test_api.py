@@ -45,9 +45,10 @@ def test_readme_quickstart_prints_what_it_says(capsys):
 
 def test_readme_library_api_lists_every_export():
     # a new export has to be documented, and a documented name exported,
-    # from the module its line names
+    # from the module its line names; the section's count follows them
     readme = (_ROOT / "README.md").read_text()
     section = readme.split("## Library API\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"exports these (\d+) names", section) == [str(len(l0screen.__all__))]
     listed = []
     for line in section.splitlines():
         if line.startswith("- `"):

@@ -222,7 +222,7 @@ class TestSolve:
         assert err.value.code == 2
 
     def test_takes_no_tol(self, dataset, capsys):
-        # B&B relaxes its nodes at its own tolerance and brute force relaxes nothing
+        # B&B relaxes its nodes at the default tolerance and brute force relaxes nothing
         with pytest.raises(SystemExit) as err:
             main(["solve", "--variant", "card", "--gamma", "0.8", "--k", "3",
                   "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv", "--tol", "1e-8"])
@@ -249,6 +249,16 @@ class TestSolve:
                   "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv",
                   "--forced-in", "99"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("method", ["bnb", "brute"])
+    def test_forced_in_beyond_the_card_budget_is_usage_error(self, dataset, capsys, method):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--variant", "card", "--gamma", "0.8", "--k", "2",
+                  "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv",
+                  "--forced-in", "0,1,2", "--method", method])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "3 variables fixed in but k=2" in captured.err
 
     def test_empty_forced_in_is_usage_error(self, dataset, capsys):
         with pytest.raises(SystemExit) as err:
@@ -399,6 +409,16 @@ class TestBench:
         assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"{flag} does not apply to --suite files" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--a", "--y"])
+    def test_synthetic_suite_rejects_file_flags(self, tmp_path, capsys, flag):
+        # rejected before the file is opened, so a missing one is a usage error too
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--suite", "synthetic", "--n", "12", "--m", "8", "--k-grid", "2",
+                  "--methods", "screen", flag, str(tmp_path / "missing.csv")])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{flag} does not apply to --suite synthetic" in captured.err
 
     def test_files_suite_rejects_k_0_before_any_output(self, dataset, capsys):
         with pytest.raises(SystemExit) as err:

@@ -3,9 +3,7 @@ import pytest
 
 from l0screen import (
     BnBConfig,
-    ConstraintViolationError,
     FixState,
-    Incumbent,
     InfeasibleError,
     Instance,
     InvalidInputError,
@@ -291,14 +289,6 @@ class TestBranchAndBound:
         assert stats.optimal
         assert stats.best.objective == pytest.approx(want.objective, rel=1e-12)
 
-    def test_warm_initial_incumbent_is_kept(self):
-        inst = random_instance(43, 8, 12)
-        spec = ProblemSpec.reg(1.0, 1.0)
-        want, optima = brute_force(inst, spec)
-        stats = branch_and_bound(inst, spec, initial=want)
-        assert stats.optimal
-        assert stats.best.objective <= want.objective + 1e-12
-
     def test_node_limit_degrades_gracefully(self):
         inst = random_instance(44, 10, 20)
         spec = ProblemSpec.card(2.0, 5)
@@ -342,34 +332,6 @@ class TestBranchAndBound:
         fixed = np.array([FixState.ONE, FixState.ONE], dtype=np.int8)
         with pytest.raises(InfeasibleError):
             branch_and_bound(tiny, ProblemSpec.card(1.0, 1), fixed=fixed)
-
-    def test_initial_over_card_budget_raises(self):
-        # six variables at k = 3, with an objective below every feasible one
-        inst = random_instance(48, 10, 12)
-        bad = Incumbent(support=(0, 1, 2, 3, 4, 5), x=np.zeros(12), objective=-1.0)
-        with pytest.raises(ConstraintViolationError, match="card budget"):
-            branch_and_bound(inst, ProblemSpec.card(1.0, 3), initial=bad)
-
-    @pytest.mark.parametrize("support, state", [((0, 2), FixState.ZERO), ((0,), FixState.ONE)],
-                             ids=["uses-fixed-out", "misses-fixed-in"])
-    def test_initial_breaking_the_fixes_raises(self, support, state):
-        inst = random_instance(48, 10, 12)
-        fixed = np.zeros(12, dtype=np.int8)
-        fixed[2] = state
-        bad = Incumbent(support=support, x=np.zeros(12), objective=-1.0)
-        with pytest.raises(ConstraintViolationError, match="fixes"):
-            branch_and_bound(inst, ProblemSpec.card(1.0, 3), initial=bad, fixed=fixed)
-
-    @pytest.mark.parametrize("spec", [ProblemSpec.card(1.0, 3), ProblemSpec.reg(1.0, 1.0)],
-                             ids=["card", "reg"])
-    def test_initial_objective_is_repriced(self, spec):
-        # a feasible support with a claimed objective below the optimum
-        # must not prune the optimum away
-        inst = random_instance(48, 10, 12)
-        want, _ = brute_force(inst, spec)
-        stats = branch_and_bound(inst, spec, initial=Incumbent((0, 1), np.zeros(12), -1.0))
-        assert stats.optimal
-        assert stats.best.objective == pytest.approx(want.objective, rel=1e-9)
 
     def test_anchor_cell_explores_27_nodes(self):
         # the benchmark's anchor: card, 60x120, k 5, gamma = 4 gamma0, data seed 0

@@ -12,7 +12,6 @@ from l0screen import (
     Instance,
     InvalidInputError,
     ProblemSpec,
-    SolverConfig,
     SyntheticSpec,
     Variant,
     branch_and_bound,
@@ -33,13 +32,13 @@ from l0screen import (
 from l0screen.exact import node_relaxation
 from l0screen.relax import (
     BerhuPenalty,
-    _auto_lipschitz,
     _berhu_solve,
     _bound_card_terms,
     _bound_reg_terms,
     _ksupport,
     _ksupport_prox,
     _ksupport_solve,
+    _lipschitz,
     _relax,
     berhu_value,
     operator_norm_sq,
@@ -82,7 +81,7 @@ class TestOperatorNorm:
     def test_auto_step_is_valid_at_500x5000(self):
         # APG's fixed step 1 / L needs L >= 2 ||A||^2, the gradient's Lipschitz constant
         inst, _ = generate(SyntheticSpec(n=5000, m=500, k_true=10, rho=0.5, snr=6, seed=1001))
-        assert _auto_lipschitz(inst.a, SolverConfig()) >= 2 * np.linalg.norm(inst.a, 2) ** 2
+        assert _lipschitz(inst.a) >= 2 * np.linalg.norm(inst.a, 2) ** 2
 
     @pytest.mark.parametrize("solve", [
         lambda inst: solve_cr(inst, 1.0, 1.0),
@@ -124,7 +123,7 @@ class TestCertifiedBoundReg:
         rng = np.random.default_rng(seed)
         gamma = float(rng.uniform(0.05, 20.0))
         mu = float(rng.uniform(0.05, 20.0))
-        sol = solve_cr(inst, gamma, mu, SolverConfig(tol=1e-10))
+        sol = solve_cr(inst, gamma, mu, tol=1e-10)
         for _ in range(5):
             eps = rng.standard_normal(8) * rng.uniform(0.1, 3.0)
             lb = certified_lower_bound_reg(inst, gamma, mu, eps)
@@ -153,7 +152,7 @@ class TestCertifiedBoundCard:
         rng = np.random.default_rng(200 + seed)
         gamma = float(rng.uniform(0.05, 20.0))
         k = int(rng.integers(1, 12))
-        sol = solve_cc(inst, gamma, k, SolverConfig(tol=1e-10))
+        sol = solve_cc(inst, gamma, k, tol=1e-10)
         for _ in range(5):
             eps = rng.standard_normal(8) * rng.uniform(0.1, 3.0)
             lb = certified_lower_bound_card(inst, gamma, k, eps)
@@ -246,7 +245,7 @@ class TestSolveCr:
     ])
     def test_matches_zgrid_oracle(self, seed, gamma, mu):
         inst = random_instance(seed, 5, 2)
-        sol = solve_cr(inst, gamma, mu, SolverConfig(tol=1e-10))
+        sol = solve_cr(inst, gamma, mu, tol=1e-10)
         want = relax_value_grid(inst.a, inst.y, gamma, mu=mu)
         # the grid can only overshoot the true optimum
         assert sol.objective <= want + 1e-7
@@ -258,7 +257,7 @@ class TestSolveCr:
         rng = np.random.default_rng(seed)
         gamma = float(rng.uniform(0.05, 20.0))
         mu = float(rng.uniform(0.05, 20.0))
-        sol = solve_cr(inst, gamma, mu, SolverConfig(tol=1e-9))
+        sol = solve_cr(inst, gamma, mu, tol=1e-9)
         assert sol.converged
         assert sol.gap <= 1e-9 * (1.0 + abs(sol.objective))
         assert sol.lower_bound <= sol.objective + 1e-12
@@ -288,7 +287,7 @@ class TestSolveCc:
     ])
     def test_matches_zgrid_oracle(self, seed, gamma, k):
         inst = random_instance(seed, 5, 2)
-        sol = solve_cc(inst, gamma, k, SolverConfig(tol=1e-10))
+        sol = solve_cc(inst, gamma, k, tol=1e-10)
         want = relax_value_grid(inst.a, inst.y, gamma, k=k)
         assert sol.objective <= want + 1e-7
         assert want - sol.objective <= 1e-5 * (1.0 + abs(want))
@@ -299,7 +298,7 @@ class TestSolveCc:
         rng = np.random.default_rng(300 + seed)
         gamma = float(rng.uniform(0.05, 20.0))
         k = int(rng.integers(1, 15))
-        sol = solve_cc(inst, gamma, k, SolverConfig(tol=1e-9))
+        sol = solve_cc(inst, gamma, k, tol=1e-9)
         assert sol.converged
         assert sol.gap <= 1e-9 * (1.0 + abs(sol.objective))
         assert sol.lower_bound <= sol.objective + 1e-12
@@ -307,13 +306,13 @@ class TestSolveCc:
     def test_budget_respected_by_indicator_mass(self):
         for seed in range(5):
             inst = random_instance(seed, 10, 25)
-            sol = solve_cc(inst, 1.5, 4, SolverConfig(tol=1e-9))
+            sol = solve_cc(inst, 1.5, 4, tol=1e-9)
             assert float(np.sum(sol.z)) <= 4 + 1e-6
 
     def test_binding_budget_spends_exactly_k(self):
         for seed in range(5):
             inst = random_instance(seed, 10, 25)
-            sol = solve_cc(inst, 1.5, 4, SolverConfig(tol=1e-9))
+            sol = solve_cc(inst, 1.5, 4, tol=1e-9)
             assert np.count_nonzero(sol.x) > 4
             assert float(np.sum(sol.z)) == pytest.approx(4.0, abs=1e-12)
 
@@ -333,30 +332,30 @@ class TestSolveCc:
             solve_cc(tiny, 1.0, 3)
 
 
-@pytest.mark.parametrize("solve", [
-    lambda inst, cfg: solve_cr(inst, 1.0, 0.5, cfg),
-    lambda inst, cfg: solve_cc(inst, 1.0, 3, cfg),
-], ids=["solve_cr", "solve_cc"])
-def test_diverged_run_is_not_converged(solve):
+# the relaxations solve_cr and solve_cc run, with every variable free
+_FREE_SPECS = [ProblemSpec.reg(1.0, 0.5), ProblemSpec.card(1.0, 3)]
+
+
+def _diverged(monkeypatch, spec, n):
     # a step 1 / L far above 1 / (2 ||A||^2) makes APG diverge
+    monkeypatch.setattr(relax, "_MAX_ITER", 5000)
     rng = np.random.default_rng(0)
-    inst = Instance(rng.standard_normal((8, 12)), rng.standard_normal(8))
+    inst = Instance(rng.standard_normal((8, n)), rng.standard_normal(8))
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve(inst, SolverConfig(lipschitz=1e-3, max_iter=5000))
+        return _relax(inst, spec, np.full(n, FixState.FREE, dtype=np.int8), lipschitz=1e-3)
+
+
+@pytest.mark.parametrize("spec", _FREE_SPECS, ids=["solve_cr", "solve_cc"])
+def test_diverged_run_is_not_converged(monkeypatch, spec):
+    sol = _diverged(monkeypatch, spec, 12)
     assert not sol.converged
     assert sol.iterations < 5000
 
 
-@pytest.mark.parametrize("solve", [
-    lambda inst, cfg: solve_cr(inst, 1.0, 0.5, cfg),
-    lambda inst, cfg: solve_cc(inst, 1.0, 3, cfg),
-], ids=["solve_cr", "solve_cc"])
-def test_diverged_working_set_run_is_not_converged(solve):
+@pytest.mark.parametrize("spec", _FREE_SPECS, ids=["solve_cr", "solve_cc"])
+def test_diverged_working_set_run_is_not_converged(monkeypatch, spec):
     # more columns than the working set starts with
-    rng = np.random.default_rng(0)
-    inst = Instance(rng.standard_normal((8, 300)), rng.standard_normal(8))
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve(inst, SolverConfig(lipschitz=1e-3, max_iter=5000))
+    sol = _diverged(monkeypatch, spec, 300)
     assert not sol.converged
     assert sol.iterations < 5000
 
@@ -396,20 +395,20 @@ def test_relaxation_never_exceeds_any_support_value(seed):
     inst = Instance(rng.standard_normal((m, n)), rng.standard_normal(m))
     gamma = float(rng.uniform(0.1, 10.0))
     mu = float(rng.uniform(0.1, 10.0))
-    sol = solve_cr(inst, gamma, mu, SolverConfig(tol=1e-9))
+    sol = solve_cr(inst, gamma, mu, tol=1e-9)
     sup = [int(i) for i in rng.choice(n, size=2, replace=False)]
     _, val = ridge_ls(inst.a[:, sup], inst.y, gamma)
     assert sol.lower_bound <= val + mu * len(sup) + 1e-7
 
 
-@pytest.mark.parametrize("lipschitz", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, 1.0, -1.0], ids=["nan", "inf", "0", "1", "-1"])
 @pytest.mark.parametrize("solve", [
-    lambda inst, cfg: solve_cr(inst, 1.0, 0.5, cfg),
-    lambda inst, cfg: solve_cc(inst, 1.0, 1, cfg),
+    lambda inst, tol: solve_cr(inst, 1.0, 0.5, tol),
+    lambda inst, tol: solve_cc(inst, 1.0, 1, tol=tol),
 ], ids=["solve_cr", "solve_cc"])
-def test_non_finite_lipschitz_is_rejected(tiny, solve, lipschitz):
-    with pytest.raises(InvalidInputError, match="lipschitz"):
-        solve(tiny, SolverConfig(lipschitz=lipschitz))
+def test_tol_outside_the_open_unit_interval_is_rejected(tiny, solve, tol):
+    with pytest.raises(InvalidInputError, match="tol"):
+        solve(tiny, tol)
 
 
 class _CountingMatrix:
@@ -490,7 +489,7 @@ class TestApgLoop:
         inst, spec, fixes = _apg_case(variant, fixed_in, m, n)
         # one round on every column, so eps is y - A x as the loop formed it
         monkeypatch.setattr(relax, "_WS_START", inst.n)
-        sol = _relax(inst, spec, fixes, SolverConfig())
+        sol = _relax(inst, spec, fixes)
         assert sol.converged and sol.iterations > 1
         np.testing.assert_array_equal(sol.epsilon, inst.y - inst.a @ sol.x)
         _assert_certificate(inst, spec, fixes, sol)
@@ -499,7 +498,7 @@ class TestApgLoop:
     def test_working_set_iterate_carries_the_full_certificate(self, monkeypatch, variant, fixed_in, m, n):
         inst, spec, fixes = _apg_case(variant, fixed_in, m, n)
         widths = _count_rounds(monkeypatch, variant)
-        sol = _relax(inst, spec, fixes, SolverConfig())
+        sol = _relax(inst, spec, fixes)
         assert widths[0] < inst.n
         assert sol.converged and sol.iterations > 1
         # eps is y - A[:, W] x_W, which is y - A x up to the order of the sums
@@ -507,10 +506,11 @@ class TestApgLoop:
         _assert_certificate(inst, spec, fixes, sol)
 
     @pytest.mark.parametrize("variant,fixed_in,m,n", _APG_CASES)
-    def test_stops_at_the_first_iterate_whose_gap_passes(self, variant, fixed_in, m, n):
+    def test_stops_at_the_first_iterate_whose_gap_passes(self, monkeypatch, variant, fixed_in, m, n):
         inst, spec, fixes = _apg_case(variant, fixed_in, m, n)
-        iters = _relax(inst, spec, fixes, SolverConfig()).iterations
-        short = _relax(inst, spec, fixes, SolverConfig(max_iter=iters - 1))
+        iters = _relax(inst, spec, fixes).iterations
+        monkeypatch.setattr(relax, "_MAX_ITER", iters - 1)
+        short = _relax(inst, spec, fixes)
         assert not short.converged
         assert short.iterations == iters - 1
 
@@ -519,7 +519,7 @@ class TestApgLoop:
         inst, spec, _ = _apg_case(variant, False, 60, 120)
         calls = []
         a = _CountingMatrix(inst.a, calls)
-        lip = _auto_lipschitz(inst.a, SolverConfig())
+        lip = _lipschitz(inst.a)
         x0 = np.zeros(inst.n)
         if variant == "card":
             res = _ksupport_solve(a, inst.y, spec.gamma, spec.k, None, lip, 1e-8, 50_000, x0)
@@ -678,16 +678,15 @@ class TestWorkingSet:
     @pytest.mark.parametrize("seed", range(3))
     def test_rounds_match_the_one_round_solve(self, monkeypatch, start, variant, fixed_in, seed):
         inst, spec, fixes = _ws_case(variant, fixed_in, seed, 24)
-        cfg = SolverConfig()
         monkeypatch.setattr(relax, "_WS_START", inst.n)
-        whole = _relax(inst, spec, fixes, cfg)
+        whole = _relax(inst, spec, fixes)
         widths = _count_rounds(monkeypatch, variant)
         monkeypatch.setattr(relax, "_WS_START", start)
-        sol = _relax(inst, spec, fixes, cfg)
+        sol = _relax(inst, spec, fixes)
         assert len(widths) > 1 and widths == sorted(widths) and widths[-1] <= inst.n
         assert sol.converged
         assert sol.lower_bound == _full_bound(inst, spec, fixes, sol.epsilon)
-        slack = cfg.tol * (1.0 + abs(whole.objective))
+        slack = 1e-8 * (1.0 + abs(whole.objective))
         assert abs(sol.objective - whole.objective) <= slack
         assert abs(sol.lower_bound - whole.lower_bound) <= slack
 
@@ -695,9 +694,10 @@ class TestWorkingSet:
     def test_max_iter_inside_a_round_returns_the_full_bound(self, monkeypatch, variant, fixed_in):
         inst, spec, fixes = _ws_case(variant, fixed_in, 0, 24)
         monkeypatch.setattr(relax, "_WS_START", 1)
-        iters = _relax(inst, spec, fixes, SolverConfig()).iterations
+        iters = _relax(inst, spec, fixes).iterations
         for max_iter in (1, iters - 1):
-            short = _relax(inst, spec, fixes, SolverConfig(max_iter=max_iter))
+            monkeypatch.setattr(relax, "_MAX_ITER", max_iter)
+            short = _relax(inst, spec, fixes)
             assert not short.converged
             assert short.iterations == max_iter
             assert short.lower_bound == _full_bound(inst, spec, fixes, short.epsilon)
@@ -763,3 +763,42 @@ class TestWorkingSet:
                 fired += _safe_fixes(screen_card(inst, gamma, 3, rel, zeta), optima)
             monkeypatch.undo()
         assert fired > 0
+
+
+def _count_norms(monkeypatch):
+    """Patch ``relax.operator_norm_sq`` to record the shape of each matrix it prices."""
+    inner = relax.operator_norm_sq
+    shapes = []
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return inner(a)
+
+    monkeypatch.setattr(relax, "operator_norm_sq", counted)
+    return shapes
+
+
+class TestLipschitzValue:
+    @pytest.mark.parametrize("spec", [ProblemSpec.card(0.8, 3), ProblemSpec.reg(0.8, 0.5)],
+                             ids=["card", "reg"])
+    def test_branch_and_bound_prices_the_full_matrix_once(self, monkeypatch, spec):
+        inst = random_instance(41, 9, 14)
+        shapes = _count_norms(monkeypatch)
+        stats = branch_and_bound(inst, spec)
+        assert stats.optimal and stats.nodes_explored > 1
+        assert shapes == [inst.a.shape]
+
+    @pytest.mark.parametrize("case,start", [
+        pytest.param(lambda v: _ws_case(v, False, 0, 24), 1, id="rounds"),
+        pytest.param(lambda v: _apg_case(v, False, 60, 120), None, id="default-start"),
+    ])
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_solve_prices_each_working_set_once(self, monkeypatch, variant, case, start):
+        inst, spec, _ = case(variant)
+        if start is not None:
+            monkeypatch.setattr(relax, "_WS_START", start)
+        widths = _count_rounds(monkeypatch, variant)
+        shapes = _count_norms(monkeypatch)
+        _solve(inst, spec)
+        assert widths[0] < inst.n
+        assert shapes == [(inst.m, w) for w in widths]

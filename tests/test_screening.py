@@ -11,7 +11,6 @@ from l0screen import (
     InvalidInputError,
     ProblemSpec,
     ScreenReport,
-    SolverConfig,
     SyntheticSpec,
     Variant,
     brute_force,
@@ -165,7 +164,7 @@ def _minus_inf_instance():
 
 class TestScreenReg:
     def test_worked_example_fixes_everything(self, tiny):
-        sol = solve_cr(tiny, 1.0, 1.0, SolverConfig(tol=1e-10))
+        sol = solve_cr(tiny, 1.0, 1.0, tol=1e-10)
         rep = screen_reg(tiny, 1.0, 1.0, sol, 5.51)
         assert rep.fixes[0] == FixState.ONE
         assert rep.fixes[1] == FixState.ZERO
@@ -215,7 +214,7 @@ class TestScreenReg:
 
 class TestScreenCard:
     def test_worked_example_fixes_everything(self, tiny):
-        sol = solve_cc(tiny, 1.0, 1, SolverConfig(tol=1e-10))
+        sol = solve_cc(tiny, 1.0, 1, tol=1e-10)
         rep = screen_card(tiny, 1.0, 1, sol, 4.51)
         assert rep.fixes[0] == FixState.ONE
         assert rep.fixes[1] == FixState.ZERO
@@ -231,7 +230,7 @@ class TestScreenCard:
         assert rep.n_free == 2
 
     def test_full_budget_never_fixes_out(self, tiny):
-        sol = solve_cc(tiny, 1.0, 2, SolverConfig(tol=1e-10))
+        sol = solve_cc(tiny, 1.0, 2, tol=1e-10)
         rep = screen_card(tiny, 1.0, 2, sol, sol.objective)
         assert rep.n_zero == 0
         # the whole-support optimum keeps both columns, so fixing in is safe
