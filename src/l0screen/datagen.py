@@ -96,17 +96,27 @@ def _parse_cell(cell: str, line_no: int) -> float:
     return v
 
 
-def _read_rows(path: str) -> list[list[float]]:
+def _read_rows(path: str) -> list[np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     while lines and lines[-1].rstrip("\r") == "":
         lines.pop()
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     for line_no, line in enumerate(lines, start=1):
         stripped = line.rstrip("\r")
         if stripped == "":
             raise CsvParseError("empty line", line_no)
-        rows.append([_parse_cell(c, line_no) for c in stripped.split(",")])
+        cells = stripped.split(",")
+        # numpy converts each string as float() does; the per-cell parse
+        # only runs on a bad line, to name its first bad cell
+        try:
+            row = np.array(cells, dtype=float)
+            ok = bool(np.isfinite(row).all())
+        except ValueError:
+            ok = False
+        if not ok:
+            row = np.array([_parse_cell(c, line_no) for c in cells])
+        rows.append(row)
     if not rows:
         raise CsvParseError("file is empty", 1)
     return rows
@@ -128,13 +138,14 @@ def load_csv(path_a: str, path_y: str) -> Instance:
             f"dimension mismatch: matrix has {len(rows)} rows, response has {len(yrows)}",
             len(yrows),
         )
-    return Instance(np.array(rows, dtype=float), np.array([r[0] for r in yrows]))
+    return Instance(np.vstack(rows), np.concatenate(yrows))
 
 
 def _write_matrix(path: str, arr: np.ndarray):
+    # repr of a Python float is the shortest string that reads back bit-exactly
     with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(arr):
-            fh.write(",".join(repr(float(v)) for v in row))
+        for row in np.atleast_2d(arr).tolist():
+            fh.write(",".join(map(repr, row)))
             fh.write("\n")
 
 

@@ -488,7 +488,8 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
         (_berhu_solve, _bound_reg_terms, spec.mu)
     max_iter = _MAX_ITER
     if n_free <= budget:
-        max_iter, xa = 0, _ridge_full(a, y, spec.gamma)
+        # APG takes no step, so any positive Lipschitz value will do
+        max_iter, xa, lipschitz = 0, _ridge_full(a, y, spec.gamma), 1.0
     elif card or x_warm is None:
         xa = np.zeros(active.size)
     else:

@@ -61,7 +61,7 @@ RUN_REPORT_SCHEMA = {
                 "zeta_bar": _NUMBER,
                 "fixes": {
                     "type": "array",
-                    "items": {"type": "string", "enum": ["free", "zero", "one"]},
+                    "items": {"enum": ["free", "zero", "one"]},
                 },
             },
         },

@@ -207,3 +207,62 @@ def screening_masks(delta, lower, gamma, zeta_bar, slack, mu=None, k=None):
     out = (d <= dk1) & (lower - gamma * (d - dk) - slack > zeta_bar)
     into = (d >= dk) & (lower + gamma * (d - dk1_bound) - slack > zeta_bar)
     return out, into
+
+
+class CsvOracleError(ValueError):
+    """A rejection by ``load_csv_per_cell``: the message and its 1-based line."""
+
+    def __init__(self, message, line):
+        super().__init__(message)
+        self.message = message
+        self.line = line
+
+
+def _parse_cell_once(cell, line_no):
+    try:
+        v = float(cell)
+    except ValueError:
+        raise CsvOracleError(f"non-numeric cell {cell!r}", line_no) from None
+    if not math.isfinite(v):
+        raise CsvOracleError(f"non-finite cell {cell!r}", line_no)
+    return v
+
+
+def _read_rows_per_cell(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    while lines and lines[-1].rstrip("\r") == "":
+        lines.pop()
+    rows = []
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.rstrip("\r")
+        if stripped == "":
+            raise CsvOracleError("empty line", line_no)
+        rows.append([_parse_cell_once(c, line_no) for c in stripped.split(",")])
+    if not rows:
+        raise CsvOracleError("file is empty", 1)
+    return rows
+
+
+def load_csv_per_cell(path_a, path_y):
+    """The CSV loader as a Python loop over cells, one ``float()`` each.
+
+    Returns ``(a, y)`` or raises CsvOracleError, in the order that
+    ``datagen.load_csv`` checks: every matrix line, row widths, every
+    response line, response widths, then the row counts.
+    """
+    rows = _read_rows_per_cell(path_a)
+    width = len(rows[0])
+    for i, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise CsvOracleError(f"ragged row: {len(row)} cells, expected {width}", i)
+    yrows = _read_rows_per_cell(path_y)
+    for i, row in enumerate(yrows, start=1):
+        if len(row) != 1:
+            raise CsvOracleError(f"response rows must have one value, got {len(row)}", i)
+    if len(yrows) != len(rows):
+        raise CsvOracleError(
+            f"dimension mismatch: matrix has {len(rows)} rows, response has {len(yrows)}",
+            len(yrows),
+        )
+    return np.array(rows, dtype=float), np.array([r[0] for r in yrows])

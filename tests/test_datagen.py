@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l0screen import (
     CsvParseError,
@@ -13,7 +15,9 @@ from l0screen import (
     load_csv,
     save_dataset,
 )
-from l0screen.datagen import GENERATOR_NAME, true_support_indices
+from l0screen.datagen import GENERATOR_NAME, _read_rows, _write_matrix, true_support_indices
+
+from ._oracles import CsvOracleError, load_csv_per_cell
 
 
 class TestSyntheticSpec:
@@ -166,8 +170,10 @@ class TestCsvErrors:
     def test_non_finite_cell(self, tmp_path):
         (tmp_path / "A.csv").write_text("1,0\n0,inf\n")
         (tmp_path / "y.csv").write_text("3\n0.1\n")
-        with pytest.raises(CsvParseError):
+        with pytest.raises(CsvParseError) as err:
             load_csv(str(tmp_path / "A.csv"), str(tmp_path / "y.csv"))
+        assert err.value.line == 2
+        assert "non-finite cell 'inf'" in str(err.value)
 
     def test_wide_response_rejected(self, tmp_path):
         (tmp_path / "A.csv").write_text("1,0\n0,1\n")
@@ -204,3 +210,122 @@ class TestCsvErrors:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(str(tmp_path / "missing.csv"), str(tmp_path / "also.csv"))
+
+    def test_first_bad_cell_in_a_line_is_reported(self, tmp_path):
+        (tmp_path / "A.csv").write_text("1,0,2\n1,inf,x\n")
+        (tmp_path / "y.csv").write_text("3\n0.1\n")
+        with pytest.raises(CsvParseError) as err:
+            load_csv(str(tmp_path / "A.csv"), str(tmp_path / "y.csv"))
+        assert err.value.line == 2
+        assert "non-finite cell 'inf'" in str(err.value)
+
+    def test_bad_cell_reported_before_an_earlier_ragged_row(self, tmp_path):
+        # every line is parsed before the widths are compared
+        (tmp_path / "A.csv").write_text("1,0\n0\n0,x\n")
+        (tmp_path / "y.csv").write_text("3\n0.1\n7\n")
+        with pytest.raises(CsvParseError) as err:
+            load_csv(str(tmp_path / "A.csv"), str(tmp_path / "y.csv"))
+        assert err.value.line == 3
+        assert "non-numeric cell 'x'" in str(err.value)
+
+    def test_bad_cell_deep_in_the_file(self, tmp_path):
+        lines = ["1.5,-2,0.25"] * 200
+        lines[149] = "1.5,?,0.25"
+        (tmp_path / "A.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "y.csv").write_text("1\n" * 200)
+        with pytest.raises(CsvParseError) as err:
+            load_csv(str(tmp_path / "A.csv"), str(tmp_path / "y.csv"))
+        assert err.value.line == 150
+        assert "non-numeric cell '?'" in str(err.value)
+
+
+class TestCsvBytes:
+    def test_extreme_values_round_trip_bit_exactly(self, tmp_path):
+        # the largest magnitudes overflow Instance's norm check, so this
+        # runs the CSV layer itself in both directions
+        vals = np.array([[-0.0, 5e-324, 2.2250738585072014e-308],
+                         [1.7976931348623157e308, -1.7976931348623157e308, -5e-324]])
+        path = str(tmp_path / "A.csv")
+        _write_matrix(path, vals)
+        back = np.vstack(_read_rows(path))
+        assert back.tobytes() == vals.tobytes()
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 5), (4, 1)])
+    def test_thin_shapes_round_trip(self, tmp_path, m, n):
+        rng = np.random.default_rng(m * 10 + n)
+        inst = Instance(rng.standard_normal((m, n)), -rng.standard_normal(m))
+        save_dataset(str(tmp_path), inst, {})
+        back = load_csv(str(tmp_path / "A.csv"), str(tmp_path / "y.csv"))
+        assert back.a.shape == (m, n)
+        assert back.a.tobytes() == inst.a.tobytes()
+        assert back.y.tobytes() == inst.y.tobytes()
+
+    def test_writer_golden_bytes(self, tmp_path):
+        inst = Instance(np.array([[-0.0, 0.1, 1e-300], [5e-324, 1.0, -2.5]]), np.array([0.1, -0.0]))
+        save_dataset(str(tmp_path), inst, {})
+        assert (tmp_path / "A.csv").read_bytes() == b"-0.0,0.1,1e-300\n5e-324,1.0,-2.5\n"
+        assert (tmp_path / "y.csv").read_bytes() == b"0.1\n-0.0\n"
+
+
+_GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1_0", " 2", "１"]),
+)
+_CELLS = st.one_of(_GOOD_CELLS, st.sampled_from(["nan", "inf", "x", ""]))
+
+
+@st.composite
+def _csv_text(draw, rows, width):
+    """``rows`` lines of ``width`` cells that parse or, in one file of
+    four, lines of random count and width with any cells and maybe a
+    blank line; over a third of the file pairs then load."""
+    if draw(st.integers(0, 3)) > 0:
+        lines = draw(st.lists(st.lists(_GOOD_CELLS, min_size=width, max_size=width),
+                              min_size=rows, max_size=rows))
+        lines = [",".join(r) for r in lines]
+    else:
+        widths = st.integers(1, 4).flatmap(lambda w: st.lists(_CELLS, min_size=w, max_size=w))
+        lines = [",".join(r) for r in draw(st.lists(widths, min_size=1, max_size=5))]
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), "")
+    end = draw(st.sampled_from(["", "\n", "\n\n", "\r\n"]))
+    return "\n".join(lines) + end
+
+
+@st.composite
+def _csv_pair(draw):
+    m = draw(st.integers(1, 5))
+    return draw(_csv_text(m, draw(st.integers(1, 4)))), draw(_csv_text(m, 1))
+
+
+class TestCsvParity:
+    @settings(max_examples=300, deadline=None)
+    @given(texts=_csv_pair())
+    def test_load_csv_matches_the_per_cell_loader(self, tmp_path_factory, texts):
+        text_a, text_y = texts
+        d = tmp_path_factory.mktemp("csv")
+        path_a, path_y = str(d / "A.csv"), str(d / "y.csv")
+        with open(path_a, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text_a)
+        with open(path_y, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text_y)
+        try:
+            want = load_csv_per_cell(path_a, path_y)
+        except CsvOracleError as err:
+            with pytest.raises(CsvParseError) as got:
+                load_csv(path_a, path_y)
+            assert got.value.line == err.line
+            assert str(got.value) == f"line {err.line}: {err.message}"
+            return
+        try:
+            want = Instance(*want)
+        except InvalidInputError as err:
+            # finite cells whose squares overflow are Instance's to reject
+            with pytest.raises(InvalidInputError) as got:
+                load_csv(path_a, path_y)
+            assert str(got.value) == str(err)
+            return
+        got = load_csv(path_a, path_y)
+        assert got.a.shape == want.a.shape
+        assert got.a.tobytes() == want.a.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()

@@ -802,3 +802,22 @@ class TestLipschitzValue:
         _solve(inst, spec)
         assert widths[0] < inst.n
         assert shapes == [(inst.m, w) for w in widths]
+
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_closed_form_prices_no_matrix(self, monkeypatch, variant):
+        # every variable of solve_cr is free, so its closed form never
+        # applies; a reg relaxation with every variable fixed in does
+        inst = random_instance(43, 8, 6)
+        if variant == "card":
+            spec, fixes = ProblemSpec.card(0.8, inst.n), np.full(inst.n, FixState.FREE, dtype=np.int8)
+            run = lambda: solve_cc(inst, spec.gamma, spec.k)
+        else:
+            spec, fixes = ProblemSpec.reg(0.8, 0.5), np.full(inst.n, FixState.ONE, dtype=np.int8)
+            run = lambda: _relax(inst, spec, fixes)
+        priced = _relax(inst, spec, fixes, lipschitz=_lipschitz(inst.a))
+        shapes = _count_norms(monkeypatch)
+        sol = run()
+        assert shapes == []
+        assert sol.iterations == priced.iterations == 0
+        assert sol.lower_bound == priced.lower_bound
+        np.testing.assert_array_equal(sol.x, priced.x)

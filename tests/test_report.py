@@ -32,6 +32,10 @@ class TestRunReport:
             lambda r: r.update(command="explode"),
             lambda r: r["spec"].update(gamma=-1.0),
             lambda r: r["screen"].update(fixes=["one", "maybe"]),
+            lambda r: r["screen"].update(fixes=["one", 0]),
+            lambda r: r["screen"].update(fixes=["one", None]),
+            lambda r: r["screen"].update(fixes=["one", "FREE"]),
+            lambda r: r["screen"].update(fixes=["one", ""]),
             lambda r: r.update(extra_top_level=1),
             lambda r: r["timings_ms"].update(relax=-5.0),
         ],
