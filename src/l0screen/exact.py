@@ -186,8 +186,9 @@ def branch_and_bound(
     Every popped node gets a relaxation solve, a rounding pass to
     tighten the incumbent, a prune test against ``zeta_bar - 1e-9``
     and, with ``cfg.screen_at_root`` on, a screening pass; it then
-    branches on the free variable of largest score.  Rounding,
-    screening and branching read the scores the relaxation returns.
+    branches on the free variable of largest score.  Screening,
+    branching and card rounding read the scores the relaxation returns;
+    reg rounding reads its indicators ``z``.
     Node counts are deterministic for a fixed config and instance.
     ``optimal`` is True only when the search space was exhausted
     within the limits.  Every node relaxes at the default tolerance,
@@ -225,7 +226,7 @@ def branch_and_bound(
         nodes_explored += 1
         node_lb = max(bound, rel.lower_bound)
 
-        cand = _node_round(inst, spec, fixes, rel.scores)
+        cand = _node_round(inst, spec, fixes, rel.scores if spec.variant is Variant.CARD else rel.z)
         if cand.objective < zeta_bar:
             incumbent, zeta_bar = cand, cand.objective
 

@@ -1,7 +1,9 @@
 """Feasible incumbents from relaxation output.
 
-Rounding reads the support off the scores the relaxation returns with
-its residual and refits ridge coefficients on it.  These incumbents
+Rounding reads a support off the relaxation's output and refits ridge
+coefficients on it: card keeps the variables of best score, the scores
+the relaxation returns with its residual, and reg keeps those whose
+relaxed indicator ``z_i`` is at least 1/2.  These incumbents
 supply the upper bounds the screening rules and branch-and-bound
 pruning run on.  Branch and bound rounds every node through
 ``_node_round``, the same code ``round_card`` and ``round_reg`` run with
@@ -19,7 +21,7 @@ from .problem import (
     ProblemSpec,
     Variant,
     _check_residual,
-    _check_scores,
+    _check_length,
     _spec_for,
     ridge_restricted_solve,
 )
@@ -48,20 +50,22 @@ def _evaluate(inst: Instance, spec: ProblemSpec, support) -> Incumbent:
     return Incumbent(support=support, x=x, objective=value)
 
 
-def _node_round(inst: Instance, spec: ProblemSpec, fixes, delta) -> Incumbent:
-    """Round the scores ``delta`` to a support that honors ``fixes``, and refit.
+def _node_round(inst: Instance, spec: ProblemSpec, fixes, key) -> Incumbent:
+    """Round ``key`` to a support that honors ``fixes``, and refit.
 
-    Fixed-in variables are always kept.  Card fills the budget they
-    leave with the best-scoring free variables, ties toward the lower
-    index; reg adds every free variable with ``gamma delta_i >= mu``.
+    ``key`` holds the scores ``delta`` for card and the relaxed
+    indicators ``z`` for reg.  Fixed-in variables are always kept.
+    Card fills the budget they leave with the best-scoring free
+    variables, ties toward the lower index; reg adds every free
+    variable with ``z_i >= 1/2``.
     """
     one_idx = np.flatnonzero(fixes == FixState.ONE)
     free_idx = np.flatnonzero(fixes == FixState.FREE)
     if spec.variant is Variant.CARD:
-        order = np.argsort(-delta[free_idx], kind="stable")
+        order = np.argsort(-key[free_idx], kind="stable")
         picked = free_idx[order[: max(spec.k - one_idx.size, 0)]]
     else:
-        picked = free_idx[spec.gamma * delta[free_idx] >= spec.mu]
+        picked = free_idx[key[free_idx] >= 0.5]
     return _evaluate(inst, spec, np.concatenate([one_idx, picked]))
 
 
@@ -73,16 +77,18 @@ def round_card(inst: Instance, gamma: float, k: int, relax: RelaxSolution) -> In
     spec = _spec_for(inst.n, gamma, k=k)
     _check_residual(inst, relax.epsilon)
     free = np.full(inst.n, FixState.FREE, dtype=np.int8)
-    return _node_round(inst, spec, free, _check_scores(inst, relax.scores))
+    return _node_round(inst, spec, free, _check_length(inst, relax.scores, "scores"))
 
 
 def round_reg(inst: Instance, gamma: float, mu: float, relax: RelaxSolution) -> Incumbent:
-    """Keep every variable whose score clears the selection price.
+    """Keep every variable whose relaxed indicator is at least 1/2, and refit.
 
-    The support is ``{i : gamma delta_i >= mu}`` over the scores
-    ``relax.scores``; when it is empty the zero solution is returned.
+    The support is ``{i : z_i >= 1/2}`` over ``relax.z``; when it is
+    empty the zero solution is returned.  At the relaxation's optimum
+    every linear-branch variable has ``gamma delta_i = mu`` exactly, so
+    the scores cannot separate them, while ``z`` still can.
     """
     spec = _spec_for(inst.n, gamma, mu=mu)
     _check_residual(inst, relax.epsilon)
     free = np.full(inst.n, FixState.FREE, dtype=np.int8)
-    return _node_round(inst, spec, free, _check_scores(inst, relax.scores))
+    return _node_round(inst, spec, free, _check_length(inst, relax.z, "indicators z"))

@@ -223,11 +223,14 @@ def _check_residual(inst: Instance, epsilon_bar) -> np.ndarray:
     return eps
 
 
-def _check_scores(inst: Instance, scores) -> np.ndarray:
-    """Scores as a float vector, after checking that they have ``inst.n`` entries."""
-    d = np.asarray(scores, dtype=float).ravel()
+def _check_length(inst: Instance, values, what: str) -> np.ndarray:
+    """A per-variable vector as floats, after checking that it has ``inst.n`` entries.
+
+    ``what`` names the vector in the error, as a plural: "scores".
+    """
+    d = np.asarray(values, dtype=float).ravel()
     if d.shape[0] != inst.n:
-        raise InvalidInputError(f"scores have length {d.shape[0]}, expected {inst.n}")
+        raise InvalidInputError(f"{what} have length {d.shape[0]}, expected {inst.n}")
     return d
 
 

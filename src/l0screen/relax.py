@@ -8,9 +8,11 @@ reverse-Huber (Berhu) penalty: linear near the origin, quadratic past
 over ``sum(z) <= k`` is the squared k-support norm (Argyriou, Foygel
 and Srebro, 2012), whose prox costs one sort.  Both relaxations are
 solved by an accelerated proximal gradient method with adaptive
-restart.  Every residual ``eps = y - A x`` yields a dual-feasible point
-and hence a certified lower bound, valid whether or not the iteration
-has converged; termination is decided by the certified gap itself.
+restart; the reg relaxation also tries an exact solve on the pattern
+its iterates settle on (``_berhu_solve``).  Every residual
+``eps = y - A x`` yields a dual-feasible point and hence a certified
+lower bound, valid whether or not the iteration has converged;
+termination is decided by the certified gap itself.
 Each iteration takes one product pair, ``A x - y`` and ``A'`` of it,
 at its new iterate; the same pair gives that iterate's certificate and
 the next gradient, so every iterate's gap is tested.
@@ -112,9 +114,9 @@ class RelaxSolution:
 
     ``scores`` holds ``delta_i = (a_i' epsilon)^2`` for every column the
     relaxation kept, taken from the product its certificate already
-    priced; columns fixed out of a node relaxation read 0.  Rounding,
-    the screening rules and branching read them in place of a new
-    product with ``A``.
+    priced; columns fixed out of a node relaxation read 0.  Card
+    rounding, the screening rules and branching read them in place of a
+    new product with ``A``; reg rounding reads ``z``.
     """
 
     x: NDArray[np.float64]
@@ -207,7 +209,13 @@ def certified_lower_bound_card(inst: Instance, gamma: float, k: int, epsilon_bar
     return _bound_card_terms(inst.y, eps, _scores(inst.a, eps), spec.gamma, spec.k)
 
 
-def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, max_iter, x0):
+def _gap_closed(primal, lb, tol) -> bool:
+    """Whether a finite primal value and bound are within a relative gap of ``tol``."""
+    # a diverged run has inf - (-inf) <= inf, so finiteness is tested first
+    return math.isfinite(primal) and math.isfinite(lb) and primal - lb <= tol * (1.0 + abs(primal))
+
+
+def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, max_iter, x0, finish=None):
     """Accelerated proximal gradient (FISTA) with gradient-based restart.
 
     Minimizes ``||y - a x||^2 + sum_i psi_i(x_i)``; ``prox`` returns the
@@ -215,12 +223,17 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
     Each iteration takes one product pair at its new iterate,
     ``r = a x - y`` and ``g = a' r``, which both certify that iterate
     (``eps = -r``, scores ``g * g``) and, by linearity, give the gradient
-    at the next extrapolated point.  Returns at the first iterate whose
-    certified relative gap is below ``tol``, unconverged at the first
-    non-finite primal value or bound, as
-    ``(x, eps, primal, lower_bound, iterations, converged, scores)``;
-    benchmarks/tracer.py reads ``iterations`` and ``converged`` by
-    position.
+    at the next extrapolated point.
+
+    ``finish``, when given, maps an iterate whose gap is still open to a
+    candidate point or None.  A candidate is priced by one product pair,
+    counted as an iteration, and returned if its own certified gap
+    passes; otherwise it is discarded and the iteration goes on from the
+    iterate.  Returns at the first point whose certified relative gap is
+    below ``tol``, unconverged at the first non-finite primal value or
+    bound, as ``(x, eps, primal, lower_bound, iterations, converged,
+    scores)``; benchmarks/tracer.py reads ``iterations`` and
+    ``converged`` by position.
     """
     lip = float(lipschitz)
     if lip <= 0.0:
@@ -239,11 +252,23 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
         primal = float(eps @ eps) + pen
         lb = certificate(eps, d)
         if not (math.isfinite(primal) and math.isfinite(lb)):
-            # a diverged run: inf - (-inf) <= inf would pass the gap test
-            return x, eps, primal, lb, it, False, d
+            return x, eps, primal, lb, it, False, d  # diverged
         ok = primal - lb <= tol * (1.0 + abs(primal))
         if ok or it >= max_iter:
             return x, eps, primal, lb, it, ok, d
+        xf = None if finish is None else finish(x)
+        if xf is not None:
+            it += 1
+            with np.errstate(over="ignore", invalid="ignore"):  # a wild candidate fails the test below
+                rf = a @ xf - y
+                gf = a.T @ rf
+                df = gf * gf
+                primal_f = float(rf @ rf) + penalty_value(xf)
+                lb_f = certificate(-rf, df)
+            if _gap_closed(primal_f, lb_f, tol):
+                return xf, -rf, primal_f, lb_f, it, True, df
+            if it >= max_iter:
+                return x, eps, primal, lb, it, False, d
         x_new, pen = prox(v - step * (2.0 * gv), step)
         g_old = g
         r = a @ x_new - y
@@ -271,6 +296,18 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
 
     The reported primal and bound include the flat charge ``mu`` per
     fixed-in column, so the pair brackets the subproblem value directly.
+
+    APG is handed an exact finish.  The pattern of an iterate is its
+    support, the branch of each free nonzero (linear when
+    ``|x_i| <= sqrt(gamma mu)``) and the signs on the linear branch.
+    On a fixed pattern the problem is a quadratic whose minimizer
+    solves ``(A_S'A_S + D) x_S = A_S'y - sqrt(mu / gamma) s_L`` over the
+    support and the fixed-in columns ``S``, with ``D_ii = 1 / gamma``
+    on quadratic-branch and fixed-in columns, 0 on linear-branch ones,
+    and ``s_L`` the linear-branch signs.  Proximal gradient settles on
+    the optimal pattern in finitely many steps, so the finish solves
+    that system once for each pattern two consecutive iterates share;
+    APG's own certificate decides whether the solution is kept.
     """
     pen = BerhuPenalty(mu=mu, gamma=gamma)
     n_one = 0 if free_mask is None else int(np.count_nonzero(~free_mask))
@@ -296,8 +333,39 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
         xv = shrink(w, s)
         return xv, penval(xv)
 
+    crossover, half_slope = pen.crossover, math.sqrt(mu / gamma)
+    last, tried = b"", set()
+
+    def finish(xv):
+        nonlocal last
+        # pattern code: 0 off the support, the sign on the linear branch,
+        # 2 on the quadratic branch or fixed in
+        code = np.sign(xv)
+        code[np.abs(xv) > crossover] = 2.0
+        if free_mask is not None:
+            code[om] = 2.0
+        key = code.tobytes()
+        repeat, last = key == last, key
+        if not repeat or key in tried:
+            return None
+        tried.add(key)
+        s = np.flatnonzero(code)
+        cs = code[s]
+        quad = cs == 2.0
+        a_s = a[:, s]
+        h = a_s.T @ a_s
+        h.flat[:: s.size + 1] += quad / gamma  # the diagonal
+        rhs = a_s.T @ y - half_slope * np.where(quad, 0.0, cs)
+        try:
+            xs = np.linalg.solve(h, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        out = np.zeros_like(xv)
+        out[s] = xs
+        return out
+
     cert = lambda e, d: _bound_reg_terms(y, e, d, gamma, mu, free_mask)
-    return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0)
+    return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0, finish)
 
 
 def solve_cr(inst: Instance, gamma: float, mu: float, tol: float = 1e-8) -> RelaxSolution:
@@ -522,7 +590,7 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
         d = _scores(a, eps)
         lb = bound(y, eps, d, spec.gamma, par, mask)
         stop = not (ok and math.isfinite(lb)) or iters >= max_iter  # diverged or out of iterations
-        ok = math.isfinite(primal) and math.isfinite(lb) and primal - lb <= tol * (1.0 + abs(primal))
+        ok = _gap_closed(primal, lb, tol)
         if ok or stop:
             break
         outside = ~in_w

@@ -31,7 +31,7 @@ from .problem import (
     Variant,
     _check_k,
     _check_residual,
-    _check_scores,
+    _check_length,
     _settle,
     _spec_for,
 )
@@ -68,7 +68,7 @@ def _cert_parts(inst: Instance, cert):
         return _scores(inst.a, _check_residual(inst, cert.epsilon_bar)), float(cert.lower_bound)
     if hasattr(cert, "epsilon"):
         _check_residual(inst, cert.epsilon)
-        return _check_scores(inst, cert.scores), float(cert.lower_bound)
+        return _check_length(inst, cert.scores, "scores"), float(cert.lower_bound)
     raise InvalidInputError("cert must carry a residual and a lower bound")
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from l0screen import (
+    FixState,
     InvalidInputError,
     ProblemSpec,
     RelaxSolution,
@@ -11,16 +12,19 @@ from l0screen import (
     solve_cc,
     solve_cr,
 )
+from l0screen.heuristics import _node_round
 
 from ._oracles import ridge_ls
 from .conftest import random_instance
 
 
-def _fake_relax(inst, eps):
-    """Wrap a residual and its scores so the rounding heuristics can read them."""
+def _fake_relax(inst, eps, z=None):
+    """Wrap a residual, its scores and indicators ``z`` (zero by default)
+    so the rounding heuristics can read them."""
     eps = np.asarray(eps, dtype=float)
+    z = np.zeros(inst.n) if z is None else np.asarray(z, dtype=float)
     return RelaxSolution(
-        x=np.zeros(inst.n), z=np.zeros(inst.n), epsilon=eps, scores=(inst.a.T @ eps) ** 2,
+        x=np.zeros(inst.n), z=z, epsilon=eps, scores=(inst.a.T @ eps) ** 2,
         objective=0.0, lower_bound=0.0,
     )
 
@@ -77,8 +81,33 @@ class TestRoundReg:
         np.testing.assert_array_equal(inc.x, 0.0)
 
     def test_vanishing_mu_selects_every_scored_column(self, tiny):
-        inc = round_reg(tiny, 1.0, 1e-12, _fake_relax(tiny, [1.5, 0.1]))
+        # as mu -> 0 the Berhu crossover sqrt(gamma mu) vanishes, so every
+        # column with a nonzero relaxed coefficient reaches z = 1
+        sol = solve_cr(tiny, 1.0, 1e-12)
+        np.testing.assert_array_equal(sol.z, 1.0)
+        inc = round_reg(tiny, 1.0, 1e-12, sol)
         assert inc.support == (0, 1)
+
+    def test_support_is_the_indicators_at_least_one_half(self):
+        inst = random_instance(3, 8, 6)
+        z = np.array([0.5, 0.5 - 1e-12, 1.0, 0.0, 0.75, 0.25])
+        rel = _fake_relax(inst, inst.y, z)
+        # the scores (gamma delta_i >= mu) would pick another support; rounding reads z alone
+        assert np.flatnonzero(rel.scores >= 0.3).tolist() != [0, 2, 4]
+        inc = round_reg(inst, 1.0, 0.3, rel)
+        assert inc.support == (0, 2, 4)
+        x_ref, val_ref = ridge_ls(inst.a[:, [0, 2, 4]], inst.y, 1.0)
+        np.testing.assert_allclose(inc.x[[0, 2, 4]], x_ref, atol=1e-10)
+        assert inc.objective == pytest.approx(val_ref + 0.3 * 3, abs=1e-10)
+
+    def test_node_rounding_honors_the_fixes(self):
+        inst = random_instance(3, 8, 6)
+        z = np.array([0.5, 0.5 - 1e-12, 1.0, 0.0, 0.75, 0.25])
+        fixes = np.full(6, FixState.FREE, dtype=np.int8)
+        fixes[[3, 5]] = FixState.ONE  # kept whatever their indicators say
+        fixes[[2, 4]] = FixState.ZERO  # dropped although z >= 1/2
+        inc = _node_round(inst, ProblemSpec.reg(1.0, 0.3), fixes, z)
+        assert inc.support == (0, 3, 5)
 
     def test_upper_bounds_the_optimum(self):
         for seed in range(5):

@@ -160,9 +160,12 @@ class TestWrapperResiduals:
     @pytest.mark.parametrize("length", [1, 3])
     @pytest.mark.parametrize("name", sorted(n for n in _RESIDUAL_READERS if n.startswith(("round", "screen"))))
     def test_wrong_length_scores_rejected(self, tiny, name, length):
+        # each reader checks the per-variable vector it reads: round_reg
+        # rounds the indicators z, the others read the scores
+        field, what = ("z", "indicators z") if name == "round_reg" else ("scores", "scores")
         fn, par, relax = _RESIDUAL_READERS[name]
-        rel = dataclasses.replace(relax(tiny, 1.0, par), scores=np.zeros(length))
-        with pytest.raises(InvalidInputError, match=f"scores have length {length}, expected 2"):
+        rel = dataclasses.replace(relax(tiny, 1.0, par), **{field: np.zeros(length)})
+        with pytest.raises(InvalidInputError, match=f"{what} have length {length}, expected 2"):
             fn(tiny, 1.0, par, rel)
 
 

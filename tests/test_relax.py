@@ -530,6 +530,92 @@ class TestApgLoop:
         assert len(calls) == 2 * iters + 2
 
 
+def _spy_solves(monkeypatch):
+    """Record the size of every linear system the reg finish solves, and
+    whether ``np.linalg.solve`` raised on it."""
+    inner = np.linalg.solve
+    log = []
+
+    def spy(h, b):
+        try:
+            out = inner(h, b)
+        except np.linalg.LinAlgError:
+            log.append((h.shape[0], "singular"))
+            raise
+        log.append((h.shape[0], "solved"))
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return log
+
+
+def _duplicated(seed):
+    """A 4 x 12 instance whose columns are three copies of one 4 x 4 block."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((4, 4))
+    return Instance(np.hstack([b, b, b]), rng.standard_normal(4))
+
+
+def _wide(seed):
+    rng = np.random.default_rng(seed)
+    return Instance(rng.standard_normal((4, 12)), rng.standard_normal(4))
+
+
+# (instance, mu) cells at gamma 10 whose iterates pass through patterns
+# with more linear-branch columns than rows: the finish's system is then
+# rank-deficient, singular outright when columns repeat
+_DEGENERATE = [
+    pytest.param(_wide, 0.5, id="rank-deficient"),
+    pytest.param(_duplicated, 0.5, id="duplicate-columns"),
+    pytest.param(_duplicated, 5.0, id="duplicate-columns-high-mu"),
+]
+
+
+class TestExactFinish:
+    def test_readme_cell_closes_below_apg_tolerance(self):
+        inst, spec, fixes = _apg_case("reg", False, 60, 120)
+        sol = _relax(inst, spec, fixes)
+        assert sol.converged
+        # APG stops at the first gap below 1e-8; only the finish lands this close
+        assert sol.gap < 1e-12
+        _assert_certificate(inst, spec, fixes, sol)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("make,mu", _DEGENERATE)
+    def test_degenerate_patterns_stay_certified(self, monkeypatch, make, mu, seed):
+        inst = make(seed)
+        log = _spy_solves(monkeypatch)
+        sol = solve_cr(inst, 10.0, mu)
+        assert log, "the finish was never tried"
+        assert sol.converged
+        assert sol.lower_bound == certified_lower_bound_reg(inst, 10.0, mu, sol.epsilon)
+        assert sol.gap <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("make,mu", _DEGENERATE)
+    def test_degenerate_node_patterns_stay_certified(self, monkeypatch, make, mu, seed):
+        inst = make(seed)
+        spec = ProblemSpec.reg(10.0, mu)
+        fixes = np.full(inst.n, FixState.FREE, dtype=np.int8)
+        fixes[[0, 4]] = FixState.ONE  # column 4 repeats column 0 in the duplicated case
+        log = _spy_solves(monkeypatch)
+        sol = node_relaxation(inst, spec, fixes)
+        assert log, "the finish was never tried"
+        assert sol.converged
+        assert sol.lower_bound == _full_bound(inst, spec, fixes, sol.epsilon)
+        _assert_certificate(inst, spec, fixes, sol)
+
+    def test_duplicate_columns_reach_a_singular_system(self, monkeypatch):
+        log = _spy_solves(monkeypatch)
+        assert solve_cr(_duplicated(0), 10.0, 0.5).converged
+        assert any(kind == "singular" for _, kind in log)
+
+    def test_rank_deficient_systems_are_tried_and_discarded(self, monkeypatch):
+        log = _spy_solves(monkeypatch)
+        assert solve_cr(_wide(0), 10.0, 0.5).converged
+        assert any(size > 4 for size, _ in log)
+
+
 def _solve(inst, spec):
     if spec.variant is Variant.CARD:
         return solve_cc(inst, spec.gamma, spec.k)
