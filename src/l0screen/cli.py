@@ -98,7 +98,7 @@ def cmd_gen(args, parser) -> int:
 
 
 def _screen_pipeline(inst: Instance, spec: ProblemSpec, tol: float, zeta_bar):
-    """Relax, round (unless ``zeta_bar`` is given), screen.  Returns (report, timings)."""
+    """Relax, round (unless ``zeta_bar`` is given), screen.  Returns (relaxation, report, timings)."""
     # read from this module's names at each call, so that a wrapper put on
     # them (benchmarks/tracer.py) sees the call
     if spec.variant is Variant.REG:
@@ -118,7 +118,7 @@ def _screen_pipeline(inst: Instance, spec: ProblemSpec, tol: float, zeta_bar):
     t = time.perf_counter()
     rep = screen(inst, spec.gamma, par, rel, zeta_bar)
     timings["screen"] = (time.perf_counter() - t) * 1e3
-    return rep, timings
+    return rel, rep, timings
 
 
 _FIX_NAMES = {int(FixState.FREE): "free", int(FixState.ZERO): "zero", int(FixState.ONE): "one"}
@@ -160,7 +160,7 @@ def cmd_screen(args, parser) -> int:
     if args.zeta_bar is not None and not math.isfinite(args.zeta_bar):
         parser.error("--zeta-bar must be finite")
     inst, spec = _load_with_spec(args, parser)
-    rep, timings = _screen_pipeline(inst, spec, tol, args.zeta_bar)
+    rel, rep, timings = _screen_pipeline(inst, spec, tol, args.zeta_bar)
     out = None
     if args.out_reduced:
         out = _write_reduced(args.out_reduced, inst, spec, rep)
@@ -174,6 +174,7 @@ def cmd_screen(args, parser) -> int:
             "n_zero": rep.n_zero, "n_one": rep.n_one, "n_free": rep.n_free,
             "lower_bound": rep.lower_bound, "zeta_bar": rep.upper_bound,
             "fixes": [_FIX_NAMES[int(f)] for f in rep.fixes],
+            "converged": rel.converged, "gap": rel.gap, "iterations": rel.iterations,
         },
         "versions": _versions(),
         "seed": None,
@@ -246,7 +247,7 @@ def _bench_methods_row(inst, spec: ProblemSpec, method, tol: float, bnb_cfg: BnB
     """One bench measurement; returns (fixed_count, nodes, time_s, optimal)."""
     t0 = time.perf_counter()
     if method == "screen":
-        rep, _ = _screen_pipeline(inst, spec, tol, None)
+        _, rep, _ = _screen_pipeline(inst, spec, tol, None)
         return rep.n_zero + rep.n_one, 0, time.perf_counter() - t0, rep.n_free == 0
     cfg = dataclasses.replace(bnb_cfg, screen_at_root=method == "bnb_screen")
     stats = branch_and_bound(inst, spec, cfg)

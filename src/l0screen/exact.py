@@ -125,7 +125,7 @@ def brute_force(inst: Instance, spec: ProblemSpec, fixed=None):
         raise SizeCapError(f"{count} candidate supports exceeds the cap of {_BRUTE_COMB_CAP}")
 
     g = inst.a.T @ inst.a
-    b = inst.a.T @ inst.y
+    b = inst.aty
     yy = float(inst.y @ inst.y)
     mu = spec.mu if spec.variant is Variant.REG else 0.0
 

@@ -23,6 +23,7 @@ from .problem import (
     _check_residual,
     _check_length,
     _spec_for,
+    _top,
     ridge_restricted_solve,
 )
 from .relax import RelaxSolution
@@ -62,8 +63,7 @@ def _node_round(inst: Instance, spec: ProblemSpec, fixes, key) -> Incumbent:
     one_idx = np.flatnonzero(fixes == FixState.ONE)
     free_idx = np.flatnonzero(fixes == FixState.FREE)
     if spec.variant is Variant.CARD:
-        order = np.argsort(-key[free_idx], kind="stable")
-        picked = free_idx[order[: max(spec.k - one_idx.size, 0)]]
+        picked = free_idx[_top(key[free_idx], spec.k - one_idx.size)]
     else:
         picked = free_idx[key[free_idx] >= 0.5]
     return _evaluate(inst, spec, np.concatenate([one_idx, picked]))

@@ -9,7 +9,7 @@ variables at k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Iterable, Optional
 
@@ -60,16 +60,21 @@ class FixState(IntEnum):
     ONE = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """Immutable regression data: model matrix ``a`` (m x n) and response ``y`` (m,).
 
     Arrays are copied, stored column-major (columns are sliced far more
-    often than rows), and marked read-only.
+    often than rows), and marked read-only.  ``aty`` holds ``A'y``,
+    computed once here and read-only like the data it comes from: every
+    relaxation ranks its first working set by it, so a path, a sweep or
+    a branch-and-bound tree over one instance takes that product once.
+    Instances compare by identity, so one can key a dict.
     """
 
     a: NDArray[np.float64]
     y: NDArray[np.float64]
+    aty: NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.a, dtype=float, order="F", copy=True)
@@ -94,10 +99,12 @@ class Instance:
             raise InvalidInputError(
                 "the squared Frobenius norm of A overflows; divide A by a scale s and multiply gamma by s**2"
             )
-        a.setflags(write=False)
-        y.setflags(write=False)
+        aty = a.T @ y
+        for arr in (a, y, aty):
+            arr.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "aty", aty)
 
     @property
     def m(self) -> int:
@@ -187,6 +194,28 @@ def _settle(spec: ProblemSpec, fixes: np.ndarray) -> np.ndarray:
         fixes = fixes.copy()
         fixes[fixes == FixState.FREE] = FixState.ZERO
     return fixes
+
+
+def _top(v, r) -> np.ndarray:
+    """Indices of the ``r`` largest entries of ``v``, ties toward the lower index.
+
+    The set is that of ``np.argsort(-v, kind="stable")[:r]``, in
+    ascending index order, for ``v`` without NaN; one partition finds
+    the r-th largest value, so it costs O(n), not a sort.
+    """
+    n = v.size
+    if r <= 0:
+        return np.arange(0)
+    if r >= n:
+        return np.arange(n)
+    t = np.partition(v, n - r)[n - r]
+    keep = v >= t
+    extra = int(np.count_nonzero(keep)) - r
+    if extra:
+        # drop the highest-index ties at the threshold
+        ties = (v == t).nonzero()[0]
+        keep[ties[ties.size - extra:]] = False
+    return keep.nonzero()[0]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .problem import (FixState, Instance, InvalidInputError, ProblemSpec, Variant, _check_residual,
-                      _check_tol, _settle, _spec_for)
+                      _check_tol, _settle, _spec_for, _top)
 
 # operator_norm_sq is exact only to rounding, a relative error of order
 # max(m, n) machine epsilons on either side of ||A||^2; the pad keeps
@@ -519,9 +519,9 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
 
     The solve runs in rounds on a working set W of columns: the
     fixed-in ones, the warm start's support and the free columns of
-    largest ``|a_i' y|``, ``_WS_START`` free columns in all (at least
-    twice the card budget).  Each round solves on ``A[:, W]`` at
-    ``tol`` from the last round's ``x``, with its step from
+    largest ``|a_i' y|``, read from ``inst.aty``, ``_WS_START`` free
+    columns in all (at least twice the card budget).  Each round solves
+    on ``A[:, W]`` at ``tol`` from the last round's ``x``, with its step from
     ``lipschitz`` when given (branch and bound passes ``_lipschitz`` of
     the full matrix, which bounds every column subset) and from
     ``_lipschitz(A[:, W])`` otherwise, and one product ``A' eps`` then
@@ -531,8 +531,11 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
     that lower the full bound join W, the highest-scoring |W| of them:
     for reg those with ``gamma delta_i > mu``, for card those above W's
     k-th largest free score, and when rounding leaves none, the
-    highest-scoring outside columns.  A relaxation with no more free
-    columns than the start runs as one round on all of them.
+    highest-scoring outside columns.  Both picks break ties toward the
+    lower index (``problem._top``).  So the rounds take one product with
+    the full ``A`` each, their ``A' eps``, and none with ``y``.  A
+    relaxation with no more free columns than the start runs as one
+    round on all of them.
     ``iterations`` sums the rounds, and ``_MAX_ITER`` caps that sum.
     The returned ``scores`` come from the product that priced the
     returned bound: the last round's ``A' eps``, or the one-round
@@ -569,9 +572,9 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
         in_w = ~free_mask | (xa != 0.0)
         room = start - int(np.count_nonzero(in_w & free_mask))
         if room > 0:
-            score = np.abs(a.T @ y)
+            score = np.abs(inst.aty[active])
             score[in_w] = -1.0
-            in_w[np.argsort(-score, kind="stable")[:room]] = True
+            in_w[_top(score, room)] = True
     iters = 0
     while True:
         w = np.flatnonzero(in_w)
@@ -601,7 +604,7 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
             joins = outside & (spec.gamma * d > spec.mu)
         # rounding can leave the full gap open with no such column
         cand = np.flatnonzero(joins if joins.any() else outside)
-        in_w[cand[np.argsort(-d[cand], kind="stable")[:w.size]]] = True
+        in_w[cand[_top(d[cand], w.size)]] = True
 
     if card:
         za = np.ones(active.size)

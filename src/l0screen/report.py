@@ -63,6 +63,10 @@ RUN_REPORT_SCHEMA = {
                     "type": "array",
                     "items": {"enum": ["free", "zero", "one"]},
                 },
+                # the relaxation behind the bound; absent from older reports
+                "converged": {"type": "boolean"},
+                "gap": _NUMBER,
+                "iterations": {"type": "integer", "minimum": 0},
             },
         },
         "solve": {

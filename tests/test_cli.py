@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from l0screen import cli, validate_bench_csv, validate_run_report
+from l0screen import cli, relax, validate_bench_csv, validate_run_report
 from l0screen.cli import main
 
 
@@ -114,10 +114,19 @@ class TestScreen:
         captured = capsys.readouterr()
         assert captured.out == "" and "--zeta-bar must be finite" in captured.err
 
+    def test_report_says_whether_the_relaxation_converged(self, dataset, capsys, monkeypatch):
+        args = ["screen", "--variant", "reg", "--gamma", "1", "--mu", "0.5",
+                "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv"]
+        blk = run_json(capsys, *args)["screen"]
+        assert blk["converged"] is True and blk["gap"] <= 1e-8 and blk["iterations"] > 1
+        monkeypatch.setattr(relax, "_MAX_ITER", 1)
+        blk = run_json(capsys, *args)["screen"]
+        assert blk["converged"] is False and blk["gap"] > 1e-8 and blk["iterations"] == 1
+
     def test_report_with_a_non_finite_value_is_refused(self, dataset, capsys, monkeypatch):
         def pipeline(*args):
-            rep, timings = real(*args)
-            return dataclasses.replace(rep, lower_bound=float("-inf")), timings
+            rel, rep, timings = real(*args)
+            return rel, dataclasses.replace(rep, lower_bound=float("-inf")), timings
 
         real = cli._screen_pipeline
         monkeypatch.setattr(cli, "_screen_pipeline", pipeline)

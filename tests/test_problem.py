@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from l0screen import (
     ConstraintViolationError,
@@ -20,7 +22,7 @@ from l0screen import (
     solve_cc,
     solve_cr,
 )
-from l0screen.problem import _settle, objective_card, objective_reg, ridge_restricted_solve
+from l0screen.problem import _settle, _top, objective_card, objective_reg, ridge_restricted_solve
 
 from ._oracles import ridge_ls
 from .conftest import random_instance
@@ -53,10 +55,39 @@ class TestInstance:
         with pytest.raises(InvalidInputError):
             Instance(a, y)
 
+    def test_equality_is_identity_and_an_instance_keys_a_dict(self):
+        a, y = np.eye(2), np.array([3.0, 0.1])
+        inst, twin = Instance(a, y), Instance(a, y)
+        assert inst == inst
+        assert (inst == twin) is False and inst != twin
+        assert {inst: 1}[inst] == 1 and twin not in {inst: 1}
+        assert "aty" not in repr(inst)
+
     def test_overflowing_response_is_a_clear_error(self):
         # finite entries whose squares overflow would give an infinite objective
         with pytest.raises(InvalidInputError, match="overflows.*divide y"):
             Instance(np.eye(2), np.array([3.0, 0.1]) * 1e160)
+
+
+# small integers make ties and repeated values common; -1.0 is the
+# sentinel _relax writes over working-set members
+_top_vectors = st.lists(st.integers(-1, 4), min_size=1, max_size=40).map(
+    lambda v: np.array(v, dtype=float))
+
+
+class TestTop:
+    @given(_top_vectors)
+    def test_same_set_as_a_stable_argsort(self, v):
+        for r in range(v.size + 1):
+            got = _top(v, r)
+            assert got.tolist() == sorted(np.argsort(-v, kind="stable")[:r].tolist())
+
+    def test_ties_go_to_the_lower_index(self):
+        v = np.array([1.0, 3.0, 1.0, -1.0, 3.0, 1.0, -1.0])
+        assert _top(v, 3).tolist() == [0, 1, 4]
+        assert _top(v, 6).tolist() == [0, 1, 2, 3, 4, 5]
+        assert _top(v, 0).size == 0 and _top(v, -2).size == 0
+        assert _top(v, 9).tolist() == list(range(7))
 
 
 class TestProblemSpec:

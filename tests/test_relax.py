@@ -412,7 +412,7 @@ def test_tol_outside_the_open_unit_interval_is_rejected(tiny, solve, tol):
 
 
 class _CountingMatrix:
-    """A matrix that counts its products with vectors, transposed or not."""
+    """A matrix that records the vectors it multiplies, transposed or not."""
 
     def __init__(self, a, calls):
         self.a, self.calls, self.shape = a, calls, a.shape
@@ -422,7 +422,7 @@ class _CountingMatrix:
         return _CountingMatrix(self.a.T, self.calls)
 
     def __matmul__(self, v):
-        self.calls.append(v.shape)
+        self.calls.append(v)
         return self.a @ v
 
     def __getitem__(self, key):
@@ -434,7 +434,7 @@ class _CountingMatrix:
 
 
 def _counted(inst, calls):
-    """A copy of ``inst`` whose matrix counts its products with vectors."""
+    """A copy of ``inst`` whose matrix records its products with vectors."""
     out = copy.copy(inst)
     object.__setattr__(out, "a", _CountingMatrix(inst.a, calls))
     return out
@@ -658,6 +658,22 @@ class TestScores:
         want = (inst.a.T @ rel.epsilon) ** 2
         np.testing.assert_allclose(rel.scores[~out], want[~out], rtol=1e-12, atol=0.0)
         assert not rel.scores[out].any()
+
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_rounds_take_one_full_product_each_and_none_with_y(self, monkeypatch, variant):
+        inst, spec, _ = _apg_case(variant, False, 60, 120)
+        assert inst.aty.tobytes() == (inst.a.T @ inst.y).tobytes()
+        assert not inst.aty.flags.writeable
+        widths = _count_rounds(monkeypatch, variant)
+        monkeypatch.setattr(relax, "_WS_START", 4)
+        calls = []
+        rel = _solve(_counted(inst, calls), spec)
+        assert rel.converged
+        # every round runs on a column subset, a matrix of its own, so
+        # each recorded product is a round's certificate A' eps
+        assert widths[-1] < inst.n
+        assert len(calls) == len(widths)
+        assert all(v is not inst.y and not np.array_equal(v, inst.y) for v in calls)
 
     @pytest.mark.parametrize("variant", ["reg", "card"])
     def test_round_and_screen_take_no_product(self, variant):

@@ -24,6 +24,14 @@ class TestRunReport:
     def test_valid_report_passes(self):
         validate_run_report(_GOOD)
 
+    def test_relaxation_fields_are_optional(self):
+        import copy
+
+        assert "converged" not in _GOOD["screen"]  # a report from before the fields
+        full = copy.deepcopy(_GOOD)
+        full["screen"].update(converged=False, gap=0.25, iterations=1)
+        validate_run_report(full)
+
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -38,6 +46,10 @@ class TestRunReport:
             lambda r: r["screen"].update(fixes=["one", ""]),
             lambda r: r.update(extra_top_level=1),
             lambda r: r["timings_ms"].update(relax=-5.0),
+            lambda r: r["screen"].update(converged="yes"),
+            lambda r: r["screen"].update(gap="small"),
+            lambda r: r["screen"].update(iterations=-1),
+            lambda r: r["screen"].update(iterations=2.5),
         ],
     )
     def test_bad_reports_rejected(self, mutate):
