@@ -29,6 +29,7 @@ from .problem import (
     Variant,
     _check_fixes,
     _settle,
+    _within,
 )
 from .heuristics import _evaluate, _node_round
 from .relax import RelaxSolution, _lipschitz, _relax
@@ -41,8 +42,6 @@ from .heuristics import _ridge_on  # noqa: F401
 
 _BRUTE_N_CAP = 25
 _BRUTE_COMB_CAP = 1_000_000
-_PRUNE_SLACK = 1e-9
-_OPT_REL_TOL = 1e-9
 # Best-first keeps the whole frontier in memory; above this many open
 # nodes new work is taken depth-first so memory stays bounded.
 _OPEN_NODE_CAP = 1_000_000
@@ -107,8 +106,8 @@ def brute_force(inst: Instance, spec: ProblemSpec, fixed=None):
 
     Returns ``(incumbent, all_optimal_supports)`` where the support
     list contains every support whose value ties the optimum within
-    1e-9 relative.  ``fixed`` optionally pins variables (FixState
-    values) before enumeration.  Refuses instances beyond the size caps
+    1e-9 relative (``problem._within``).  ``fixed`` optionally pins
+    variables (FixState values) before enumeration.  Refuses instances beyond the size caps
     (25 free variables for reg; one million candidate supports for
     card).  ``_enumeration`` gives the number of supports tried.
     """
@@ -139,11 +138,10 @@ def brute_force(inst: Instance, spec: ProblemSpec, fixed=None):
             if val < best_val:
                 best_val = val
                 best_support = support
-            if val <= best_val + _OPT_REL_TOL * (1.0 + abs(best_val)):
+            if _within(best_val, val):
                 near.append((support, val))
 
-    tol = _OPT_REL_TOL * (1.0 + abs(best_val))
-    optimal = sorted(s for s, v in near if v <= best_val + tol)
+    optimal = sorted(s for s, v in near if _within(best_val, v))
     return _evaluate(inst, spec, best_support), optimal
 
 
@@ -184,15 +182,17 @@ def branch_and_bound(
     """Best-first branch and bound with certified node bounds.
 
     Every popped node gets a relaxation solve, a rounding pass to
-    tighten the incumbent, a prune test against ``zeta_bar - 1e-9``
-    and, with ``cfg.screen_at_root`` on, a screening pass; it then
-    branches on the free variable of largest score.  Screening,
-    branching and card rounding read the scores the relaxation returns;
-    reg rounding reads its indicators ``z``.
+    tighten the incumbent, a prune test and, with ``cfg.screen_at_root``
+    on, a screening pass; it then branches on the free variable of
+    largest score.  Screening, branching and card rounding read the
+    scores the relaxation returns; reg rounding reads its indicators
+    ``z``.  A node is pruned once its bound is within 1e-9 relative of
+    the incumbent value ``zeta_bar`` (``problem._within``).
     Node counts are deterministic for a fixed config and instance.
     ``optimal`` is True only when the search space was exhausted
-    within the limits.  Every node relaxes at the default tolerance,
-    with one Lipschitz value for the whole tree.
+    within the limits; the incumbent is then within 1e-9 relative of
+    the optimum, at any scale of the data.  Every node relaxes at the
+    default tolerance, with one Lipschitz value for the whole tree.
     """
     cfg = cfg or BnBConfig()
     t0 = time.perf_counter()
@@ -219,7 +219,7 @@ def branch_and_bound(
             bound, _, depth, fixes, warm = stack.pop()
         else:
             bound, _, depth, fixes, warm = heapq.heappop(heap)
-        if bound >= zeta_bar - _PRUNE_SLACK:
+        if _within(bound, zeta_bar):
             continue
 
         rel = node_relaxation(inst, spec, fixes, x_warm=warm, lipschitz=lip)
@@ -230,7 +230,7 @@ def branch_and_bound(
         if cand.objective < zeta_bar:
             incumbent, zeta_bar = cand, cand.objective
 
-        if node_lb >= zeta_bar - _PRUNE_SLACK:
+        if _within(node_lb, zeta_bar):
             continue
 
         if cfg.screen_at_root:

@@ -9,6 +9,7 @@ variables at k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Iterable, Optional
@@ -165,6 +166,25 @@ def _check_tol(tol) -> float:
     if not (0 < tol < 1):
         raise InvalidInputError("tol must lie in (0, 1)")
     return float(tol)
+
+
+# The one tolerance of the certified comparisons: a bound within this
+# share of the value it is compared with counts as reaching it.
+_REL_TOL = 1e-9
+
+
+def _within(lower: float, upper: float, rel: float = _REL_TOL) -> bool:
+    """Whether ``lower`` is within ``rel`` of ``upper``: ``upper - lower <= rel * |upper|``.
+
+    The one comparison of a certified lower bound with a feasible value:
+    a relaxation's gap test (``rel`` its ``tol``), the prune and tie
+    tests of the exact solvers, and the bound check of the screening
+    rules, which pad ``zeta_bar`` by the same ``_REL_TOL * |zeta_bar|``.
+    Every compared value is an objective, and objectives scale exactly
+    when ``y`` or ``A`` is rescaled, so no outcome depends on units.  An
+    infinite ``upper`` or a NaN on either side gives False.
+    """
+    return math.isfinite(upper) and upper - lower <= rel * abs(upper)
 
 
 def _spec_for(n: int, gamma: float, mu: Optional[float] = None, k=None) -> ProblemSpec:

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .problem import (FixState, Instance, InvalidInputError, ProblemSpec, Variant, _check_residual,
-                      _check_tol, _settle, _spec_for, _top)
+                      _check_tol, _settle, _spec_for, _top, _within)
 
 # operator_norm_sq is exact only to rounding, a relative error of order
 # max(m, n) machine epsilons on either side of ||A||^2; the pad keeps
@@ -130,7 +130,15 @@ class RelaxSolution:
 
     @property
     def gap(self) -> float:
-        return (self.objective - self.lower_bound) / (1.0 + abs(self.objective))
+        """The certified relative gap ``(objective - lower_bound) / |objective|``.
+
+        A relaxation converged at ``tol`` has ``gap <= tol``.  A zero
+        objective gives 0 when the bound meets it and inf otherwise.
+        """
+        diff = self.objective - self.lower_bound
+        if self.objective == 0.0:
+            return 0.0 if diff <= 0.0 else math.inf
+        return diff / abs(self.objective)
 
 
 @dataclass(frozen=True)
@@ -209,12 +217,6 @@ def certified_lower_bound_card(inst: Instance, gamma: float, k: int, epsilon_bar
     return _bound_card_terms(inst.y, eps, _scores(inst.a, eps), spec.gamma, spec.k)
 
 
-def _gap_closed(primal, lb, tol) -> bool:
-    """Whether a finite primal value and bound are within a relative gap of ``tol``."""
-    # a diverged run has inf - (-inf) <= inf, so finiteness is tested first
-    return math.isfinite(primal) and math.isfinite(lb) and primal - lb <= tol * (1.0 + abs(primal))
-
-
 def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, max_iter, x0, finish=None):
     """Accelerated proximal gradient (FISTA) with gradient-based restart.
 
@@ -229,9 +231,9 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
     candidate point or None.  A candidate is priced by one product pair,
     counted as an iteration, and returned if its own certified gap
     passes; otherwise it is discarded and the iteration goes on from the
-    iterate.  Returns at the first point whose certified relative gap is
-    below ``tol``, unconverged at the first non-finite primal value or
-    bound, as ``(x, eps, primal, lower_bound, iterations, converged,
+    iterate.  Returns at the first point whose bound is within ``tol``
+    of its primal value (``problem._within``), unconverged at the first
+    non-finite primal value or bound, as ``(x, eps, primal, lower_bound, iterations, converged,
     scores)``; benchmarks/tracer.py reads ``iterations`` and
     ``converged`` by position.
     """
@@ -253,7 +255,7 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
         lb = certificate(eps, d)
         if not (math.isfinite(primal) and math.isfinite(lb)):
             return x, eps, primal, lb, it, False, d  # diverged
-        ok = primal - lb <= tol * (1.0 + abs(primal))
+        ok = _within(lb, primal, tol)
         if ok or it >= max_iter:
             return x, eps, primal, lb, it, ok, d
         xf = None if finish is None else finish(x)
@@ -265,7 +267,7 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
                 df = gf * gf
                 primal_f = float(rf @ rf) + penalty_value(xf)
                 lb_f = certificate(-rf, df)
-            if _gap_closed(primal_f, lb_f, tol):
+            if _within(lb_f, primal_f, tol):
                 return xf, -rf, primal_f, lb_f, it, True, df
             if it >= max_iter:
                 return x, eps, primal, lb, it, False, d
@@ -380,7 +382,10 @@ def solve_cr(inst: Instance, gamma: float, mu: float, tol: float = 1e-8) -> Rela
     gamma, mu : float
         Ridge scale and per-variable price, both positive.
     tol : float
-        Certified relative gap at which the solve stops, in (0, 1).
+        Certified relative gap at which the solve stops, in (0, 1): it
+        stops once ``objective - lower_bound <= tol * |objective|``
+        (``problem._within``), a test that does not depend on the units
+        of ``y`` or ``A``.
 
     Returns
     -------
@@ -593,7 +598,7 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
         d = _scores(a, eps)
         lb = bound(y, eps, d, spec.gamma, par, mask)
         stop = not (ok and math.isfinite(lb)) or iters >= max_iter  # diverged or out of iterations
-        ok = _gap_closed(primal, lb, tol)
+        ok = _within(lb, primal, tol)
         if ok or stop:
             break
         outside = ~in_w
@@ -624,6 +629,9 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
 
 def solve_cc(inst: Instance, gamma: float, k: int, tol: float = 1e-8) -> RelaxSolution:
     """Solve the card relaxation to a certified relative gap of ``tol``, in (0, 1).
+
+    The solve stops once ``objective - lower_bound <= tol * |objective|``,
+    as ``solve_cr`` does.
 
     The indicators are minimized out in closed form, leaving a ridge fit
     penalized by the squared k-support norm, which is solved by

@@ -9,11 +9,18 @@ safe for any valid ``(L, zeta_bar)`` pair, converged solver or not.
 
 Solved for the score ``delta_i = (a_i' eps_bar)^2``, each rule is one
 comparison against a scalar threshold.  With the room
-``r = (zeta_bar - L) / gamma`` (plus a safety slack), a variable is
+``r = (zeta_bar - L + pad) / gamma``, a variable is
 fixed out when ``delta_i < p_out - r`` and fixed in when
 ``delta_i > p_in + r``.  The reg variant pivots both tests on
 ``mu / gamma``; the card variant pivots on the k-th largest score to fix
 out and on the (k+1)-st to fix in.
+
+The pad is ``problem._REL_TOL * |zeta_bar|``: a shifted bound fixes a
+variable only when it exceeds ``zeta_bar`` by more than the relative
+tolerance of every other bound comparison (``problem._within``), so
+rounding at any data scale cannot flip a fix the mathematics does not
+justify, and a near-optimal support within that tolerance is never
+fixed away.
 """
 
 from __future__ import annotations
@@ -32,14 +39,12 @@ from .problem import (
     _check_k,
     _check_residual,
     _check_length,
+    _REL_TOL,
     _settle,
     _spec_for,
+    _within,
 )
 from .relax import _scores
-
-# Strict inequalities carry an absolute slack so borderline float noise
-# can never flip a fix the mathematics does not justify.
-SAFETY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,9 +80,10 @@ def _cert_parts(inst: Instance, cert):
 def _check_bounds(lower: float, zeta_bar: float):
     if np.isnan(zeta_bar):
         raise InvalidInputError("zeta_bar must not be NaN")
-    # scaled by |lower|, not |zeta_bar|: an upper bound of -inf would
-    # make the slack infinite and pass
-    if zeta_bar < lower - SAFETY_SLACK * (1.0 + abs(lower)):
+    # zeta_bar may fall below lower by the tolerance of |lower|; one of
+    # |zeta_bar| would let an upper bound of -inf pass.  A NaN or -inf
+    # lower bound is no inconsistency: it fixes nothing.
+    if lower > zeta_bar and not _within(zeta_bar, lower):
         raise InconsistentBoundsError(
             f"upper bound {zeta_bar} lies below certified lower bound {lower}"
         )
@@ -101,14 +107,15 @@ def _threshold_rules(delta, lower, gamma, zeta_bar, out_pivot, in_pivot):
     """Fix out where ``delta < out_pivot - room``, in where ``delta > in_pivot + room``.
 
     ``room`` is the score that the gap ``zeta_bar - lower``, plus the
-    slack, buys.  A negative room is clamped to 0; a NaN one, from a NaN
+    pad ``_REL_TOL * |zeta_bar|``, buys; an infinite ``zeta_bar`` buys
+    inf.  A negative room is clamped to 0; a NaN one, from a NaN
     bound, stays NaN and fixes nothing.  With ``room >= 0`` no score is
     fixed both ways: reg tests one pivot from both sides, and card would
     need a score strictly between its k-th and (k+1)-st largest.  So a
     card score fixed out ranks past k, and at most k fixed in rank
     within the top k.
     """
-    room = (zeta_bar + SAFETY_SLACK - lower) / gamma
+    room = (zeta_bar - lower + _REL_TOL * abs(zeta_bar)) / gamma
     if room < 0.0:
         room = 0.0
     return delta < out_pivot - room, delta > in_pivot + room

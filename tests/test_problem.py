@@ -22,7 +22,7 @@ from l0screen import (
     solve_cc,
     solve_cr,
 )
-from l0screen.problem import _settle, _top, objective_card, objective_reg, ridge_restricted_solve
+from l0screen.problem import _settle, _top, _within, objective_card, objective_reg, ridge_restricted_solve
 
 from ._oracles import ridge_ls
 from .conftest import random_instance
@@ -88,6 +88,20 @@ class TestTop:
         assert _top(v, 6).tolist() == [0, 1, 2, 3, 4, 5]
         assert _top(v, 0).size == 0 and _top(v, -2).size == 0
         assert _top(v, 9).tolist() == list(range(7))
+
+
+class TestWithin:
+    @pytest.mark.parametrize("c", [1.0, 1e-150, 1e150])
+    def test_relative_to_the_upper_value(self, c):
+        assert _within(c * (1 - 5e-10), c)
+        assert _within(c * 2.0, c)
+        assert not _within(c * (1 - 2e-9), c)
+        assert _within(0.0, 0.0) and not _within(-1e-300, 0.0)
+
+    @pytest.mark.parametrize("lower,upper", [(1.0, np.inf), (np.inf, np.inf), (np.nan, 1.0),
+                                             (1.0, np.nan), (-np.inf, 1.0), (1.0, -np.inf)])
+    def test_non_finite_values_never_reach(self, lower, upper):
+        assert not _within(lower, upper)
 
 
 class TestProblemSpec:

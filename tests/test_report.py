@@ -1,5 +1,9 @@
+import copy
+
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l0screen import BENCH_COLUMNS, validate_bench_csv, validate_run_report
 from l0screen.report import RUN_REPORT_SCHEMA
@@ -25,8 +29,6 @@ class TestRunReport:
         validate_run_report(_GOOD)
 
     def test_relaxation_fields_are_optional(self):
-        import copy
-
         assert "converged" not in _GOOD["screen"]  # a report from before the fields
         full = copy.deepcopy(_GOOD)
         full["screen"].update(converged=False, gap=0.25, iterations=1)
@@ -53,12 +55,27 @@ class TestRunReport:
         ],
     )
     def test_bad_reports_rejected(self, mutate):
-        import copy
-
         bad = copy.deepcopy(_GOOD)
         mutate(bad)
         with pytest.raises(Exception):
             validate_run_report(bad)
+
+    @given(fixes=st.lists(
+        st.one_of(st.sampled_from(["free", "zero", "one"]), st.text(max_size=5),
+                  st.integers(), st.none(), st.booleans(), st.floats(allow_nan=False)),
+        max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_fixes_verdict_matches_whole_array(self, fixes):
+        report = copy.deepcopy(_GOOD)
+        report["screen"]["fixes"] = fixes
+        whole = jsonschema.Draft202012Validator(RUN_REPORT_SCHEMA).is_valid(report)
+        try:
+            validate_run_report(report)
+            got = True
+        except jsonschema.ValidationError:
+            got = False
+        assert got == whole
+        assert report["screen"]["fixes"] is fixes  # the report is left as it was
 
 
 class TestBenchCsv:

@@ -23,7 +23,8 @@ from l0screen import (
     solve_cc,
     solve_cr,
 )
-from l0screen.screening import SAFETY_SLACK, _rules_card, _rules_reg, kth_largest_pair
+from l0screen.problem import _REL_TOL
+from l0screen.screening import _rules_card, _rules_reg, kth_largest_pair
 
 from ._oracles import screening_masks
 from .conftest import random_instance
@@ -91,7 +92,7 @@ def _assert_rules_match_shifted_bounds(inst, spec):
         ub = round_card(inst, spec.gamma, spec.k, sol).objective
         rules = lambda d: _rules_card(d, sol.lower_bound, spec.gamma, spec.k, ub)
     delta = (inst.a.T @ sol.epsilon) ** 2
-    want = screening_masks(delta, sol.lower_bound, spec.gamma, ub, SAFETY_SLACK, mu=spec.mu, k=spec.k)
+    want = screening_masks(delta, sol.lower_bound, spec.gamma, ub, _REL_TOL * abs(ub), mu=spec.mu, k=spec.k)
     np.testing.assert_array_equal(np.array(rules(delta)), np.array(want))
 
 
@@ -145,10 +146,13 @@ def test_rules_never_fix_both_ways(data, k_frac, lower, offset, gamma, mu):
 
 
 def test_scores_within_the_slack_stay_free():
-    # with zeta_bar = L, scores 2e-10 off a pivot lie inside SAFETY_SLACK
-    near = np.array([1.0 - 2e-10, 1.0 + 2e-10])
-    assert not np.any(_rules_reg(near, 0.0, 1.0, 1.0, 0.0))
-    assert not np.any(_rules_card(near, 0.0, 1.0, 1, 0.0))
+    # with zeta_bar = L = mu = c^2, scores 2e-10 relative off a pivot lie
+    # inside the pad 1e-9 |zeta_bar| at every scale
+    for c in (1.0, 1e-6, 1e6):
+        v = c * c
+        near = np.array([v * (1.0 - 2e-10), v * (1.0 + 2e-10)])
+        assert not np.any(_rules_reg(near, v, 1.0, v, v)), c
+        assert not np.any(_rules_card(near, v, 1.0, 1, v)), c
 
 
 @pytest.mark.parametrize("screen,param", [(screen_reg, 1.0), (screen_card, 1)],
