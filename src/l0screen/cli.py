@@ -310,8 +310,16 @@ def cmd_bench(args, parser) -> int:
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
+    # a SyntheticSpec holds no gamma, so consecutive gamma exponents share
+    # one instance: keep the last one generated
+    last = (None, None)
     for iid, cell, k, gexp, rho_str, snr_str in tasks:
-        inst, spec = cell if isinstance(cell, tuple) else (generate(cell)[0], None)
+        if isinstance(cell, tuple):
+            inst, spec = cell
+        else:
+            if cell != last[0]:
+                last = (cell, generate(cell)[0])
+            inst, spec = last[1], None
         for method in methods:
             try:
                 # a synthetic cell's spec is built here, so that a bad gamma is an error row

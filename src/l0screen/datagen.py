@@ -5,7 +5,12 @@ reproducible):
 
 * rows of the matrix are i.i.d. Gaussian with an AR(1) correlation
   structure, cov(col_i, col_j) = rho^|i-j|, built by the recursion
-  ``a[:, j+1] = rho a[:, j] + sqrt(1 - rho^2) w`` on standard normals;
+  ``a[:, j+1] = rho a[:, j] + sqrt(1 - rho^2) w`` on standard normals.
+  It runs in place on the drawn block (scale columns ``1:`` by
+  ``sqrt(1 - rho^2)``, then add ``rho a[:, j]`` into column ``j+1``),
+  which gives the same values bit for bit as the two-array form and
+  keeps the peak at two m-by-n arrays, the block and the instance's
+  column-major copy;
 * the true coefficient vector has ``k_true`` entries equal to 1 at
   (rounded) equally spaced indices, the rest 0;
 * noise is Gaussian with variance ``var(A beta) / snr`` where the
@@ -60,14 +65,25 @@ def true_support_indices(n: int, k_true: int) -> tuple[int, ...]:
 
 
 def generate(spec: SyntheticSpec):
-    """Draw one synthetic instance.  Returns ``(instance, true_support)``."""
+    """Draw one synthetic instance.  Returns ``(instance, true_support)``.
+
+    The recursion runs in place on the drawn block: columns ``1:`` are
+    scaled by ``sqrt(1 - rho^2)`` once, then ``rho a[:, j-1]`` is added
+    into each column through one preallocated m-vector.  Each entry is
+    the same two roundings as ``rho a[:, j-1] + damp w[:, j]`` with the
+    addends swapped, so the values are unchanged bit for bit, and the
+    peak is two m-by-n arrays: the block and the instance's column-major
+    copy.  The block stays row-major through ``a @ beta``, whose
+    summation order fixes the bits of ``y``.
+    """
     rng = np.random.default_rng(spec.seed)
-    w = rng.standard_normal((spec.m, spec.n))
-    a = np.empty((spec.m, spec.n))
-    a[:, 0] = w[:, 0]
-    damp = math.sqrt(1.0 - spec.rho ** 2)
-    for j in range(1, spec.n):
-        a[:, j] = spec.rho * a[:, j - 1] + damp * w[:, j]
+    a = rng.standard_normal((spec.m, spec.n))
+    a[:, 1:] *= math.sqrt(1.0 - spec.rho ** 2)
+    col = np.empty(spec.m)
+    prev = a[:, 0]
+    for cur in a.T[1:]:  # views of columns 1, 2, ...
+        cur += np.multiply(prev, spec.rho, out=col)
+        prev = cur
     support = true_support_indices(spec.n, spec.k_true)
     beta = np.zeros(spec.n)
     beta[list(support)] = 1.0

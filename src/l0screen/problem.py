@@ -100,6 +100,11 @@ class Instance:
             raise InvalidInputError(
                 "the squared Frobenius norm of A overflows; divide A by a scale s and multiply gamma by s**2"
             )
+        # below it the Gram matrix and ||A||^2 lose precision or vanish
+        if aa < np.finfo(float).tiny and np.any(a):
+            raise InvalidInputError(
+                "the squared Frobenius norm of A underflows; multiply A by a scale s and divide gamma by s**2"
+            )
         aty = a.T @ y
         for arr in (a, y, aty):
             arr.setflags(write=False)

@@ -478,21 +478,30 @@ def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, tol, max_iter, x0):
     Minimizing the indicators out leaves
     ``||y - a x||^2 + (||x_free||_{sp,k}^2 + ||x_fixed||^2) / gamma``,
     one accelerated prox problem whose dual is the top-k score bound of
-    ``_bound_card_terms``.  Returns the tuple of ``_accel_prox_solve``.
+    ``_bound_card_terms``.  A ``free_mask`` of None means every column
+    is free, and the prox then takes no gathers.  Returns the tuple of
+    ``_accel_prox_solve``.
     """
-    free = np.ones(a.shape[1], dtype=bool) if free_mask is None else free_mask
-    one = ~free
+    if free_mask is None:
+        def prox(w, s):
+            x, sq = _ksupport_prox(w, 2.0 * s / gamma, k_budget)
+            return x, sq / gamma
 
-    def prox(w, s):
-        c = 2.0 * s / gamma
-        out = w / (1.0 + c)
-        out[free], sq = _ksupport_prox(w[free], c, k_budget)
-        xo = out[one]
-        return out, (sq + float(xo @ xo)) / gamma
+        penval = lambda xv: _ksupport(xv, k_budget)[0] / gamma
+    else:
+        fm = free_mask
+        om = ~free_mask
 
-    def penval(xv):
-        xo = xv[one]
-        return (_ksupport(xv[free], k_budget)[0] + float(xo @ xo)) / gamma
+        def prox(w, s):
+            c = 2.0 * s / gamma
+            out = np.empty_like(w)
+            out[fm], sq = _ksupport_prox(w[fm], c, k_budget)
+            xo = out[om] = w[om] / (1.0 + c)
+            return out, (sq + float(xo @ xo)) / gamma
+
+        def penval(xv):
+            xo = xv[om]
+            return (_ksupport(xv[fm], k_budget)[0] + float(xo @ xo)) / gamma
 
     cert = lambda e, d: _bound_card_terms(y, e, d, gamma, k_budget, free_mask)
     return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0)

@@ -266,3 +266,27 @@ def load_csv_per_cell(path_a, path_y):
             len(yrows),
         )
     return np.array(rows, dtype=float), np.array([r[0] for r in yrows])
+
+
+def generate_two_arrays(n, m, k_true, rho, snr, seed):
+    """The synthetic generator written plainly: a separate draw ``w`` and
+    the AR(1) recursion over whole columns; ``datagen.generate`` must
+    match it bit for bit.
+
+    Returns ``(a, y, support)``; ``a`` is the row-major block that
+    ``a @ beta`` reads.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((m, n))
+    a = np.empty((m, n))
+    a[:, 0] = w[:, 0]
+    damp = math.sqrt(1.0 - rho ** 2)
+    for j in range(1, n):
+        a[:, j] = rho * a[:, j - 1] + damp * w[:, j]
+    support = tuple(int(i) for i in np.round(np.linspace(0, n - 1, k_true)).astype(int))
+    beta = np.zeros(n)
+    beta[list(support)] = 1.0
+    signal = a @ beta
+    sigma = math.sqrt(float(np.var(signal)) / snr)
+    y = signal + sigma * rng.standard_normal(m)
+    return a, y, support

@@ -362,6 +362,25 @@ class TestBench:
 
         assert strip_time(out1) == strip_time(out2)
 
+    def test_gamma_exponents_share_one_instance(self, capsys, monkeypatch):
+        def bench_rows(gamma_exps):
+            _, out, _ = run_cli(
+                capsys, "bench", "--suite", "synthetic", "--n", "16", "--m", "12",
+                "--k-grid", "3,4", "--gamma-exps", gamma_exps, "--snr-grid", "6",
+                "--seeds", "1", "--methods", "screen,bnb")
+            rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+            return [r[:9] + r[10:] for r in rows]  # drop the wall-clock column
+
+        calls = []
+        generate = cli.generate
+        monkeypatch.setattr(cli, "generate", lambda spec: calls.append(spec) or generate(spec))
+        shared = bench_rows("0,2")
+        assert [spec.k_true for spec in calls] == [3, 4]
+        # one exponent per run generates each instance afresh; rows go
+        # k, then gamma exponent, then method
+        g0, g2 = bench_rows("0"), bench_rows("2")
+        assert shared == g0[:2] + g2[:2] + g0[2:] + g2[2:]
+
     def test_files_suite(self, dataset, capsys):
         code, out, _ = run_cli(
             capsys, "bench", "--suite", "files", "--a", f"{dataset}/A.csv",

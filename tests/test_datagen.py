@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from l0screen import (
 )
 from l0screen.datagen import GENERATOR_NAME, _read_rows, _write_matrix, true_support_indices
 
-from ._oracles import CsvOracleError, load_csv_per_cell
+from ._oracles import CsvOracleError, generate_two_arrays, load_csv_per_cell
 
 
 class TestSyntheticSpec:
@@ -99,6 +100,55 @@ class TestGenerate:
 
     def test_generator_name_pinned(self):
         assert GENERATOR_NAME == "numpy-pcg64"
+
+
+def _assert_matches_two_array_generator(spec):
+    inst, sup = generate(spec)
+    a, y, want_sup = generate_two_arrays(spec.n, spec.m, spec.k_true, spec.rho, spec.snr, spec.seed)
+    assert sup == want_sup
+    assert inst.a.tobytes() == a.tobytes()
+    assert inst.y.tobytes() == y.tobytes()
+    assert inst.aty.tobytes() == (np.asfortranarray(a).T @ y).tobytes()
+
+
+@st.composite
+def _synthetic_specs(draw):
+    n = draw(st.integers(1, 40))
+    return SyntheticSpec(
+        n=n, m=draw(st.integers(1, 40)), k_true=draw(st.integers(1, n)),
+        rho=draw(st.floats(0.0, 0.99)), snr=draw(st.floats(1e-3, 1e6)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestInPlaceGeneration:
+    """``generate`` builds the AR(1) block in place; every bit matches the two-array loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_synthetic_specs())
+    def test_matches_the_two_array_generator(self, spec):
+        _assert_matches_two_array_generator(spec)
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(n=5000, m=500, k_true=10, rho=0.5, snr=6.0, seed=3000),
+        SyntheticSpec(n=120, m=60, k_true=5, rho=0.5, snr=6.0, seed=0),
+        SyntheticSpec(n=1, m=1, k_true=1, rho=0.5, snr=6.0, seed=0),
+        SyntheticSpec(n=30, m=1, k_true=3, rho=0.9, snr=2.0, seed=7),
+    ], ids=["500x5000", "anchor-60x120", "1x1", "m1"])
+    def test_fixed_shapes_match_the_two_array_generator(self, spec):
+        _assert_matches_two_array_generator(spec)
+
+    def test_peak_memory_is_two_matrices(self):
+        m, n = 200, 2000
+        spec = SyntheticSpec(n=n, m=m, k_true=10, rho=0.5, snr=6.0, seed=3)
+        tracemalloc.start()
+        try:
+            generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the drawn block, the instance's column-major copy and small temporaries
+        assert peak <= 2.5 * 8 * m * n
 
 
 class TestGammaZero:

@@ -5,7 +5,8 @@ than tall, and entries near the float limits (with gamma rescaled so
 the problem is the unit one), each for reg, card with k = 3 and card
 with k = n.  Branch and bound must prove the brute-force optimum, and
 relax -> round -> screen must fix no variable against any optimal
-support.
+support.  A nonzero matrix whose squared Frobenius norm underflows
+is refused with a clear error instead.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from l0screen import (
     FixState,
     Instance,
+    InvalidInputError,
     ProblemSpec,
     branch_and_bound,
     brute_force,
@@ -93,3 +95,17 @@ def test_degenerate_input_matches_brute_force(case, variant):
     for sup in optima:
         assert not set(zero) & set(sup), (sup, zero)
         assert set(one) <= set(sup), (sup, one)
+
+
+def _lone_subnormal():
+    a = np.zeros((8, 6))
+    a[3, 2] = 5e-324
+    return a
+
+
+@pytest.mark.parametrize("make_a", [lambda: 1e-160 * _base()[0], _lone_subnormal],
+                         ids=["A*1e-160", "lone-5e-324"])
+def test_underflowing_matrix_is_refused(make_a):
+    with pytest.raises(InvalidInputError, match="the squared Frobenius norm of A underflows; "
+                       r"multiply A by a scale s and divide gamma by s\*\*2"):
+        Instance(make_a(), _base()[1])
