@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .datagen import (GENERATOR_NAME, SyntheticSpec, _write_matrix, gamma_zero, generate, load_csv,
                       save_dataset)
-from .exact import BnBConfig, _enumeration, branch_and_bound, brute_force
+from .exact import BnBConfig, BnBStats, _enumeration, branch_and_bound, brute_force
 from .heuristics import round_card, round_reg
 from .problem import (FixState, InfeasibleError, Instance, InvalidInputError, ProblemSpec, Variant,
                       _check_support, _check_tol, _settle, _spec_for)
@@ -34,11 +34,14 @@ from .report import _BENCH_METHODS, BENCH_COLUMNS, validate_run_report
 from .screening import screen_card, screen_reg
 
 
-def _versions():
-    return {"package": __version__, "numpy": np.__version__, "python": platform.python_version()}
-
-
-def _emit(report: dict):
+def _emit(command: str, args: dict, inst: Instance, source: str, seed=None, **blocks):
+    """Check and print one report: the envelope around ``blocks``, which keep their order."""
+    report = {
+        "command": command, "args": args, "instance": {"m": inst.m, "n": inst.n, "source": source},
+        **blocks,
+        "versions": {"package": __version__, "numpy": np.__version__, "python": platform.python_version()},
+        "seed": seed,
+    }
     validate_run_report(report)
     print(json.dumps(report, indent=2, allow_nan=False))
 
@@ -78,22 +81,12 @@ def cmd_gen(args, parser) -> int:
     spec = _from_flags(parser, SyntheticSpec, n=args.n, m=args.m, k_true=args.k_true,
                        rho=args.rho, snr=args.snr, seed=args.seed)
     inst, support = generate(spec)
-    meta = {
-        "n": spec.n, "m": spec.m, "k_true": spec.k_true, "rho": spec.rho,
-        "snr": spec.snr, "seed": spec.seed, "generator_name": GENERATOR_NAME,
-        "true_support": list(support),
-    }
-    save_dataset(args.out, inst, meta)
-    _emit({
-        "command": "gen",
-        "args": {"n": args.n, "m": args.m, "k_true": args.k_true, "rho": args.rho,
-                 "snr": args.snr, "out": args.out},
-        "instance": {"m": inst.m, "n": inst.n, "source": "synthetic"},
-        "timings_ms": {},
-        "out": {"dir": args.out, "files": ["A.csv", "y.csv", "meta.json"]},
-        "versions": _versions(),
-        "seed": spec.seed,
-    })
+    save_dataset(args.out, inst, {**dataclasses.asdict(spec), "generator_name": GENERATOR_NAME,
+                                  "true_support": list(support)})
+    _emit("gen", {"n": args.n, "m": args.m, "k_true": args.k_true, "rho": args.rho, "snr": args.snr,
+                  "out": args.out},
+          inst, "synthetic", spec.seed,
+          timings_ms={}, out={"dir": args.out, "files": ["A.csv", "y.csv", "meta.json"]})
     return 0
 
 
@@ -161,27 +154,18 @@ def cmd_screen(args, parser) -> int:
         parser.error("--zeta-bar must be finite")
     inst, spec = _load_with_spec(args, parser)
     rel, rep, timings = _screen_pipeline(inst, spec, tol, args.zeta_bar)
-    out = None
-    if args.out_reduced:
-        out = _write_reduced(args.out_reduced, inst, spec, rep)
-    report = {
-        "command": "screen",
-        "args": {"a": args.a, "y": args.y, "variant": args.variant, "gamma": args.gamma},
-        "instance": {"m": inst.m, "n": inst.n, "source": args.a},
-        "spec": _spec_block(spec),
-        "timings_ms": {k: round(v, 3) for k, v in timings.items()},
-        "screen": {
-            "n_zero": rep.n_zero, "n_one": rep.n_one, "n_free": rep.n_free,
-            "lower_bound": rep.lower_bound, "zeta_bar": rep.upper_bound,
-            "fixes": [_FIX_NAMES[int(f)] for f in rep.fixes],
-            "converged": rel.converged, "gap": rel.gap, "iterations": rel.iterations,
-        },
-        "versions": _versions(),
-        "seed": None,
-    }
-    if out is not None:
-        report["out"] = out
-    _emit(report)
+    reduced = {"out": _write_reduced(args.out_reduced, inst, spec, rep)} if args.out_reduced else {}
+    _emit("screen", {"a": args.a, "y": args.y, "variant": args.variant, "gamma": args.gamma},
+          inst, args.a,
+          spec=_spec_block(spec),
+          timings_ms={k: round(v, 3) for k, v in timings.items()},
+          screen={
+              "n_zero": rep.n_zero, "n_one": rep.n_one, "n_free": rep.n_free,
+              "lower_bound": rep.lower_bound, "zeta_bar": rep.upper_bound,
+              "fixes": [_FIX_NAMES[int(f)] for f in rep.fixes],
+              "converged": rel.converged, "gap": rel.gap, "iterations": rel.iterations,
+          },
+          **reduced)
     return 0
 
 
@@ -207,30 +191,20 @@ def cmd_solve(args, parser) -> int:
     t = time.perf_counter()
     if args.method == "brute":
         inc, _ = brute_force(inst, spec, fixed=fixed)
-        solve_block = {
-            "objective": inc.objective, "support": list(inc.support),
-            "nodes": _enumeration(spec, fixed)[1],
-            "wall_time_s": time.perf_counter() - t, "optimal": True, "root_fixed": 0,
-        }
+        stats = BnBStats(nodes_explored=_enumeration(spec, fixed)[1], wall_time_s=time.perf_counter() - t,
+                         optimal=True, best=inc, root_fixed=0)
     else:
         stats = branch_and_bound(inst, spec, cfg, fixed=fixed)
-        inc = stats.best
-        solve_block = {
-            "objective": inc.objective, "support": list(inc.support),
-            "nodes": stats.nodes_explored, "wall_time_s": stats.wall_time_s,
-            "optimal": stats.optimal, "root_fixed": stats.root_fixed,
-        }
-    _emit({
-        "command": "solve",
-        "args": {"a": args.a, "y": args.y, "variant": args.variant,
-                 "method": args.method, "screen": args.screen},
-        "instance": {"m": inst.m, "n": inst.n, "source": args.a},
-        "spec": _spec_block(spec),
-        "timings_ms": {"solve": round((time.perf_counter() - t) * 1e3, 3)},
-        "solve": solve_block,
-        "versions": _versions(),
-        "seed": None,
-    })
+    _emit("solve", {"a": args.a, "y": args.y, "variant": args.variant, "method": args.method,
+                    "screen": args.screen},
+          inst, args.a,
+          spec=_spec_block(spec),
+          timings_ms={"solve": round((time.perf_counter() - t) * 1e3, 3)},
+          solve={
+              "objective": stats.best.objective, "support": list(stats.best.support),
+              "nodes": stats.nodes_explored, "wall_time_s": stats.wall_time_s,
+              "optimal": stats.optimal, "root_fixed": stats.root_fixed,
+          })
     return 0
 
 
@@ -272,7 +246,7 @@ def cmd_bench(args, parser) -> int:
     k_grid = _parse_list(args.k_grid, parser, "--k-grid", int)
     gamma_exps = _parse_list(args.gamma_exps, parser, "--gamma-exps", float)
 
-    tasks = []  # (instance_id, SyntheticSpec or (Instance, ProblemSpec), k, gexp, rho_str, snr_str)
+    tasks = []  # (instance_id, SyntheticSpec or Instance, k, gexp, rho_str, snr_str)
     if args.suite == "synthetic":
         for flag in ("a", "y"):
             if getattr(args, flag) is not None:
@@ -305,8 +279,8 @@ def cmd_bench(args, parser) -> int:
         base = os.path.basename(args.a)
         for k in k_grid:
             for gexp in gamma_exps:
-                spec = _from_flags(parser, _bench_spec, inst=inst, k=k, gexp=gexp)
-                tasks.append((f"file-{base}-k{k}-g{gexp:g}", (inst, spec), k, gexp, "", ""))
+                _from_flags(parser, _bench_spec, inst=inst, k=k, gexp=gexp)
+                tasks.append((f"file-{base}-k{k}-g{gexp:g}", inst, k, gexp, "", ""))
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
@@ -314,16 +288,13 @@ def cmd_bench(args, parser) -> int:
     # one instance: keep the last one generated
     last = (None, None)
     for iid, cell, k, gexp, rho_str, snr_str in tasks:
-        if isinstance(cell, tuple):
-            inst, spec = cell
-        else:
-            if cell != last[0]:
-                last = (cell, generate(cell)[0])
-            inst, spec = last[1], None
+        if isinstance(cell, SyntheticSpec) and cell != last[0]:
+            last = (cell, generate(cell)[0])
+        inst = last[1] if isinstance(cell, SyntheticSpec) else cell
         for method in methods:
             try:
-                # a synthetic cell's spec is built here, so that a bad gamma is an error row
-                spec = spec or _bench_spec(inst, k, gexp)
+                # the spec is built per row, so that a bad synthetic gamma is an error row
+                spec = _bench_spec(inst, k, gexp)
                 fixed, nodes, secs, optimal = _bench_methods_row(inst, spec, method, tol, bnb_cfg)
                 writer.writerow([
                     iid, method, k, gexp, rho_str, snr_str, fixed,

@@ -20,7 +20,8 @@ Randomness comes from ``numpy.random.default_rng(seed)`` (the PCG64
 generator); the draw order is the m-by-n standard normal block first,
 then the m noise values.  CSV files are comma-separated, headerless,
 '.'-decimal, one matrix row (or one response value) per line, written
-with ``repr`` so values round-trip bit-exactly.
+with ``repr`` so values round-trip bit-exactly.  They are read and
+written one row at a time.
 """
 
 from __future__ import annotations
@@ -113,26 +114,32 @@ def _parse_cell(cell: str, line_no: int) -> float:
 
 
 def _read_rows(path: str) -> list[np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    while lines and lines[-1].rstrip("\r") == "":
-        lines.pop()
+    """The parsed lines of ``path``, read one at a time.
+
+    Trailing empty lines are ignored; an empty line followed by a
+    non-empty one is an error at the first line of its run.
+    """
     rows: list[np.ndarray] = []
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.rstrip("\r")
-        if stripped == "":
-            raise CsvParseError("empty line", line_no)
-        cells = stripped.split(",")
-        # numpy converts each string as float() does; the per-cell parse
-        # only runs on a bad line, to name its first bad cell
-        try:
-            row = np.array(cells, dtype=float)
-            ok = bool(np.isfinite(row).all())
-        except ValueError:
-            ok = False
-        if not ok:
-            row = np.array([_parse_cell(c, line_no) for c in cells])
-        rows.append(row)
+    blank = 0  # the first empty line since the last row, or 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            stripped = line.rstrip("\r\n")
+            if stripped == "":
+                blank = blank or line_no
+                continue
+            if blank:
+                raise CsvParseError("empty line", blank)
+            cells = stripped.split(",")
+            # numpy converts each string as float() does; the per-cell parse
+            # only runs on a bad line, to name its first bad cell
+            try:
+                row = np.array(cells, dtype=float)
+                ok = bool(np.isfinite(row).all())
+            except ValueError:
+                ok = False
+            if not ok:
+                row = np.array([_parse_cell(c, line_no) for c in cells])
+            rows.append(row)
     if not rows:
         raise CsvParseError("file is empty", 1)
     return rows
@@ -154,14 +161,15 @@ def load_csv(path_a: str, path_y: str) -> Instance:
             f"dimension mismatch: matrix has {len(rows)} rows, response has {len(yrows)}",
             len(yrows),
         )
-    return Instance(np.vstack(rows), np.concatenate(yrows))
+    # Instance copies the rows into its one column-major matrix
+    return Instance(rows, np.concatenate(yrows))
 
 
 def _write_matrix(path: str, arr: np.ndarray):
     # repr of a Python float is the shortest string that reads back bit-exactly
     with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(arr).tolist():
-            fh.write(",".join(map(repr, row)))
+        for row in np.atleast_2d(arr):  # one row's floats at a time
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from l0screen import cli, relax, validate_bench_csv, validate_run_report
+from l0screen import SyntheticSpec, cli, relax, validate_bench_csv, validate_run_report
 from l0screen.cli import main
 
 
@@ -336,6 +336,53 @@ class TestReducedRoundTrip:
         kept = meta["kept_columns"]
         mapped = sorted(kept[i] for i in sub["solve"]["support"])
         assert mapped == full["solve"]["support"]
+
+
+def _envelope(*blocks):
+    """The top-level keys of a report: the shared envelope around ``blocks``."""
+    return ["command", "args", "instance", *blocks, "versions", "seed"]
+
+
+class TestReportEnvelope:
+    def test_gen(self, tmp_path, capsys):
+        out = str(tmp_path / "d")
+        rep = run_json(capsys, "gen", "--n", "6", "--m", "4", "--k-true", "2",
+                       "--rho", "0.3", "--snr", "2", "--seed", "9", "--out", out)
+        assert list(rep) == _envelope("timings_ms", "out")
+        assert rep["args"] == {"n": 6, "m": 4, "k_true": 2, "rho": 0.3, "snr": 2.0, "out": out}
+        assert rep["instance"] == {"m": 4, "n": 6, "source": "synthetic"}
+        assert rep["seed"] == 9
+        meta = json.loads(read_text(os.path.join(out, "meta.json")))
+        fields = [f.name for f in dataclasses.fields(SyntheticSpec)]
+        assert list(meta) == [*fields, "generator_name", "true_support"]
+        assert [meta[f] for f in fields] == [6, 4, 2, 0.3, 2.0, 9]
+
+    @pytest.mark.parametrize("reduced", [False, True], ids=["report", "out-reduced"])
+    def test_screen(self, dataset, tmp_path, capsys, reduced):
+        extra = ["--out-reduced", str(tmp_path / "red")] if reduced else []
+        rep = run_json(capsys, "screen", "--variant", "card", "--gamma", "0.5", "--k", "3",
+                       "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv", *extra)
+        assert list(rep) == _envelope("spec", "timings_ms", "screen", *(["out"] if reduced else []))
+        assert rep["args"] == {"a": f"{dataset}/A.csv", "y": f"{dataset}/y.csv",
+                               "variant": "card", "gamma": 0.5}
+        assert rep["instance"] == {"m": 9, "n": 12, "source": f"{dataset}/A.csv"}
+        assert rep["spec"] == {"variant": "card", "gamma": 0.5, "k": 3}
+        assert list(rep["timings_ms"]) == ["relax", "heuristic", "screen"]
+        assert rep["seed"] is None
+
+    @pytest.mark.parametrize("method", ["bnb", "brute"])
+    def test_solve(self, dataset, capsys, method):
+        rep = run_json(capsys, "solve", "--variant", "reg", "--gamma", "0.5", "--mu", "0.2",
+                       "--a", f"{dataset}/A.csv", "--y", f"{dataset}/y.csv", "--method", method)
+        assert list(rep) == _envelope("spec", "timings_ms", "solve")
+        assert rep["args"] == {"a": f"{dataset}/A.csv", "y": f"{dataset}/y.csv",
+                               "variant": "reg", "method": method, "screen": "on"}
+        assert rep["spec"] == {"variant": "reg", "gamma": 0.5, "mu": 0.2}
+        assert list(rep["timings_ms"]) == ["solve"]
+        assert list(rep["solve"]) == ["objective", "support", "nodes", "wall_time_s",
+                                      "optimal", "root_fixed"]
+        assert rep["solve"]["optimal"] is True
+        assert rep["seed"] is None
 
 
 class TestBench:

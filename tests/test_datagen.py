@@ -141,14 +141,38 @@ class TestInPlaceGeneration:
     def test_peak_memory_is_two_matrices(self):
         m, n = 200, 2000
         spec = SyntheticSpec(n=n, m=m, k_true=10, rho=0.5, snr=6.0, seed=3)
-        tracemalloc.start()
-        try:
-            generate(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # the drawn block, the instance's column-major copy and small temporaries
-        assert peak <= 2.5 * 8 * m * n
+        assert _peak_bytes(generate, spec) <= 2.5 * 8 * m * n
+
+
+def _peak_bytes(fn, *args) -> int:
+    """The tracemalloc peak of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCsvMemory:
+    """CSV files are written and read one row at a time."""
+
+    m, n = 200, 2000
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        return generate(SyntheticSpec(n=self.n, m=self.m, k_true=10, rho=0.5, snr=6.0, seed=3))[0]
+
+    def test_save_peak_is_a_fraction_of_the_matrix(self, instance, tmp_path):
+        # one row's strings, not the whole matrix as Python floats
+        assert _peak_bytes(save_dataset, str(tmp_path), instance, {}) <= 0.5 * 8 * self.m * self.n
+
+    def test_load_peak_is_about_two_matrices(self, instance, tmp_path):
+        save_dataset(str(tmp_path), instance, {})
+        # the parsed rows and the instance's column-major copy, not the file's text
+        peak = _peak_bytes(load_csv, str(tmp_path / "A.csv"), str(tmp_path / "y.csv"))
+        assert peak <= 2.5 * 8 * self.m * self.n
 
 
 class TestGammaZero:
