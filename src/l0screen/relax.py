@@ -8,11 +8,12 @@ reverse-Huber (Berhu) penalty: linear near the origin, quadratic past
 over ``sum(z) <= k`` is the squared k-support norm (Argyriou, Foygel
 and Srebro, 2012), whose prox costs one sort.  Both relaxations are
 solved by an accelerated proximal gradient method with adaptive
-restart; the reg relaxation also tries an exact solve on the pattern
-its iterates settle on (``_berhu_solve``).  Every residual
-``eps = y - A x`` yields a dual-feasible point and hence a certified
-lower bound, valid whether or not the iteration has converged;
-termination is decided by the certified gap itself.
+restart, through ``_inner_solve``, which also prices the columns a
+branch-and-bound node fixes in; the reg relaxation also tries an exact
+solve on the pattern its iterates settle on (``_berhu_solve``).  Every
+residual ``eps = y - A x`` yields a dual-feasible point and hence a
+certified lower bound, valid whether or not the iteration has
+converged; termination is decided by the certified gap itself.
 Each iteration takes one product pair, ``A x - y`` and ``A'`` of it,
 at its new iterate; the same pair gives that iterate's certificate and
 the next gradient, so every iterate's gap is tested.
@@ -293,11 +294,38 @@ def _lipschitz(a) -> float:
     return 2.0 * operator_norm_sq(a) * _LIPSCHITZ_PAD
 
 
-def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
-    """One Berhu problem; columns outside ``free_mask`` get a plain ridge.
+def _inner_solve(a, y, gamma, free_mask, prox, penval, cert, flat, lip, tol, max_iter, x0, finish=None):
+    """One relaxation's accelerated prox problem, with its fixed-in columns.
 
-    The reported primal and bound include the flat charge ``mu`` per
-    fixed-in column, so the pair brackets the subproblem value directly.
+    ``prox`` and ``penval`` are the relaxed penalty's prox and value on
+    the free columns.  Columns outside ``free_mask`` are fixed in: they
+    carry the plain ridge ``x_i^2 / gamma``, whose prox shrinks by
+    ``1 + 2 s / gamma``, plus ``flat`` each (``mu`` for reg, 0 for card),
+    so the reported primal and bound bracket the subproblem value
+    directly.  A ``free_mask`` of None means every column is free, and
+    the prox then takes no gathers.  Returns the tuple of
+    ``_accel_prox_solve``.
+    """
+    if free_mask is not None:
+        fm, om = free_mask, ~free_mask
+        free_prox, free_penval = prox, penval
+        charge = flat * int(np.count_nonzero(om))
+
+        def prox(w, s):
+            out = np.empty_like(w)
+            out[fm], pen = free_prox(w[fm], s)
+            xo = out[om] = w[om] / (1.0 + 2.0 * s / gamma)
+            return out, pen + float(xo @ xo) / gamma + charge
+
+        def penval(xv):
+            xo = xv[om]
+            return free_penval(xv[fm]) + float(xo @ xo) / gamma + charge
+
+    return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0, finish)
+
+
+def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
+    """One Berhu problem, with fixed-in columns as in ``_inner_solve``.
 
     APG is handed an exact finish.  The pattern of an iterate is its
     support, the branch of each free nonzero (linear when
@@ -312,27 +340,10 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
     APG's own certificate decides whether the solution is kept.
     """
     pen = BerhuPenalty(mu=mu, gamma=gamma)
-    n_one = 0 if free_mask is None else int(np.count_nonzero(~free_mask))
-
-    if free_mask is None:
-        shrink = lambda w, s: berhu_prox(pen, s, w)
-        penval = lambda xv: float(np.sum(berhu_value(pen, xv)))
-    else:
-        fm = free_mask
-        om = ~free_mask
-
-        def shrink(w, s):
-            out = np.empty_like(w)
-            out[fm] = berhu_prox(pen, s, w[fm])
-            out[om] = w[om] / (1.0 + 2.0 * s / gamma)
-            return out
-
-        def penval(xv):
-            xo = xv[om]
-            return float(np.sum(berhu_value(pen, xv[fm])) + (xo @ xo) / gamma) + mu * n_one
+    penval = lambda xv: float(np.sum(berhu_value(pen, xv)))
 
     def prox(w, s):
-        xv = shrink(w, s)
+        xv = berhu_prox(pen, s, w)
         return xv, penval(xv)
 
     crossover, half_slope = pen.crossover, math.sqrt(mu / gamma)
@@ -345,7 +356,7 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
         code = np.sign(xv)
         code[np.abs(xv) > crossover] = 2.0
         if free_mask is not None:
-            code[om] = 2.0
+            code[~free_mask] = 2.0
         key = code.tobytes()
         repeat, last = key == last, key
         if not repeat or key in tried:
@@ -367,7 +378,7 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
         return out
 
     cert = lambda e, d: _bound_reg_terms(y, e, d, gamma, mu, free_mask)
-    return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0, finish)
+    return _inner_solve(a, y, gamma, free_mask, prox, penval, cert, mu, lip, tol, max_iter, x0, finish)
 
 
 def solve_cr(inst: Instance, gamma: float, mu: float, tol: float = 1e-8) -> RelaxSolution:
@@ -473,38 +484,19 @@ def _ksupport_prox(w, c, k):
 
 
 def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, tol, max_iter, x0):
-    """Budget-capped relaxation over the free columns; fixed-in columns get ridge.
+    """Budget-capped relaxation, with fixed-in columns as in ``_inner_solve``.
 
-    Minimizing the indicators out leaves
-    ``||y - a x||^2 + (||x_free||_{sp,k}^2 + ||x_fixed||^2) / gamma``,
-    one accelerated prox problem whose dual is the top-k score bound of
-    ``_bound_card_terms``.  A ``free_mask`` of None means every column
-    is free, and the prox then takes no gathers.  Returns the tuple of
-    ``_accel_prox_solve``.
+    Minimizing the indicators out leaves ``||y - a x||^2`` plus
+    ``||x_free||_{sp,k}^2 / gamma``, one accelerated prox problem whose
+    dual is the top-k score bound of ``_bound_card_terms``.
     """
-    if free_mask is None:
-        def prox(w, s):
-            x, sq = _ksupport_prox(w, 2.0 * s / gamma, k_budget)
-            return x, sq / gamma
+    def prox(w, s):
+        x, sq = _ksupport_prox(w, 2.0 * s / gamma, k_budget)
+        return x, sq / gamma
 
-        penval = lambda xv: _ksupport(xv, k_budget)[0] / gamma
-    else:
-        fm = free_mask
-        om = ~free_mask
-
-        def prox(w, s):
-            c = 2.0 * s / gamma
-            out = np.empty_like(w)
-            out[fm], sq = _ksupport_prox(w[fm], c, k_budget)
-            xo = out[om] = w[om] / (1.0 + c)
-            return out, (sq + float(xo @ xo)) / gamma
-
-        def penval(xv):
-            xo = xv[om]
-            return (_ksupport(xv[fm], k_budget)[0] + float(xo @ xo)) / gamma
-
+    penval = lambda xv: _ksupport(xv, k_budget)[0] / gamma
     cert = lambda e, d: _bound_card_terms(y, e, d, gamma, k_budget, free_mask)
-    return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0)
+    return _inner_solve(a, y, gamma, free_mask, prox, penval, cert, 0.0, lip, tol, max_iter, x0)
 
 
 # Kept under its old name because benchmarks/tracer.py looks up
@@ -624,8 +616,7 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
         za = np.ones(active.size)
         za[free_mask] = _ksupport(xa[free_mask], budget)[1]
     else:
-        crossover = BerhuPenalty(mu=spec.mu, gamma=spec.gamma).crossover
-        za = np.where(free_mask, np.minimum(1.0, np.abs(xa) / crossover), 1.0)
+        za = np.where(free_mask, np.minimum(1.0, np.abs(xa) / math.sqrt(spec.gamma * spec.mu)), 1.0)
     x = np.zeros(inst.n)
     z = np.zeros(inst.n)
     scores = np.zeros(inst.n)

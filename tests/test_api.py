@@ -5,6 +5,7 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import l0screen
@@ -14,11 +15,15 @@ _ROOT = Path(__file__).resolve().parents[1]
 _TRACER = _ROOT / "benchmarks" / "tracer.py"
 
 
-def _tracer_targets():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("_l0screen_bench_tracer", _TRACER)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return [(layer, fname) for layer, fname, _ in mod.TARGETS]
+    return mod
+
+
+def _tracer_targets():
+    return [(layer, fname) for layer, fname, _ in _load_tracer().TARGETS]
 
 
 @pytest.mark.parametrize("name", l0screen.__all__)
@@ -32,6 +37,35 @@ def test_benchmark_tracer_targets_resolve():
     missing = [f"{layer}.{fname}" for layer, fname in _tracer_targets()
                if not callable(getattr(importlib.import_module(f"l0screen.{layer}"), fname, None))]
     assert not missing
+
+
+def test_benchmark_tracer_attributes_every_apg_solve():
+    # relax.inner_solves_per_relax counts the inner-solve spans, so a
+    # relaxation that reached _accel_prox_solve by another route would
+    # read 0 there while the traced smoke test still passed
+    import l0screen.cli  # noqa: F401  the tracer patches every layer module
+
+    inst, _ = l0screen.generate(l0screen.SyntheticSpec(n=40, m=20, k_true=3, rho=0.5, snr=6.0, seed=3))
+    gamma = l0screen.gamma_zero(inst, 3)
+    mu = gamma * float(np.sort(inst.aty ** 2)[-5])
+    fixes = np.full(inst.n, l0screen.FixState.FREE, dtype=np.int8)
+    fixes[[0, 3]] = l0screen.FixState.ONE
+    tracer = _load_tracer().Tracer(l0screen)
+    tracer.install()
+    try:
+        l0screen.solve_cr(inst, gamma, mu)
+        l0screen.exact.node_relaxation(inst, l0screen.ProblemSpec.reg(gamma, mu), fixes)
+        l0screen.exact.node_relaxation(inst, l0screen.ProblemSpec.card(gamma, 3), fixes)
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name_col]
+    parent = [names[p] if p >= 0 else None for p in tracer.parent_col]
+    inner = {"relax._berhu_solve", "relax._cc_bisection"}
+    apg = [s for s, name in enumerate(names) if name == "relax._accel_prox_solve"]
+    assert apg and all(parent[s] in inner for s in apg)
+    relaxations = [r for r, name in enumerate(names) if name in ("relax.solve_cr", "exact.node_relaxation")]
+    recorded = [{names[s] for s, p in enumerate(tracer.parent_col) if p == r} & inner for r in relaxations]
+    assert recorded == [{"relax._berhu_solve"}] * 2 + [{"relax._cc_bisection"}]
 
 
 def test_readme_quickstart_prints_what_it_says(capsys):

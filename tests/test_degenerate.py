@@ -6,11 +6,16 @@ the problem is the unit one), each for reg, card with k = 3 and card
 with k = n.  Branch and bound must prove the brute-force optimum, and
 relax -> round -> screen must fix no variable against any optimal
 support.  A nonzero matrix whose squared Frobenius norm underflows
-is refused with a clear error instead.
+is refused with a clear error instead; one just above that threshold
+still gets a Lipschitz value that covers ``2 ||A||^2``.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l0screen import (
     FixState,
@@ -26,6 +31,7 @@ from l0screen import (
     solve_cc,
     solve_cr,
 )
+from l0screen.relax import _lipschitz
 
 
 def _base(m=8, n=6):
@@ -109,3 +115,27 @@ def test_underflowing_matrix_is_refused(make_a):
     with pytest.raises(InvalidInputError, match="the squared Frobenius norm of A underflows; "
                        r"multiply A by a scale s and divide gamma by s\*\*2"):
         Instance(make_a(), _base()[1])
+
+
+_TINY = np.finfo(float).tiny
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["square", "wide", "tall"]), side=st.integers(1, 300),
+       short=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_lipschitz_pad_covers_the_norm_just_above_underflow(kind, side, short, seed):
+    # the Gram entries of such a matrix are subnormal and keep few
+    # significant bits; the 1% pad must still cover their rounding
+    short = min(short, side)
+    m, n = {"square": (side, side), "wide": (short, side), "tall": (side, short)}[kind]
+    rng = np.random.default_rng(seed)
+    a0 = rng.standard_normal((m, n))
+    fro2 = float(np.sum(a0 * a0))
+    # the power of two s with 1.01 <= ||s A0||_F^2 / tiny < 4.04, so
+    # scaling by it is exact and Instance accepts the product
+    s = math.ldexp(1.0, math.ceil(math.log(1.01 * _TINY / fro2, 4)))
+    assert 1.01 * _TINY <= fro2 * s * s <= 10.0 * _TINY
+    a = a0 * s
+    Instance(a, rng.standard_normal(m))
+    # dividing by s twice brings the padded value back to normal range exactly
+    assert _lipschitz(a) / s / s >= 2.0 * np.linalg.norm(a0, 2) ** 2

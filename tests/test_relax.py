@@ -514,17 +514,23 @@ class TestApgLoop:
         assert not short.converged
         assert short.iterations == iters - 1
 
-    @pytest.mark.parametrize("variant", ["reg", "card"])
-    def test_one_product_pair_per_iteration(self, variant):
-        inst, spec, _ = _apg_case(variant, False, 60, 120)
+    @pytest.mark.parametrize("variant,fixed_in", [
+        pytest.param(variant, fixed_in, id=variant + ("-fixed" if fixed_in else ""))
+        for fixed_in in (False, True) for variant in ("reg", "card")
+    ])
+    def test_one_product_pair_per_iteration(self, variant, fixed_in):
+        inst, spec, fixes = _apg_case(variant, fixed_in, 60, 120)
+        free = fixes == FixState.FREE
+        mask = free if fixed_in else None
         calls = []
         a = _CountingMatrix(inst.a, calls)
         lip = _lipschitz(inst.a)
         x0 = np.zeros(inst.n)
         if variant == "card":
-            res = _ksupport_solve(a, inst.y, spec.gamma, spec.k, None, lip, 1e-8, 50_000, x0)
+            budget = spec.k - int(np.count_nonzero(~free))
+            res = _ksupport_solve(a, inst.y, spec.gamma, budget, mask, lip, 1e-8, 50_000, x0)
         else:
-            res = _berhu_solve(a, inst.y, spec.gamma, spec.mu, None, lip, 1e-8, 50_000, x0)
+            res = _berhu_solve(a, inst.y, spec.gamma, spec.mu, mask, lip, 1e-8, 50_000, x0)
         iters, converged = res[4], res[5]
         assert converged and iters > 1
         assert len(calls) == 2 * iters + 2
