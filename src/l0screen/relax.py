@@ -98,15 +98,30 @@ def berhu_prox(pen: BerhuPenalty, t, v):
     if t <= 0 or not np.isfinite(t):
         raise InvalidInputError("step t must be positive and finite")
     vv = np.asarray(v, dtype=float)
-    av = np.abs(vv)
+    out = _berhu_prox_value(pen, t, vv)[0]
+    return float(out) if vv.ndim == 0 else out
+
+
+def _berhu_prox_value(pen: BerhuPenalty, t, v):
+    """``berhu_prox`` of a float array ``v``, and the penalty sum of the result.
+
+    The penalty is read off the branch each entry took, ``slope * |x|``
+    on the zero and linear branches and ``x^2 / gamma + mu`` on the
+    quadratic one, so APG need not price its iterates again with
+    ``berhu_value``.  The two agree except where rounding in
+    ``|v| - t * slope`` puts a linear-branch output past the crossover;
+    the branches meet there, so they then differ by that rounding
+    squared over ``gamma``.
+    """
+    av = np.abs(v)
     thr = t * pen.slope
     scale = 1.0 + 2.0 * t / pen.gamma
-    out = np.where(
-        av <= thr,
-        0.0,
-        np.where(av <= pen.crossover * scale, av - thr, av / scale),
-    ) * np.sign(vv)
-    return float(out) if vv.ndim == 0 else out
+    zero = av <= thr
+    lin = av <= pen.crossover * scale
+    mag = np.where(zero, 0.0, np.where(lin, av - thr, av / scale))
+    xq = mag[~(zero | lin)]
+    value = pen.slope * float(mag[lin].sum()) + float(xq @ xq) / pen.gamma + pen.mu * xq.size
+    return mag * np.sign(v), value
 
 
 @dataclass
@@ -341,10 +356,7 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
     """
     pen = BerhuPenalty(mu=mu, gamma=gamma)
     penval = lambda xv: float(np.sum(berhu_value(pen, xv)))
-
-    def prox(w, s):
-        xv = berhu_prox(pen, s, w)
-        return xv, penval(xv)
+    prox = lambda w, s: _berhu_prox_value(pen, s, w)
 
     crossover, half_slope = pen.crossover, math.sqrt(mu / gamma)
     last, tried = b"", set()

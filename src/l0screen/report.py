@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
-
-import jsonschema
 
 _NUMBER = {"type": "number"}
 _NONNEG = {"type": "number", "minimum": 0}
@@ -103,9 +102,16 @@ BENCH_COLUMNS = [
 
 _BENCH_METHODS = {"screen", "bnb", "bnb_screen"}
 
-# built once: jsonschema.validate would check the constant schema against
-# its metaschema again on every call
-_RUN_REPORT_VALIDATOR = jsonschema.Draft202012Validator(RUN_REPORT_SCHEMA)
+
+@functools.cache
+def _run_report_validator():
+    # Imported and built on the first validation, not on import: the
+    # solvers never validate, and jsonschema is most of the package's
+    # import time.  Built once, because jsonschema.validate would check
+    # the constant schema against its metaschema again on every call.
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(RUN_REPORT_SCHEMA)
 
 
 def validate_run_report(obj: dict):
@@ -120,7 +126,7 @@ def validate_run_report(obj: dict):
     fixes = screen.get("fixes") if isinstance(screen, dict) else None
     if isinstance(fixes, list) and all(isinstance(f, str) for f in fixes):
         obj = {**obj, "screen": {**screen, "fixes": list(dict.fromkeys(fixes))}}
-    _RUN_REPORT_VALIDATOR.validate(obj)
+    _run_report_validator().validate(obj)
 
 
 def _cell_float(value: str, column: str, allow_empty: bool = False) -> None:

@@ -32,6 +32,7 @@ from l0screen import (
 from l0screen.exact import node_relaxation
 from l0screen.relax import (
     BerhuPenalty,
+    _berhu_prox_value,
     _berhu_solve,
     _bound_card_terms,
     _bound_reg_terms,
@@ -40,6 +41,7 @@ from l0screen.relax import (
     _ksupport_solve,
     _lipschitz,
     _relax,
+    berhu_prox,
     berhu_value,
     operator_norm_sq,
 )
@@ -217,6 +219,23 @@ class TestKSupport:
         k = data.draw(st.integers(min_value=1, max_value=w.size))
         x, val = _ksupport_prox(w, c, k)
         assert val == pytest.approx(ksupport_sq_bisect(x, k)[0], rel=1e-9, abs=1e-12)
+
+
+_berhu_params = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@given(mu=_berhu_params, gamma=_berhu_params, t=st.floats(min_value=1e-4, max_value=1e2),
+       v=st.lists(st.floats(min_value=-100.0, max_value=100.0), max_size=12),
+       at=st.lists(st.sampled_from(["zero", "lin"]), max_size=4), sign=st.sampled_from([1.0, -1.0]))
+@settings(max_examples=300, deadline=None)
+def test_berhu_prox_value_prices_its_own_output(mu, gamma, t, v, at, sign):
+    pen = BerhuPenalty(mu, gamma)
+    # entries exactly at the zero and linear branches' upper thresholds
+    edge = {"zero": t * pen.slope, "lin": pen.crossover * (1.0 + 2.0 * t / gamma)}
+    v = np.array(v + [sign * edge[e] for e in at])
+    x, value = _berhu_prox_value(pen, t, v)
+    assert x.tobytes() == berhu_prox(pen, t, v).tobytes()  # signed zeros included
+    assert value == pytest.approx(float(berhu_value(pen, x).sum()), rel=1e-12, abs=0.0)
 
 
 class TestSolveCr:

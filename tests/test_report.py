@@ -1,4 +1,8 @@
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -107,3 +111,18 @@ class TestBenchCsv:
     def test_wrong_header_rejected(self):
         with pytest.raises(Exception):
             validate_bench_csv("a,b,c\n")
+
+
+def test_jsonschema_loads_on_first_validation():
+    # the solvers never validate a report, so importing the package and
+    # its CLI must not pay for jsonschema; the first validation does
+    code = (
+        "import sys, l0screen, l0screen.cli\n"
+        "assert 'jsonschema' not in sys.modules, 'jsonschema loaded on import'\n"
+        f"l0screen.validate_run_report({_GOOD!r})\n"
+        "assert 'jsonschema' in sys.modules, 'jsonschema not loaded by validation'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
