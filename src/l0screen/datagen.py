@@ -94,10 +94,39 @@ def generate(spec: SyntheticSpec):
     return Instance(a, y), support
 
 
+# Entries of A squared at a time by _row_sq: a 128 KB temporary, against
+# a second copy of A for the whole product.
+_ROW_SQ_BLOCK = 1 << 14
+
+
+def _row_sq(a) -> np.ndarray:
+    """Squared row norms of a column-major ``a``, bit for bit those of ``(a * a).sum(axis=1)``.
+
+    With more than one row, that sum adds the squares one column at a
+    time, so it is taken here over blocks of columns, each block's sums
+    starting from the last block's; the temporary is one block, not a
+    second copy of ``a``.  A single row is summed pairwise, so it is
+    squared whole.
+    """
+    m, n = a.shape
+    if m == 1:
+        return (a * a).sum(axis=1)
+    cols = min(n, max(1, _ROW_SQ_BLOCK // m))
+    # column 0 carries each row's running sum into the next block; it
+    # starts at +0, and 0 + s is s exactly for a square s
+    buf = np.zeros((m, cols + 1), order="F")
+    for j in range(0, n, cols):
+        blk = a[:, j:j + cols]
+        w = blk.shape[1]
+        np.multiply(blk, blk, out=buf[:, 1:w + 1])
+        buf[:, 0] = np.add.reduce(buf[:, :w + 1], axis=1)
+    return buf[:, 0]
+
+
 def gamma_zero(inst: Instance, k: int) -> float:
     """Reference ridge scale ``n / (m k max_i ||row_i||^2)``, for k an integer in [1, n]."""
     _check_k(k, inst.n)
-    row_sq = float((inst.a * inst.a).sum(axis=1).max())
+    row_sq = float(_row_sq(inst.a).max())
     if row_sq == 0.0:
         raise ZeroDivisionError("gamma_zero is undefined for an all-zero matrix")
     return inst.n / (inst.m * k * row_sq)

@@ -70,12 +70,18 @@ class Instance:
     computed once here and read-only like the data it comes from: every
     relaxation ranks its first working set by it, so a path, a sweep or
     a branch-and-bound tree over one instance takes that product once.
-    Instances compare by identity, so one can key a dict.
+    ``_first_ws`` holds, per working-set size, the first working set of
+    a relaxation with every variable free and no warm start, and its
+    Lipschitz value: column indices and one float, filled by
+    ``relax._relax`` on first use, so such relaxations take that eigen
+    solve once per instance too.  Instances compare by identity, so one
+    can key a dict.
     """
 
     a: NDArray[np.float64]
     y: NDArray[np.float64]
     aty: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    _first_ws: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.a, dtype=float, order="F", copy=True)
@@ -111,6 +117,7 @@ class Instance:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "aty", aty)
+        object.__setattr__(self, "_first_ws", {})
 
     @property
     def m(self) -> int:

@@ -114,14 +114,17 @@ def _berhu_prox_value(pen: BerhuPenalty, t, v):
     squared over ``gamma``.
     """
     av = np.abs(v)
-    thr = t * pen.slope
+    slope = pen.slope
+    thr = t * slope
     scale = 1.0 + 2.0 * t / pen.gamma
     zero = av <= thr
     lin = av <= pen.crossover * scale
-    mag = np.where(zero, 0.0, np.where(lin, av - thr, av / scale))
+    mag = np.where(lin, av - thr, av / scale)
+    mag[zero] = 0.0
     xq = mag[~(zero | lin)]
-    value = pen.slope * float(mag[lin].sum()) + float(xq @ xq) / pen.gamma + pen.mu * xq.size
-    return mag * np.sign(v), value
+    value = slope * float(mag[lin].sum()) + float(xq.dot(xq)) / pen.gamma + pen.mu * xq.size
+    mag *= np.sign(v)
+    return mag, value
 
 
 @dataclass
@@ -192,22 +195,26 @@ def _scores(a, eps):
     return ateps * ateps
 
 
-def _bound_reg_terms(y, eps, d, gamma, mu, free_mask=None) -> float:
+def _bound_reg_terms(y, eps, d, gamma, mu, free_mask=None, eps_sq=None) -> float:
     # Dual value at p = 2 gamma A'eps, priced from the scores d: the
     # x-part is 2 eps'y - ||eps||^2 for any eps, the z-part clips each
     # margin mu - gamma delta_i at 0 for free variables and takes it
-    # as-is for variables fixed in.
+    # as-is for variables fixed in.  eps_sq is ||eps||^2 when the caller
+    # has it.
     margin = mu - gamma * d
     if free_mask is None:
         zpart = float(np.minimum(0.0, margin).sum())
     else:
         zpart = float(np.minimum(0.0, margin[free_mask]).sum() + margin[~free_mask].sum())
-    return float(2.0 * (eps @ y) - eps @ eps + zpart)
+    if eps_sq is None:
+        eps_sq = eps.dot(eps)
+    return float(2.0 * eps.dot(y) - eps_sq + zpart)
 
 
-def _bound_card_terms(y, eps, d, gamma, k_budget, free_mask=None) -> float:
+def _bound_card_terms(y, eps, d, gamma, k_budget, free_mask=None, eps_sq=None) -> float:
     # z-part: variables fixed in contribute -gamma delta_i outright; the
     # budget then buys the k largest scores among the free variables.
+    # eps_sq is ||eps||^2 when the caller has it.
     if free_mask is None:
         df = d
         fixed = 0.0
@@ -215,8 +222,14 @@ def _bound_card_terms(y, eps, d, gamma, k_budget, free_mask=None) -> float:
         df = d[free_mask]
         fixed = float(d[~free_mask].sum())
     kk = min(int(k_budget), df.size)
-    top = float(np.partition(df, df.size - kk)[df.size - kk:].sum()) if kk > 0 else 0.0
-    return float(2.0 * (eps @ y) - eps @ eps - gamma * (fixed + top))
+    top = 0.0
+    if kk > 0:
+        part = df.copy()
+        part.partition(df.size - kk)
+        top = float(part[df.size - kk:].sum())
+    if eps_sq is None:
+        eps_sq = eps.dot(eps)
+    return float(2.0 * eps.dot(y) - eps_sq - gamma * (fixed + top))
 
 
 def certified_lower_bound_reg(inst: Instance, gamma: float, mu: float, epsilon_bar) -> float:
@@ -240,8 +253,9 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
     new point with its penalty, and ``penalty_value`` prices ``x0``.
     Each iteration takes one product pair at its new iterate,
     ``r = a x - y`` and ``g = a' r``, which both certify that iterate
-    (``eps = -r``, scores ``g * g``) and, by linearity, give the gradient
-    at the next extrapolated point.
+    (``certificate(eps, scores, ||eps||^2)`` with ``eps = -r`` and
+    scores ``g * g``) and, by linearity, give the gradient at the next
+    extrapolated point.
 
     ``finish``, when given, maps an iterate whose gap is still open to a
     candidate point or None.  A candidate is priced by one product pair,
@@ -257,6 +271,8 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
     if lip <= 0.0:
         lip = 1.0  # gradient is then zero or the prox does all the work
     step = 1.0 / lip
+    # doubling is exact, so two_step * gv has the bits of step * (2 gv)
+    two_step = 2.0 * step
     x = np.array(x0, dtype=float)
     pen = penalty_value(x)
     r = a @ x - y
@@ -267,8 +283,11 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
     while True:
         eps = -r
         d = g * g
-        primal = float(eps @ eps) + pen
-        lb = certificate(eps, d)
+        # ||eps||^2, bit for bit; ndarray.dot is the same BLAS dot as @
+        # without matmul's dispatch, which costs more than the dot itself
+        ee = float(r.dot(r))
+        primal = ee + pen
+        lb = certificate(eps, d, ee)
         if not (math.isfinite(primal) and math.isfinite(lb)):
             return x, eps, primal, lb, it, False, d  # diverged
         ok = _within(lb, primal, tol)
@@ -281,23 +300,25 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
                 rf = a @ xf - y
                 gf = a.T @ rf
                 df = gf * gf
-                primal_f = float(rf @ rf) + penalty_value(xf)
-                lb_f = certificate(-rf, df)
+                ef = float(rf.dot(rf))
+                primal_f = ef + penalty_value(xf)
+                lb_f = certificate(-rf, df, ef)
             if _within(lb_f, primal_f, tol):
                 return xf, -rf, primal_f, lb_f, it, True, df
             if it >= max_iter:
                 return x, eps, primal, lb, it, False, d
-        x_new, pen = prox(v - step * (2.0 * gv), step)
+        x_new, pen = prox(v - two_step * gv, step)
         g_old = g
         r = a @ x_new - y
         g = a.T @ r
-        if float((v - x_new) @ (x_new - x)) > 0.0:
+        dx = x_new - x
+        if float((v - x_new).dot(dx)) > 0.0:
             t_mom, v, gv = 1.0, x_new, g
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
             beta = (t_mom - 1.0) / t_next
             # a' (a v - y) = g + beta (g - g_old), with no product at v
-            v = x_new + beta * (x_new - x)
+            v = x_new + beta * dx
             gv = g + beta * (g - g_old)
             t_mom = t_next
         x = x_new
@@ -359,6 +380,7 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
     prox = lambda w, s: _berhu_prox_value(pen, s, w)
 
     crossover, half_slope = pen.crossover, math.sqrt(mu / gamma)
+    fixed_in = None if free_mask is None else ~free_mask
     last, tried = b"", set()
 
     def finish(xv):
@@ -367,8 +389,8 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
         # 2 on the quadratic branch or fixed in
         code = np.sign(xv)
         code[np.abs(xv) > crossover] = 2.0
-        if free_mask is not None:
-            code[~free_mask] = 2.0
+        if fixed_in is not None:
+            code[fixed_in] = 2.0
         key = code.tobytes()
         repeat, last = key == last, key
         if not repeat or key in tried:
@@ -389,7 +411,7 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
         out[s] = xs
         return out
 
-    cert = lambda e, d: _bound_reg_terms(y, e, d, gamma, mu, free_mask)
+    cert = lambda e, d, ee: _bound_reg_terms(y, e, d, gamma, mu, free_mask, ee)
     return _inner_solve(a, y, gamma, free_mask, prox, penval, cert, mu, lip, tol, max_iter, x0, finish)
 
 
@@ -469,30 +491,39 @@ def _ksupport_prox(w, c, k):
     and summing slopes and offsets along them locates the root.  Returns
     ``(x, ||x||_{sp,k}^2)``: ``z`` attains the norm at ``x``, so the
     value is ``sum_i x_i^2 / z_i = x @ (w / (z + c))``.
+
+    APG calls this once per iteration on a few dozen entries, where
+    numpy's per-call overhead is most of the cost, so the slope and
+    offset steps share one gather by the sort order and one accumulate.
     """
     aw = np.abs(w)
     nz = aw[aw > 0.0]
-    if nz.size <= k:
+    n = nz.size
+    if n <= k:
         x = w / (1.0 + c)
         return x, float(x @ x)
-    bp = np.concatenate([c / nz, (1.0 + c) / nz])
-    order = np.argsort(bp, kind="stable")
+    bp = np.concatenate((c / nz, (1.0 + c) / nz))
+    order = bp.argsort(kind="stable")
     bp = bp[order]
-    slope = np.cumsum(np.concatenate([nz, -nz])[order])
-    offset = np.full(2 * nz.size, -c)
-    offset[nz.size:] = 1.0 + c
-    offset = np.cumsum(offset[order])
+    # rows: the slope and offset steps of each breakpoint, in bp's order
+    steps = np.empty((2, 2 * n))
+    steps[0, :n] = nz
+    np.negative(nz, out=steps[0, n:])
+    steps[1, :n] = -c
+    steps[1, n:] = 1.0 + c
+    slope, offset = np.add.accumulate(steps.take(order, axis=1), axis=1)
     mass = bp * slope + offset
     # mass[0] = 0 < k and mass[-1] = nnz > k, so 1 <= j < 2 nnz
-    j = int(np.argmax(mass >= k))
+    j = int((mass >= k).argmax())
     beta = bp[j]
     if slope[j - 1] > 0.0:
         # a flat segment at mass k can carry a rounding-sized slope; any
         # beta on it gives the same z, so stay inside the segment
         beta = min(beta, bp[j - 1] + (k - mass[j - 1]) / slope[j - 1])
     z = np.minimum(np.maximum(beta * aw - c, 0.0), 1.0)
-    x = w * z / (z + c)
-    return x, float(x @ (w / (z + c)))
+    zc = z + c
+    x = w * z / zc
+    return x, float(x.dot(w / zc))
 
 
 def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, tol, max_iter, x0):
@@ -507,7 +538,7 @@ def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, tol, max_iter, x0):
         return x, sq / gamma
 
     penval = lambda xv: _ksupport(xv, k_budget)[0] / gamma
-    cert = lambda e, d: _bound_card_terms(y, e, d, gamma, k_budget, free_mask)
+    cert = lambda e, d, ee: _bound_card_terms(y, e, d, gamma, k_budget, free_mask, ee)
     return _inner_solve(a, y, gamma, free_mask, prox, penval, cert, 0.0, lip, tol, max_iter, x0)
 
 
@@ -553,7 +584,10 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
     lower index (``problem._top``).  So the rounds take one product with
     the full ``A`` each, their ``A' eps``, and none with ``y``.  A
     relaxation with no more free columns than the start runs as one
-    round on all of them.
+    round on all of them.  With every variable free and no warm start,
+    the first W and its Lipschitz value depend on the instance alone:
+    they are priced on first use and read from ``inst._first_ws`` after
+    that.
     ``iterations`` sums the rounds, and ``_MAX_ITER`` caps that sum.
     The returned ``scores`` come from the product that priced the
     returned bound: the last round's ``A' eps``, or the one-round
@@ -585,22 +619,31 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
         xa = np.asarray(x_warm, dtype=float)[active]
 
     start = max(_WS_START, 2 * budget)
-    in_w = np.ones(active.size, dtype=bool)
-    if n_free > start:
-        in_w = ~free_mask | (xa != 0.0)
-        room = start - int(np.count_nonzero(in_w & free_mask))
-        if room > 0:
-            score = np.abs(inst.aty[active])
-            score[in_w] = -1.0
-            in_w[_top(score, room)] = True
+    # with every variable free and no warm start, the first working set
+    # and its Lipschitz value depend on the instance alone
+    cold = lipschitz is None and x_warm is None and n_free == inst.n
+    w, lip = inst._first_ws.get(start, (None, None)) if cold else (None, lipschitz)
+    if w is None:
+        w = np.arange(active.size)
+        if n_free > start:
+            in_w = ~free_mask | (xa != 0.0)
+            room = start - int(np.count_nonzero(in_w & free_mask))
+            if room > 0:
+                score = np.abs(inst.aty[active])
+                score[in_w] = -1.0
+                in_w[_top(score, room)] = True
+            w = np.flatnonzero(in_w)
     iters = 0
     while True:
-        w = np.flatnonzero(in_w)
         whole = w.size == active.size
         aw = a if whole else a[:, w]
+        if lip is None:
+            lip = _lipschitz(aw)
+            if cold:
+                w.setflags(write=False)
+                inst._first_ws[start] = (w, lip)
         xw, eps, primal, lb, it, ok, d = inner(
-            aw, y, spec.gamma, par, None if mask is None else free_mask[w],
-            _lipschitz(aw) if lipschitz is None else lipschitz, tol, max_iter - iters, xa[w],
+            aw, y, spec.gamma, par, None if mask is None else free_mask[w], lip, tol, max_iter - iters, xa[w],
         )
         iters += it
         xa = np.zeros(active.size)
@@ -614,6 +657,8 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
         ok = _within(lb, primal, tol)
         if ok or stop:
             break
+        in_w = np.zeros(active.size, dtype=bool)
+        in_w[w] = True
         outside = ~in_w
         if card:
             dw = d[in_w & free_mask]
@@ -623,6 +668,7 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
         # rounding can leave the full gap open with no such column
         cand = np.flatnonzero(joins if joins.any() else outside)
         in_w[cand[_top(d[cand], w.size)]] = True
+        w, lip, cold = np.flatnonzero(in_w), lipschitz, False
 
     if card:
         za = np.ones(active.size)

@@ -290,3 +290,52 @@ def generate_two_arrays(n, m, k_true, rho, snr, seed):
     sigma = math.sqrt(float(np.var(signal)) / snr)
     y = signal + sigma * rng.standard_normal(m)
     return a, y, support
+
+
+def ksupport_prox_concat(w, c, k):
+    """The k-support prox written plainly: the breakpoints, slope steps
+    and offset steps each concatenated, gathered by the stable sort
+    order and summed with ``np.cumsum``; ``relax._ksupport_prox`` must
+    match it bit for bit, NaN and inf entries included.
+
+    Returns ``(x, ||x||_{sp,k}^2)``.
+    """
+    aw = np.abs(w)
+    nz = aw[aw > 0.0]
+    if nz.size <= k:
+        x = w / (1.0 + c)
+        return x, float(x @ x)
+    bp = np.concatenate([c / nz, (1.0 + c) / nz])
+    order = np.argsort(bp, kind="stable")
+    bp = bp[order]
+    slope = np.cumsum(np.concatenate([nz, -nz])[order])
+    offset = np.full(2 * nz.size, -c)
+    offset[nz.size:] = 1.0 + c
+    offset = np.cumsum(offset[order])
+    mass = bp * slope + offset
+    j = int(np.argmax(mass >= k))
+    beta = bp[j]
+    if slope[j - 1] > 0.0:
+        beta = min(beta, bp[j - 1] + (k - mass[j - 1]) / slope[j - 1])
+    z = np.minimum(np.maximum(beta * aw - c, 0.0), 1.0)
+    x = w * z / (z + c)
+    return x, float(x @ (w / (z + c)))
+
+
+def berhu_prox_where(mu, gamma, t, v):
+    """The Berhu prox and its penalty written as two nested ``np.where``
+    over the zero, linear and quadratic branches; ``relax._berhu_prox_value``
+    must match it bit for bit, signed zeros, NaN and inf included.
+
+    Returns ``(x, penalty of x)``.
+    """
+    slope, crossover = 2.0 * math.sqrt(mu / gamma), math.sqrt(gamma * mu)
+    av = np.abs(v)
+    thr = t * slope
+    scale = 1.0 + 2.0 * t / gamma
+    zero = av <= thr
+    lin = av <= crossover * scale
+    mag = np.where(zero, 0.0, np.where(lin, av - thr, av / scale))
+    xq = mag[~(zero | lin)]
+    value = slope * float(mag[lin].sum()) + float(xq @ xq) / gamma + mu * xq.size
+    return mag * np.sign(v), value

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from l0screen import (
     load_csv,
     save_dataset,
 )
-from l0screen.datagen import GENERATOR_NAME, _read_rows, _write_matrix, true_support_indices
+from l0screen import datagen
+from l0screen.datagen import GENERATOR_NAME, _read_rows, _row_sq, _write_matrix, true_support_indices
 
 from ._oracles import CsvOracleError, generate_two_arrays, load_csv_per_cell
 
@@ -192,6 +194,34 @@ class TestGammaZero:
         g1 = gamma_zero(Instance(a, y), 3)
         g2 = gamma_zero(Instance(3.0 * a, y), 3)
         assert g2 == pytest.approx(g1 / 9.0, rel=1e-12)
+
+
+def _assert_row_sq_matches_the_whole_product(inst):
+    want = (inst.a * inst.a).sum(axis=1)
+    assert _row_sq(inst.a).tobytes() == want.tobytes()
+    assert gamma_zero(inst, 1) == inst.n / (inst.m * float(want.max()))
+
+
+class TestRowNormsInBlocks:
+    """``gamma_zero`` squares A a block of columns at a time, with the bits of ``(a * a).sum(axis=1)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 40), n=st.integers(1, 300), scale=st.floats(-100.0, 100.0),
+           seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 7, 64, datagen._ROW_SQ_BLOCK]))
+    def test_matches_the_whole_product(self, m, n, scale, seed, block):
+        a = np.random.default_rng(seed).standard_normal((m, n)) * 10.0 ** scale
+        with mock.patch.object(datagen, "_ROW_SQ_BLOCK", block):
+            _assert_row_sq_matches_the_whole_product(Instance(a, np.ones(m)))
+
+    @pytest.mark.parametrize("m,n", [(500, 5000), (200, 2000), (1, 40000)])
+    def test_benchmark_shapes_match_the_whole_product(self, m, n):
+        inst, _ = generate(SyntheticSpec(n=n, m=m, k_true=1, rho=0.5, snr=6.0, seed=5))
+        _assert_row_sq_matches_the_whole_product(inst)
+
+    def test_peak_is_a_fraction_of_the_matrix(self):
+        m, n = 200, 2000
+        inst, _ = generate(SyntheticSpec(n=n, m=m, k_true=10, rho=0.5, snr=6.0, seed=3))
+        assert _peak_bytes(gamma_zero, inst, 10) <= 0.1 * 8 * m * n
 
 
 class TestCsvRoundTrip:

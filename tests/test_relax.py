@@ -1,8 +1,9 @@
 import copy
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l0screen import (
@@ -46,7 +47,8 @@ from l0screen.relax import (
     operator_norm_sq,
 )
 
-from ._oracles import ksupport_prox_bisect, ksupport_sq_bisect, relax_value_grid, ridge_ls
+from ._oracles import (berhu_prox_where, ksupport_prox_bisect, ksupport_prox_concat, ksupport_sq_bisect,
+                       relax_value_grid, ridge_ls)
 from .conftest import random_instance
 
 # repeated values and exact zeros exercise the ties and flat segments
@@ -221,6 +223,52 @@ class TestKSupport:
         assert val == pytest.approx(ksupport_sq_bisect(x, k)[0], rel=1e-9, abs=1e-12)
 
 
+@st.composite
+def _prox_pin_cases(draw):
+    """``(w, c, k)`` for the bit-for-bit prox check.
+
+    Besides plain vectors with zeros and repeated magnitudes: all-zero
+    input, at most ``k`` nonzeros, NaN and inf entries, and flat
+    segments at mass ``k`` (``k`` large entries that cap before any
+    small one starts to rise), where the slope sum can come out
+    rounding-sized instead of 0.
+    """
+    n = draw(st.integers(1, 200))
+    c = 10.0 ** draw(st.floats(-12.0, 6.0))
+    kind = draw(st.sampled_from(["plain", "zero", "sparse", "flat", "nonfinite"]))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]),
+                      st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: v == 0.0 or abs(v) > 1e-300))
+    w = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    k = draw(st.integers(1, n))
+    if kind == "zero":
+        w[:] = 0.0
+    elif kind == "sparse":
+        w[draw(st.integers(0, k)):] = 0.0
+    elif kind == "flat" and n > k:
+        big = np.array(draw(st.lists(st.floats(1.0, 2.0), min_size=k, max_size=k)))
+        # c / |small| > (1 + c) / min(big): every big entry caps first
+        frac = np.array(draw(st.lists(st.floats(0.0, 0.9), min_size=n - k, max_size=n - k)))
+        w = np.concatenate([big, frac * (c * big.min() / (1.0 + c))])
+        w = w[np.array(draw(st.permutations(range(n))))]
+    elif kind == "nonfinite":
+        for _ in range(draw(st.integers(1, 3))):
+            w[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return w, c, k
+
+
+# a flat segment whose slope sums to 2.2e-16, so the clamp moves beta
+@example(case=(np.array([1.86, 1.68, 1.35, 0.02, 0.006]), 0.09253438770778166, 3))
+@given(case=_prox_pin_cases())
+@settings(max_examples=500, deadline=None)
+def test_ksupport_prox_matches_the_concatenating_form_bit_for_bit(case):
+    w, c, k = case
+    with np.errstate(all="ignore"):  # NaN and inf entries
+        x, val = _ksupport_prox(w, c, k)
+        want_x, want_val = ksupport_prox_concat(w, c, k)
+    assert x.tobytes() == want_x.tobytes()
+    assert val == want_val or (math.isnan(val) and math.isnan(want_val))
+
+
 _berhu_params = st.floats(min_value=1e-3, max_value=1e3)
 
 
@@ -236,6 +284,22 @@ def test_berhu_prox_value_prices_its_own_output(mu, gamma, t, v, at, sign):
     x, value = _berhu_prox_value(pen, t, v)
     assert x.tobytes() == berhu_prox(pen, t, v).tobytes()  # signed zeros included
     assert value == pytest.approx(float(berhu_value(pen, x).sum()), rel=1e-12, abs=0.0)
+
+
+@given(mu=_berhu_params, gamma=_berhu_params, t=st.floats(min_value=1e-4, max_value=1e2),
+       v=st.lists(st.one_of(st.floats(min_value=-100.0, max_value=100.0),
+                            st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])), max_size=40),
+       at=st.lists(st.sampled_from(["zero", "lin"]), max_size=4), sign=st.sampled_from([1.0, -1.0]))
+@settings(max_examples=300, deadline=None)
+def test_berhu_prox_value_matches_the_nested_where_form_bit_for_bit(mu, gamma, t, v, at, sign):
+    pen = BerhuPenalty(mu, gamma)
+    edge = {"zero": t * pen.slope, "lin": pen.crossover * (1.0 + 2.0 * t / gamma)}
+    v = np.array(v + [sign * edge[e] for e in at])
+    with np.errstate(all="ignore"):  # NaN and inf entries
+        x, value = _berhu_prox_value(pen, t, v)
+        want_x, want_value = berhu_prox_where(mu, gamma, t, v)
+    assert x.tobytes() == want_x.tobytes()
+    assert value == want_value or (math.isnan(value) and math.isnan(want_value))
 
 
 class TestSolveCr:
@@ -948,3 +1012,90 @@ class TestLipschitzValue:
         assert sol.iterations == priced.iterations == 0
         assert sol.lower_bound == priced.lower_bound
         np.testing.assert_array_equal(sol.x, priced.x)
+
+
+def _path(spec, factors=(1.0, 2.0, 4.0, 8.0)):
+    """A 4-gamma path from ``spec``: gamma times each factor, and a reg mu with it."""
+    if spec.variant is Variant.CARD:
+        return [ProblemSpec.card(f * spec.gamma, spec.k) for f in factors]
+    return [ProblemSpec.reg(f * spec.gamma, f * spec.mu) for f in factors]
+
+
+class _SpyDict(dict):
+    """A dict that logs every read and write."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def get(self, *args):
+        self.log.append("get")
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.log.append("getitem")
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.log.append("set")
+        super().__setitem__(key, value)
+
+    def __contains__(self, key):
+        self.log.append("contains")
+        return super().__contains__(key)
+
+
+class TestFirstWorkingSetCache:
+    """A relaxation with every variable free and no warm start prices its
+    first working set once per instance."""
+
+    @pytest.mark.parametrize("case,start", [
+        pytest.param(lambda v: _ws_case(v, False, 0, 24), 1, id="rounds"),
+        pytest.param(lambda v: _apg_case(v, False, 60, 120), None, id="default-start"),
+    ])
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_a_path_prices_the_first_working_set_once(self, monkeypatch, variant, case, start):
+        inst, base, _ = case(variant)
+        if start is not None:
+            monkeypatch.setattr(relax, "_WS_START", start)
+        widths = _count_rounds(monkeypatch, variant)
+        shapes = _count_norms(monkeypatch)
+        later = []
+        for spec in _path(base):
+            first = len(widths)
+            _solve(inst, spec)
+            later += widths[first + 1:]
+        assert widths[0] < inst.n and (start is None or later)
+        assert shapes == [(inst.m, widths[0])] + [(inst.m, w) for w in later]
+        # indices and one float per start size, never a column block
+        ((w, lip),) = inst._first_ws.values()
+        assert w.dtype.kind == "i" and w.size == widths[0] and isinstance(lip, float)
+
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_cached_solves_match_a_fresh_instance(self, variant):
+        inst, base, _ = _apg_case(variant, False, 60, 120)
+        for spec in _path(base):
+            got = _solve(inst, spec)
+            want = _solve(Instance(inst.a, inst.y), spec)
+            for name in ("x", "z", "epsilon", "scores"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert (got.objective, got.lower_bound, got.iterations, got.converged) == \
+                (want.objective, want.lower_bound, want.iterations, want.converged)
+
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_fixes_a_warm_start_and_branch_and_bound_leave_the_cache_alone(self, variant):
+        inst, spec, _ = _apg_case(variant, False, 60, 120)
+        log = []
+        object.__setattr__(inst, "_first_ws", _SpyDict(log))
+        free = np.full(inst.n, FixState.FREE, dtype=np.int8)
+        warm = _solve(Instance(inst.a, inst.y), spec).x
+        for fixed, state in ((0, FixState.ONE), (3, FixState.ZERO)):
+            fixes = free.copy()
+            fixes[fixed] = state
+            node_relaxation(inst, spec, fixes)
+        node_relaxation(inst, spec, free, x_warm=warm)
+        node_relaxation(inst, spec, free, lipschitz=_lipschitz(inst.a))
+        small = random_instance(41, 9, 14)
+        object.__setattr__(small, "_first_ws", _SpyDict(log))
+        branch_and_bound(small, ProblemSpec.card(0.8, 3) if variant == "card" else ProblemSpec.reg(0.8, 0.5))
+        assert log == [] and not inst._first_ws and not small._first_ws
