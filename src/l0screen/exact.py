@@ -173,6 +173,42 @@ def node_relaxation(
     return _relax(inst, spec, _check_fixes(fixes, inst.n), x_warm=x_warm, lipschitz=lipschitz)
 
 
+def _expand(inst, spec, fixes, warm, bound, zeta_bar, lip, screen):
+    """Relax, round, prune, screen, then evaluate or branch one node of
+    ``branch_and_bound`` with inherited ``bound`` under incumbent value
+    ``zeta_bar``.  Returns the incumbent candidate (the rounding, or the
+    leaf when strictly below both it and ``zeta_bar``), the number of
+    variables screening fixed, and ``(bound, fixes, warm)`` per child,
+    none when the node is pruned or a leaf.
+    """
+    rel = node_relaxation(inst, spec, fixes, x_warm=warm, lipschitz=lip)
+    node_lb = max(bound, rel.lower_bound)
+    cand = _node_round(inst, spec, fixes, rel.scores if spec.variant is Variant.CARD else rel.z)
+    zeta_bar = min(zeta_bar, cand.objective)
+    if _within(node_lb, zeta_bar):
+        return cand, 0, ()
+
+    screened = 0
+    if screen:
+        # the rules need the bound that belongs to this node's residual,
+        # not the (possibly larger) inherited one
+        out = _screen_fixes(spec, fixes, rel.scores, rel.lower_bound, zeta_bar)
+        screened = int(np.count_nonzero(out != fixes))
+        fixes = _settle(spec, out)
+
+    free_idx = np.flatnonzero(fixes == FixState.FREE)
+    if free_idx.size == 0:
+        leaf = _evaluate(inst, spec, np.flatnonzero(fixes == FixState.ONE))
+        return (leaf if leaf.objective < zeta_bar else cand), screened, ()
+
+    j = int(free_idx[np.argmax(rel.scores[free_idx])])
+    # fixes is settled and has a free variable, so the fixed-in child
+    # stays within a card budget
+    child_in, child_out = fixes.copy(), fixes.copy()
+    child_in[j], child_out[j] = FixState.ONE, FixState.ZERO
+    return cand, screened, ((node_lb, _settle(spec, child_in), rel.x), (node_lb, child_out, rel.x))
+
+
 def branch_and_bound(
     inst: Instance,
     spec: ProblemSpec,
@@ -181,16 +217,18 @@ def branch_and_bound(
 ) -> BnBStats:
     """Best-first branch and bound with certified node bounds.
 
-    Every popped node gets a relaxation solve, a rounding pass to
+    A popped node whose inherited bound reaches the incumbent value
+    ``zeta_bar`` is pruned without a relaxation solve.  Every other
+    node (``_expand``) gets a relaxation solve, a rounding pass to
     tighten the incumbent, a prune test and, with ``cfg.screen_at_root``
     on, a screening pass; it then branches on the free variable of
     largest score.  Screening, branching and card rounding read the
     scores the relaxation returns; reg rounding reads its indicators
     ``z``.  A node is pruned once its bound is within 1e-9 relative of
-    the incumbent value ``zeta_bar`` (``problem._within``).
+    ``zeta_bar`` (``problem._within``).
     Node counts are deterministic for a fixed config and instance.
-    ``optimal`` is True only when the search space was exhausted
-    within the limits; the incumbent is then within 1e-9 relative of
+    ``optimal`` is False when a limit stopped the search with a node
+    still to relax; otherwise the incumbent is within 1e-9 relative of
     the optimum, at any scale of the data.  Every node relaxes at the
     default tolerance, with one Lipschitz value for the whole tree.
     """
@@ -198,66 +236,32 @@ def branch_and_bound(
     t0 = time.perf_counter()
     n = inst.n
     lip = _lipschitz(inst.a)
-
     root_fixes = np.full(n, FixState.FREE, dtype=np.int8) if fixed is None else _check_fixes(fixed, n)
     root_fixes = _settle(spec, root_fixes)
 
     incumbent, zeta_bar = None, math.inf
-
     counter = itertools.count()
-    heap: list = [(-math.inf, next(counter), 0, root_fixes, None)]
+    heap: list = [(-math.inf, next(counter), root_fixes, None)]
     stack: list = []
-    nodes_explored = 0
-    root_fixed = 0
+    nodes_explored = root_fixed = 0
     hit_limit = False
 
     while heap or stack:
+        bound, _, fixes, warm = stack.pop() if stack else heapq.heappop(heap)
+        if _within(bound, zeta_bar):
+            continue
         if time.perf_counter() - t0 > cfg.time_limit_s or nodes_explored >= cfg.node_limit:
             hit_limit = True
             break
-        if stack:
-            bound, _, depth, fixes, warm = stack.pop()
-        else:
-            bound, _, depth, fixes, warm = heapq.heappop(heap)
-        if _within(bound, zeta_bar):
-            continue
 
-        rel = node_relaxation(inst, spec, fixes, x_warm=warm, lipschitz=lip)
+        cand, screened, children = _expand(inst, spec, fixes, warm, bound, zeta_bar, lip, cfg.screen_at_root)
+        if nodes_explored == 0:
+            root_fixed = screened
         nodes_explored += 1
-        node_lb = max(bound, rel.lower_bound)
-
-        cand = _node_round(inst, spec, fixes, rel.scores if spec.variant is Variant.CARD else rel.z)
         if cand.objective < zeta_bar:
             incumbent, zeta_bar = cand, cand.objective
-
-        if _within(node_lb, zeta_bar):
-            continue
-
-        if cfg.screen_at_root:
-            # the rules need the bound that belongs to this node's
-            # residual, not the (possibly larger) inherited one
-            screened = _screen_fixes(spec, fixes, rel.scores, rel.lower_bound, zeta_bar)
-            if depth == 0:
-                root_fixed = int(np.count_nonzero(screened != fixes))
-            fixes = _settle(spec, screened)
-
-        free_idx = np.flatnonzero(fixes == FixState.FREE)
-        if free_idx.size == 0:
-            cand = _evaluate(inst, spec, np.flatnonzero(fixes == FixState.ONE))
-            if cand.objective < zeta_bar:
-                incumbent, zeta_bar = cand, cand.objective
-            continue
-
-        j = int(free_idx[np.argmax(rel.scores[free_idx])])
-
-        # fixes is settled and has a free variable, so the fixed-in child
-        # stays within a card budget
-        child_in = fixes.copy()
-        child_in[j] = FixState.ONE
-        child_out = fixes.copy()
-        child_out[j] = FixState.ZERO
-        for ch in (_settle(spec, child_in), child_out):
-            entry = (node_lb, next(counter), depth + 1, ch, rel.x)
+        for child_bound, child, child_warm in children:
+            entry = (child_bound, next(counter), child, child_warm)
             if len(heap) + len(stack) >= _OPEN_NODE_CAP:
                 stack.append(entry)
             else:
@@ -267,10 +271,5 @@ def branch_and_bound(
         # limits hit before a single node was processed; fall back to the
         # smallest support the root fixes allow
         incumbent = _evaluate(inst, spec, np.flatnonzero(root_fixes == FixState.ONE))
-    return BnBStats(
-        nodes_explored=nodes_explored,
-        wall_time_s=time.perf_counter() - t0,
-        optimal=not hit_limit,
-        best=incumbent,
-        root_fixed=root_fixed,
-    )
+    return BnBStats(nodes_explored=nodes_explored, wall_time_s=time.perf_counter() - t0,
+                    optimal=not hit_limit, best=incumbent, root_fixed=root_fixed)

@@ -528,7 +528,9 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == "" and "gamma must be positive and finite" in captured.err
 
-    @pytest.mark.parametrize("a_text", [None, "1,0\nbroken\n"], ids=["missing", "malformed"])
+    # gamma_zero is undefined for an all-zero matrix, so it fails before the header too
+    @pytest.mark.parametrize("a_text", [None, "1,0\nbroken\n", "0,0\n0,0\n"],
+                             ids=["missing", "malformed", "zero-matrix"])
     def test_files_suite_bad_data_prints_nothing(self, tmp_path, capsys, a_text):
         if a_text is not None:
             (tmp_path / "A.csv").write_text(a_text)
@@ -549,6 +551,31 @@ class TestBench:
         rows = [r.split(",") for r in out.strip().splitlines()[1:]]
         assert len(rows) == 2 * 2 * 3
         assert {r[-1] for r in rows} == {"ok"}
+
+    def test_bad_synthetic_gamma_is_an_error_row(self, capsys):
+        # 2 ** 2000 overflows and 2 ** -2000 is 0; the sweep goes on past both
+        code, out, _ = run_cli(
+            capsys, "bench", "--suite", "synthetic", "--n", "12", "--m", "10",
+            "--k-grid", "2", "--gamma-exps", "2000,-2000,0", "--snr-grid", "6",
+            "--seeds", "1", "--methods", "screen")
+        assert code == 0
+        validate_bench_csv(out)
+        rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+        assert [(r[3], r[-1]) for r in rows] == [
+            ("2000.0", "error:InvalidInputError"), ("-2000.0", "error:InvalidInputError"), ("0.0", "ok")]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--suite", "synthetic", "--m", "10"], "--suite synthetic needs --n and --m"),
+        (["--suite", "synthetic", "--n", "12"], "--suite synthetic needs --n and --m"),
+        (["--suite", "synthetic", "--n", "12", "--m", "10", "--seeds", "0"], "--seeds must be >= 1"),
+        (["--suite", "files"], "--suite files needs --a and --y"),
+    ], ids=["no-n", "no-m", "seeds-0", "files-no-data"])
+    def test_missing_or_bad_suite_flag_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", *argv, "--k-grid", "2", "--methods", "screen"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     @pytest.mark.parametrize("flags", [["--time-limit", "nan"], ["--node-limit", "0"], ["--tol", "nan"]],
                              ids=["time-limit-nan", "node-limit-0", "tol-nan"])

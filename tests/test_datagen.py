@@ -195,6 +195,11 @@ class TestGammaZero:
         g2 = gamma_zero(Instance(3.0 * a, y), 3)
         assert g2 == pytest.approx(g1 / 9.0, rel=1e-12)
 
+    def test_zero_matrix_raises(self):
+        inst = Instance(np.zeros((4, 3)), np.ones(4))
+        with pytest.raises(ZeroDivisionError, match="all-zero matrix"):
+            gamma_zero(inst, 1)
+
 
 def _assert_row_sq_matches_the_whole_product(inst):
     want = (inst.a * inst.a).sum(axis=1)

@@ -21,6 +21,7 @@ from l0screen import (
 from l0screen import exact
 from l0screen.exact import node_relaxation
 from l0screen.problem import ridge_restricted_solve
+from l0screen.relax import _lipschitz
 
 from ._oracles import enumerate_optima, ridge_ls
 from .conftest import random_instance
@@ -340,6 +341,87 @@ class TestBranchAndBound:
         stats = branch_and_bound(inst, spec, BnBConfig(screen_at_root=False))
         assert stats.optimal
         assert stats.nodes_explored == 27
+
+    @pytest.mark.parametrize("screen", [True, False], ids=["screen", "noscreen"])
+    @pytest.mark.parametrize("variant", ["card", "reg"])
+    def test_node_limit_at_the_full_count_is_optimal(self, variant, screen):
+        # with the limit at the unlimited run's count, every node left
+        # open is pruned at pop, so nothing stopped the search early
+        for seed in range(30):
+            inst, _ = generate(SyntheticSpec(n=30, m=20, k_true=4, rho=0.5, snr=3.0, seed=seed))
+            gamma = 4.0 * gamma_zero(inst, 4)
+            mu = gamma * float(np.sort(inst.aty ** 2)[-8])
+            spec = ProblemSpec.card(gamma, 4) if variant == "card" else ProblemSpec.reg(gamma, mu)
+            full = branch_and_bound(inst, spec, BnBConfig(screen_at_root=screen))
+            cut = branch_and_bound(inst, spec, BnBConfig(node_limit=full.nodes_explored,
+                                                         screen_at_root=screen))
+            assert full.optimal and cut.optimal, seed
+            assert cut.nodes_explored == full.nodes_explored
+            assert cut.best.support == full.best.support
+
+
+class TestExpand:
+    """``exact._expand``, the work ``branch_and_bound`` does at one node."""
+
+    @staticmethod
+    def quickstart():
+        # the README quickstart cell: screening settles it at the root
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((60, 120))
+        x_true = np.zeros(120)
+        x_true[:4] = 1.0
+        inst = Instance(a, a @ x_true + 0.1 * rng.standard_normal(60))
+        return inst, ProblemSpec.card(0.05, 4)
+
+    @staticmethod
+    def expand(inst, spec, zeta_bar=np.inf, screen=True):
+        # the root: every variable free, no warm start, no inherited bound
+        root = np.full(inst.n, FixState.FREE, dtype=np.int8)
+        return exact._expand(inst, spec, root, None, -np.inf, zeta_bar, _lipschitz(inst.a), screen)
+
+    def test_pruned_node_has_no_children(self):
+        inst, spec = self.quickstart()
+        best = branch_and_bound(inst, spec).best
+        cand, screened, children = self.expand(inst, spec, zeta_bar=0.5 * best.objective)
+        assert children == () and screened == 0
+        assert cand.support == best.support
+
+    @pytest.mark.parametrize("spec", [ProblemSpec.card(0.8, 3), ProblemSpec.reg(0.8, 0.5)],
+                             ids=["card", "reg"])
+    def test_branches_on_the_free_variable_of_largest_score(self, spec):
+        inst = random_instance(41, 9, 14)
+        root = np.full(inst.n, FixState.FREE, dtype=np.int8)
+        rel = node_relaxation(inst, spec, root, lipschitz=_lipschitz(inst.a))
+        _, screened, children = self.expand(inst, spec)
+        assert len(children) == 2
+        (bound_in, fix_in, warm_in), (bound_out, fix_out, warm_out) = children
+        assert bound_in == bound_out == rel.lower_bound
+        assert np.array_equal(warm_in, rel.x) and np.array_equal(warm_out, rel.x)
+        (j,) = np.flatnonzero(fix_in != fix_out)
+        assert fix_in[j] == FixState.ONE and fix_out[j] == FixState.ZERO
+        # the variables free after screening are the children's free ones and j
+        free = np.flatnonzero(fix_out == FixState.FREE)
+        assert np.count_nonzero(fix_out != root) == screened + 1
+        assert rel.scores[j] >= rel.scores[free].max()
+
+    def test_leaf_has_no_children(self):
+        inst, spec = self.quickstart()
+        cand, screened, children = self.expand(inst, spec)
+        assert children == () and screened == inst.n
+        assert cand.support == (0, 1, 2, 3)
+
+    def test_leaf_below_the_rounding_and_incumbent_wins(self, monkeypatch):
+        inst, spec = self.quickstart()
+        best = branch_and_bound(inst, spec).best
+        worse = exact._evaluate(inst, spec, np.array([4, 5, 6, 7]))
+        assert worse.objective > best.objective
+        monkeypatch.setattr(exact, "_node_round", lambda *args: worse)
+        cand, screened, children = self.expand(inst, spec, zeta_bar=1.000001 * best.objective)
+        assert children == () and screened == inst.n
+        assert cand.support == (0, 1, 2, 3) and cand.objective == best.objective
+        # without screening the node branches and keeps the rounding
+        cand, _, children = self.expand(inst, spec, zeta_bar=1.000001 * best.objective, screen=False)
+        assert len(children) == 2 and cand is worse
 
 
 class _CountingCap(int):

@@ -33,6 +33,7 @@ from l0screen import (
 from l0screen.exact import node_relaxation
 from l0screen.relax import (
     BerhuPenalty,
+    RelaxSolution,
     _berhu_prox_value,
     _berhu_solve,
     _bound_card_terms,
@@ -467,6 +468,13 @@ class TestDualCertificateContainer:
     def test_fields(self):
         cert = DualCertificate(epsilon_bar=np.array([1.0]), lower_bound=2.0)
         assert cert.lower_bound == 2.0
+
+
+@pytest.mark.parametrize("lower,want", [(0.0, 0.0), (-1.0, math.inf)])
+def test_gap_of_a_zero_objective(lower, want):
+    empty = np.zeros(0)
+    sol = RelaxSolution(empty, empty, empty, empty, objective=0.0, lower_bound=lower)
+    assert sol.gap == want
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

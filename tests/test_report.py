@@ -101,6 +101,9 @@ class TestBenchCsv:
             "syn,screen,10,0,0.5,6,1,1,1,1,yes,ok",          # bad boolean
             "syn,screen,10,0,0.5,6,1,1,1,1,true,fine",       # bad status
             "syn,screen,10,0,0.5,6,1,1,1,true,ok",           # short row
+            ",screen,10,0,0.5,6,1,1,1,1,true,ok",            # empty instance_id
+            "syn,screen,10,x,0.5,6,1,1,1,1,true,ok",         # non-numeric gamma_exp
+            "syn,screen,10,0,0.5,6,1,1,1,-1,true,ok",        # negative time_s
         ],
     )
     def test_bad_rows_rejected(self, row):
@@ -111,6 +114,10 @@ class TestBenchCsv:
     def test_wrong_header_rejected(self):
         with pytest.raises(Exception):
             validate_bench_csv("a,b,c\n")
+
+    def test_empty_text_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            validate_bench_csv("")
 
 
 def test_jsonschema_loads_on_first_validation():
