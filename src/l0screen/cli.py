@@ -11,6 +11,7 @@ malformed data, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -23,8 +24,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .datagen import (GENERATOR_NAME, SyntheticSpec, _write_matrix, gamma_zero, generate, load_csv,
-                      save_dataset)
+from .datagen import (GENERATOR_NAME, SyntheticSpec, _new_file, _write_matrix, gamma_zero, generate,
+                      load_csv, save_dataset)
 from .exact import BnBConfig, BnBStats, _enumeration, branch_and_bound, brute_force
 from .heuristics import round_card, round_reg
 from .problem import (FixState, InfeasibleError, Instance, InvalidInputError, ProblemSpec, Variant,
@@ -123,7 +124,12 @@ def _write_reduced(out_dir: str, inst: Instance, spec: ProblemSpec, rep) -> dict
     Fixed-out columns are dropped; fixed-in columns stay in the matrix
     (their coefficients are still optimized) and are listed as forced,
     so the reduced files solve to the same optimum with the same gamma
-    and mu/k.
+    and mu/k.  Each file is written as a new file that replaces the old
+    one, which skips the disk wait of truncating a file written moments
+    before (see ``datagen``).  When every column is fixed out, only
+    ``meta_reduced.json`` is written, and an ``A.csv``/``y.csv`` left by
+    an earlier run is removed, so the directory holds what the report
+    lists.
     """
     keep = np.flatnonzero(rep.fixes != FixState.ZERO)
     forced_new = [int(i) for i in np.flatnonzero(rep.fixes[keep] == FixState.ONE)]
@@ -137,12 +143,16 @@ def _write_reduced(out_dir: str, inst: Instance, spec: ProblemSpec, rep) -> dict
         "forced_in": forced_new,
     }
     data = {"A.csv": inst.a[:, keep], "y.csv": inst.y.reshape(-1, 1)} if keep.size else {}
-    if not data:
-        meta["trivial"] = True
     os.makedirs(out_dir, exist_ok=True)
-    for name, arr in data.items():
-        _write_matrix(os.path.join(out_dir, name), arr)
-    with open(os.path.join(out_dir, "meta_reduced.json"), "w", encoding="utf-8") as fh:
+    if data:
+        for name, arr in data.items():
+            _write_matrix(os.path.join(out_dir, name), arr)
+    else:
+        meta["trivial"] = True
+        for name in ("A.csv", "y.csv"):  # data files an earlier run may have left
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(out_dir, name))
+    with _new_file(os.path.join(out_dir, "meta_reduced.json")) as fh:
         json.dump(meta, fh, indent=2)
     return {"dir": out_dir, "files": [*data, "meta_reduced.json"], **meta}
 

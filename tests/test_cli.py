@@ -3,9 +3,11 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from l0screen import SyntheticSpec, cli, relax, validate_bench_csv, validate_run_report
+from l0screen import (Instance, SyntheticSpec, cli, datagen, relax, save_dataset, validate_bench_csv,
+                      validate_run_report)
 from l0screen.cli import main
 
 
@@ -316,6 +318,18 @@ class TestReducedRoundTrip:
         assert sorted(rep["out"]["files"]) == files
         assert sorted(os.listdir(red)) == files
 
+    def test_reused_directory_holds_the_listed_files(self, tmp_path, capsys):
+        # a kept reduction, then a trivial one into the same directory
+        (tmp_path / "A.csv").write_text("1,0\n0,1\n")
+        red = tmp_path / "red"
+        for y in ("3\n0.1\n", "0.1\n0.1\n"):
+            (tmp_path / "y.csv").write_text(y)
+            rep = run_json(capsys, "screen", "--variant", "reg", "--gamma", "1", "--mu", "1",
+                           "--a", str(tmp_path / "A.csv"), "--y", str(tmp_path / "y.csv"),
+                           "--out-reduced", str(red))
+        assert rep["out"]["trivial"] is True
+        assert sorted(os.listdir(red)) == rep["out"]["files"] == ["meta_reduced.json"]
+
     def test_reduced_problem_solves_to_same_objective(self, dataset, tmp_path, capsys):
         red = str(tmp_path / "red")
         rep = run_json(capsys, "screen", "--variant", "card", "--gamma", "0.5",
@@ -336,6 +350,52 @@ class TestReducedRoundTrip:
         kept = meta["kept_columns"]
         mapped = sorted(kept[i] for i in sub["solve"]["support"])
         assert mapped == full["solve"]["support"]
+
+
+class TestRewrittenOutputs:
+    """Writing into a directory used before: gen's dataset, then a screen's reduction."""
+
+    GEN = ["gen", "--n", "40", "--m", "20", "--k-true", "3", "--rho", "0.5", "--snr", "6",
+           "--seed", "1"]
+
+    def _gen_and_screen(self, capsys, data, red):
+        run_json(capsys, *self.GEN, "--out", str(data))
+        return run_json(capsys, "screen", "--variant", "card", "--gamma", "0.01", "--k", "3",
+                        "--a", str(data / "A.csv"), "--y", str(data / "y.csv"),
+                        "--out-reduced", str(red))
+
+    def test_no_writer_truncates_an_existing_file(self, tmp_path, capsys, monkeypatch):
+        # truncating a file written moments before can wait for its writeback
+        written, truncated = [], []
+
+        def spy(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                written.append(str(file))
+                if os.path.exists(file):
+                    truncated.append(str(file))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(datagen, "open", spy, raising=False)
+        monkeypatch.setattr(cli, "open", spy, raising=False)
+        inst = Instance(np.eye(2), np.array([3.0, 0.1]))
+        for _ in range(2):
+            save_dataset(str(tmp_path / "ds"), inst, {})
+            self._gen_and_screen(capsys, tmp_path / "data", tmp_path / "red")
+        assert len(written) == 2 * (3 + 3 + 3)
+        assert truncated == []
+
+    def test_rerun_gives_the_same_bytes(self, tmp_path, capsys):
+        data, red = tmp_path / "data", tmp_path / "red"
+
+        def snapshot():
+            return {p.relative_to(tmp_path): p.read_bytes()
+                    for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+        rep = self._gen_and_screen(capsys, data, red)
+        assert sorted(os.listdir(red)) == sorted(rep["out"]["files"])
+        first = snapshot()
+        self._gen_and_screen(capsys, data, red)
+        assert snapshot() == first
 
 
 def _envelope(*blocks):

@@ -376,6 +376,35 @@ class TestCsvBytes:
         assert (tmp_path / "y.csv").read_bytes() == b"0.1\n-0.0\n"
 
 
+class _FailsAtRow2(np.ndarray):
+    """A matrix whose second row raises when the writer reaches it."""
+
+    def __iter__(self):
+        rows = iter(self.view(np.ndarray))
+        yield next(rows)
+        raise OSError("no space left on device")
+
+
+class TestReplacedFiles:
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        inst = Instance(np.arange(6.0).reshape(3, 2), np.ones(3))
+        save_dataset(str(tmp_path), inst, {})
+        before = (tmp_path / "A.csv").read_bytes()
+        with pytest.raises(OSError, match="no space"):
+            _write_matrix(str(tmp_path / "A.csv"), (inst.a + 1.0).view(_FailsAtRow2))
+        assert (tmp_path / "A.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["A.csv", "meta.json", "y.csv"]
+
+    def test_symlink_is_replaced_not_written_through(self, tmp_path):
+        target = tmp_path / "elsewhere.csv"
+        target.write_text("1\n")
+        (tmp_path / "y.csv").symlink_to(target)
+        save_dataset(str(tmp_path), Instance(np.eye(2), np.array([3.0, 0.1])), {})
+        assert target.read_text() == "1\n"
+        assert not (tmp_path / "y.csv").is_symlink()
+        assert (tmp_path / "y.csv").read_bytes() == b"3.0\n0.1\n"
+
+
 _GOOD_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["1_0", " 2", "１"]),
