@@ -158,11 +158,12 @@ def _read_rows(path: str) -> list[np.ndarray]:
     """The parsed lines of ``path``, read one at a time.
 
     Trailing empty lines are ignored; an empty line followed by a
-    non-empty one is an error at the first line of its run.
+    non-empty one is an error at the first line of its run.  A UTF-8
+    byte-order mark at the start of the file is skipped.
     """
     rows: list[np.ndarray] = []
     blank = 0  # the first empty line since the last row, or 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.rstrip("\r\n")
             if stripped == "":

@@ -36,9 +36,10 @@ from .relax import RelaxSolution, _lipschitz, _relax
 from .screening import _screen_fixes
 
 # Kept bound under their old names because benchmarks/tracer.py looks up
-# exact._evaluate_support and exact._ridge_on; both live in heuristics.
+# exact._evaluate_support and exact._ridge_on: the first is
+# heuristics._evaluate, the second problem.ridge_restricted_solve.
 from .heuristics import _evaluate as _evaluate_support  # noqa: F401
-from .heuristics import _ridge_on  # noqa: F401
+from .problem import ridge_restricted_solve as _ridge_on  # noqa: F401
 
 _BRUTE_N_CAP = 25
 _BRUTE_COMB_CAP = 1_000_000
@@ -77,9 +78,7 @@ class BnBStats:
 
 
 def _gram_value(g, b, yy, gamma, idx) -> float:
-    """Restricted ridge value from precomputed Gram pieces."""
-    if len(idx) == 0:
-        return float(yy)
+    """Restricted ridge value from precomputed Gram pieces; ``yy`` for an empty ``idx``."""
     gs = g[np.ix_(idx, idx)] + np.eye(len(idx)) / gamma
     bs = b[list(idx)]
     xs = np.linalg.solve(gs, bs)

@@ -29,23 +29,13 @@ from .problem import (
 from .relax import RelaxSolution
 
 
-def _ridge_on(inst, gamma, idx):
-    """Full-length ridge coefficients on an index list and their loss plus ridge.
-
-    An empty list gives zero coefficients and the value ``||y||^2``.
-    """
-    if len(idx):
-        return ridge_restricted_solve(inst, gamma, idx)
-    return np.zeros(inst.n), float(inst.y @ inst.y)
-
-
 def _evaluate(inst: Instance, spec: ProblemSpec, support) -> Incumbent:
     """Refit ridge coefficients on ``support`` and price them under ``spec``.
 
     The support must honor the card budget; every caller builds it so.
     """
     support = tuple(sorted(int(i) for i in support))
-    x, value = _ridge_on(inst, spec.gamma, support)
+    x, value = ridge_restricted_solve(inst, spec.gamma, support)
     if spec.variant is Variant.REG:
         value += spec.mu * len(support)
     return Incumbent(support=support, x=x, objective=value)

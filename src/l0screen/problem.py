@@ -338,13 +338,12 @@ def ridge_restricted_solve(inst: Instance, gamma: float, support: Iterable[int])
 
     Returns ``(x, value)`` where ``x`` is full length (zero off the
     support) and ``value`` excludes any selection cost.  The normal
-    equations are symmetric positive definite for any gamma > 0.
+    equations are symmetric positive definite for any gamma > 0.  An
+    empty support gives zero coefficients and the value ``||y||^2``.
     """
     if gamma <= 0 or not np.isfinite(gamma):
         raise InvalidInputError("gamma must be positive and finite")
     idx = _check_support(support, inst.n)
-    if idx.size == 0:
-        raise InvalidInputError("support must be non-empty")
     a_s = inst.a[:, idx]
     g = a_s.T @ a_s + np.eye(idx.size) / gamma
     x_s = np.linalg.solve(g, a_s.T @ inst.y)

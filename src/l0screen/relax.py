@@ -176,8 +176,6 @@ def operator_norm_sq(a) -> float:
     Gram matrix overflows.
     """
     a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0.0
     m, n = a.shape
     with np.errstate(over="ignore"):  # reported below as an error
         g = a @ a.T if m <= n else a.T @ a
@@ -185,8 +183,9 @@ def operator_norm_sq(a) -> float:
         raise InvalidInputError(
             "the Gram matrix of A overflows; divide A by a scale s and multiply gamma by s**2"
         )
-    # rounding can leave the top eigenvalue of a PSD matrix just below 0
-    return max(0.0, float(np.linalg.eigvalsh(g)[-1]))
+    # rounding can leave the top eigenvalue of a PSD matrix just below 0;
+    # the initial 0 also prices an empty matrix, whose eigvalsh is empty
+    return float(np.linalg.eigvalsh(g).max(initial=0.0))
 
 
 def _scores(a, eps):
@@ -569,7 +568,8 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
     The solve runs in rounds on a working set W of columns: the
     fixed-in ones, the warm start's support and the free columns of
     largest ``|a_i' y|``, read from ``inst.aty``, ``_WS_START`` free
-    columns in all (at least twice the card budget).  Each round solves
+    columns in all (at least twice the card budget), or none of the
+    latter when the warm support fills that many.  Each round solves
     on ``A[:, W]`` at ``tol`` from the last round's ``x``, with its step from
     ``lipschitz`` when given (branch and bound passes ``_lipschitz`` of
     the full matrix, which bounds every column subset) and from
@@ -595,15 +595,13 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
     """
     card = spec.variant is Variant.CARD
     fixes = _settle(spec, fixes)
-    one = fixes == FixState.ONE
-    n_one = int(np.count_nonzero(one))
+    active = np.flatnonzero(fixes != FixState.ZERO)
+    free_mask = fixes[active] == FixState.FREE
+    n_free = int(np.count_nonzero(free_mask))
+    n_one = active.size - n_free
     budget = spec.k - n_one if card else 0
-    free = fixes == FixState.FREE
-    active = np.flatnonzero(one | free)
     a = inst.a if active.size == inst.n else inst.a[:, active]
     y = inst.y
-    free_mask = free[active]
-    n_free = int(np.count_nonzero(free_mask))
     # a mask costs gathers in every APG iteration, so pass none when
     # every active column is free
     mask = None if n_one == 0 else free_mask
@@ -627,11 +625,9 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
         w = np.arange(active.size)
         if n_free > start:
             in_w = ~free_mask | (xa != 0.0)
-            room = start - int(np.count_nonzero(in_w & free_mask))
-            if room > 0:
-                score = np.abs(inst.aty[active])
-                score[in_w] = -1.0
-                in_w[_top(score, room)] = True
+            score = np.abs(inst.aty[active])
+            score[in_w] = -1.0
+            in_w[_top(score, start - int(np.count_nonzero(in_w & free_mask)))] = True
             w = np.flatnonzero(in_w)
     iters = 0
     while True:

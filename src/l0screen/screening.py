@@ -99,8 +99,7 @@ def kth_largest_pair(delta, k: int):
     n = arr.size
     k = _check_k(k, n)
     part = np.partition(arr, n - k)
-    dk1 = -np.inf if k == n else float(part[:n - k].max())
-    return float(part[n - k]), dk1
+    return float(part[n - k]), float(part[:n - k].max(initial=-np.inf))
 
 
 def _threshold_rules(delta, lower, gamma, zeta_bar, out_pivot, in_pivot):
@@ -127,12 +126,12 @@ def _rules_reg(delta, lower, gamma, mu, zeta_bar):
 
 def _rules_card(delta, lower, gamma, k, zeta_bar):
     dk, dk1 = kth_largest_pair(delta, k)
-    # With k == n the cap is vacuous: forcing a variable out costs its
-    # own score and nothing is gained back, so the fix-in pivot is 0 in
-    # place of the missing (k+1)-st value; no score lies below the
+    # Scores are squares, so the fix-in pivot max(dk1, 0) is dk1 when a
+    # (k+1)-st score exists.  With k == n it is 0 in place of the -inf
+    # sentinel: the cap is vacuous, and forcing a variable out costs its
+    # own score with nothing gained back; no score lies below the
     # smallest one, so nothing is fixed out.
-    in_pivot = 0.0 if k == delta.size else dk1
-    return _threshold_rules(delta, lower, gamma, zeta_bar, dk, in_pivot)
+    return _threshold_rules(delta, lower, gamma, zeta_bar, dk, max(dk1, 0.0))
 
 
 def _screen_fixes(spec: ProblemSpec, fixes, delta, lower, zeta_bar):

@@ -375,6 +375,23 @@ class TestCsvBytes:
         assert (tmp_path / "A.csv").read_bytes() == b"-0.0,0.1,1e-300\n5e-324,1.0,-2.5\n"
         assert (tmp_path / "y.csv").read_bytes() == b"0.1\n-0.0\n"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet tools write UTF-8 CSVs with a byte-order mark first
+        inst = Instance(np.array([[1.0, -0.5, 2e-300], [0.1, 3.0, -4.0]]), np.array([0.25, -1.0]))
+        save_dataset(str(tmp_path), inst, {})
+        for name in ("A.csv", "y.csv"):
+            (tmp_path / f"bom_{name}").write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+        back = load_csv(str(tmp_path / "bom_A.csv"), str(tmp_path / "bom_y.csv"))
+        assert back.a.tobytes() == inst.a.tobytes()
+        assert back.y.tobytes() == inst.y.tobytes()
+
+    def test_byte_order_mark_past_the_start_is_an_error(self, tmp_path):
+        (tmp_path / "A.csv").write_bytes(b"1,0\n\xef\xbb\xbf0,1\n")
+        (tmp_path / "y.csv").write_text("3\n0.1\n")
+        with pytest.raises(CsvParseError) as err:
+            load_csv(str(tmp_path / "A.csv"), str(tmp_path / "y.csv"))
+        assert err.value.line == 2
+
 
 class _FailsAtRow2(np.ndarray):
     """A matrix whose second row raises when the writer reaches it."""

@@ -22,6 +22,7 @@ from l0screen import (
     solve_cc,
     solve_cr,
 )
+from l0screen.heuristics import _evaluate
 from l0screen.problem import _settle, _top, _within, objective_card, objective_reg, ridge_restricted_solve
 
 from ._oracles import ridge_ls
@@ -311,6 +312,16 @@ class TestRidgeRestricted:
         np.testing.assert_allclose(x[sup], x_ref, atol=1e-9)
         assert val == pytest.approx(val_ref, abs=1e-9)
 
-    def test_empty_support_rejected(self, tiny):
-        with pytest.raises(InvalidInputError):
-            ridge_restricted_solve(tiny, 1.0, [])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_empty_support_gives_zeros_and_yy(self, seed):
+        inst = random_instance(seed, 12, 8)
+        yy = float(inst.y @ inst.y)
+        x, val = ridge_restricted_solve(inst, 0.7, [])
+        assert x.tobytes() == np.zeros(inst.n).tobytes()
+        assert type(val) is float and np.float64(val).tobytes() == np.float64(yy).tobytes()
+        # rounding and branch and bound price an empty support through _evaluate
+        for spec in (ProblemSpec.card(0.7, 3), ProblemSpec.reg(0.7, 0.5)):
+            inc = _evaluate(inst, spec, [])
+            assert inc.support == ()
+            assert inc.x.tobytes() == np.zeros(inst.n).tobytes()
+            assert np.float64(inc.objective).tobytes() == np.float64(yy).tobytes()

@@ -935,6 +935,25 @@ class TestWorkingSet:
                 assert stats.best.objective == pytest.approx(want.objective, rel=1e-9)
                 assert stats.best.support in optima
 
+    @pytest.mark.parametrize("warm_idx", [[5, 9], [5, 9, 13]], ids=["room-0", "room-negative"])
+    def test_warm_support_that_fills_the_start_is_the_first_working_set(self, monkeypatch, warm_idx):
+        # the warm start's free nonzeros use up the start, so no column
+        # of largest |a_i' y| joins: W is the fixed-in and warm columns
+        inst, spec, fixes = _ws_case("reg", True, 0, 24)
+        x_warm = np.zeros(inst.n)
+        x_warm[warm_idx] = 0.5
+        mats = []
+        inner = relax._berhu_solve
+
+        def recorded(a, *args):
+            mats.append(a)
+            return inner(a, *args)
+
+        monkeypatch.setattr(relax, "_berhu_solve", recorded)
+        monkeypatch.setattr(relax, "_WS_START", 2)
+        _relax(inst, spec, fixes, x_warm=x_warm)
+        assert mats[0].tobytes() == inst.a[:, [0] + warm_idx].tobytes()
+
     @pytest.mark.parametrize("variant", ["reg", "card"])
     def test_default_start_on_the_readme_grid(self, monkeypatch, variant):
         inst, spec, _ = _apg_case(variant, False, 60, 120)
