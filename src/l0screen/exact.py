@@ -70,6 +70,16 @@ class BnBConfig:
 
 @dataclass
 class BnBStats:
+    """Outcome of ``branch_and_bound``.
+
+    ``root_fixed`` counts the variables the root's screening pass fixed:
+    with every variable free, the ``n_zero + n_one`` that
+    ``screen_card``/``screen_reg`` report after ``round_card``/
+    ``round_reg`` on ``solve_cc``/``solve_cr``.  It reads 0 with
+    screening off, and when the root is pruned by its own bound, since
+    the root then screens nothing.
+    """
+
     nodes_explored: int
     wall_time_s: float
     optimal: bool
@@ -163,11 +173,13 @@ def node_relaxation(
     values, and InfeasibleError when more variables are forced in than
     a card budget allows.  The solve runs in rounds on a working set
     of columns at the default tolerance, and each round's step comes
-    from ``lipschitz`` when given (branch and bound passes
-    ``relax._lipschitz`` of the full matrix, which bounds every column
-    subset) and from ``relax._lipschitz`` of the working set's columns
-    otherwise.  ``x_warm`` starts the reg solve, and its support joins
-    the first working set; card solves start from zero.
+    from ``lipschitz`` when given and from ``relax._lipschitz`` of the
+    working set's columns otherwise.  Branch and bound passes none at
+    the root, so that the root takes the steps of ``solve_cr`` and
+    ``solve_cc``, and below it ``relax._lipschitz`` of the columns the
+    root keeps, which bounds every working set of a node that descends
+    from the root's fixes.  ``x_warm`` starts the reg solve, and its
+    support joins the first working set; card solves start from zero.
     """
     return _relax(inst, spec, _check_fixes(fixes, inst.n), x_warm=x_warm, lipschitz=lipschitz)
 
@@ -178,7 +190,9 @@ def _expand(inst, spec, fixes, warm, bound, zeta_bar, lip, screen):
     ``zeta_bar``.  Returns the incumbent candidate (the rounding, or the
     leaf when strictly below both it and ``zeta_bar``), the number of
     variables screening fixed, and ``(bound, fixes, warm)`` per child,
-    none when the node is pruned or a leaf.
+    none when the node is pruned or a leaf; ``warm`` is the node's ``x``
+    for reg and None for card.  ``lip`` is the Lipschitz value of
+    ``node_relaxation``, None at the root.
     """
     rel = node_relaxation(inst, spec, fixes, x_warm=warm, lipschitz=lip)
     node_lb = max(bound, rel.lower_bound)
@@ -205,7 +219,9 @@ def _expand(inst, spec, fixes, warm, bound, zeta_bar, lip, screen):
     # stays within a card budget
     child_in, child_out = fixes.copy(), fixes.copy()
     child_in[j], child_out[j] = FixState.ONE, FixState.ZERO
-    return cand, screened, ((node_lb, _settle(spec, child_in), rel.x), (node_lb, child_out, rel.x))
+    # card relaxations start from zero, so only reg children carry a warm start
+    warm = rel.x if spec.variant is Variant.REG else None
+    return cand, screened, ((node_lb, _settle(spec, child_in), warm), (node_lb, child_out, warm))
 
 
 def branch_and_bound(
@@ -229,12 +245,21 @@ def branch_and_bound(
     ``optimal`` is False when a limit stopped the search with a node
     still to relax; otherwise the incumbent is within 1e-9 relative of
     the optimum, at any scale of the data.  Every node relaxes at the
-    default tolerance, with one Lipschitz value for the whole tree.
+    default tolerance.
+
+    With no ``fixed`` the root is the public screen pipeline bit for
+    bit: it relaxes as ``solve_cc``/``solve_cr`` do, with each working
+    set's own step and the instance's cached first working set, and it
+    rounds and screens as ``round_*`` and ``screen_*`` do, so
+    ``BnBStats.root_fixed`` equals that report's fixes whenever the
+    root is not pruned by its own bound.  Once the root branches, every
+    node below it relaxes with one Lipschitz value, that of the columns
+    the root keeps, and reg nodes start from their parent's ``x``.
     """
     cfg = cfg or BnBConfig()
     t0 = time.perf_counter()
     n = inst.n
-    lip = _lipschitz(inst.a)
+    lip = None
     root_fixes = np.full(n, FixState.FREE, dtype=np.int8) if fixed is None else _check_fixes(fixed, n)
     root_fixes = _settle(spec, root_fixes)
 
@@ -256,6 +281,12 @@ def branch_and_bound(
         cand, screened, children = _expand(inst, spec, fixes, warm, bound, zeta_bar, lip, cfg.screen_at_root)
         if nodes_explored == 0:
             root_fixed = screened
+        if lip is None and children:
+            # the root branched, and every node below keeps a subset of the
+            # columns it kept (those either child keeps): their norm bounds
+            # every working set of the tree
+            (_, fix_in, _), (_, fix_out, _) = children
+            lip = _lipschitz(inst.a[:, (fix_in != FixState.ZERO) | (fix_out != FixState.ZERO)])
         nodes_explored += 1
         if cand.objective < zeta_bar:
             incumbent, zeta_bar = cand, cand.objective

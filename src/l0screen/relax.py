@@ -571,9 +571,10 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
     columns in all (at least twice the card budget), or none of the
     latter when the warm support fills that many.  Each round solves
     on ``A[:, W]`` at ``tol`` from the last round's ``x``, with its step from
-    ``lipschitz`` when given (branch and bound passes ``_lipschitz`` of
-    the full matrix, which bounds every column subset) and from
-    ``_lipschitz(A[:, W])`` otherwise, and one product ``A' eps`` then
+    ``lipschitz`` when given and from ``_lipschitz(A[:, W])`` otherwise
+    (branch and bound passes none at its root and, below it, the value
+    of the columns the root keeps, which bounds every W of a node that
+    descends from the root's fixes), and one product ``A' eps`` then
     certifies the round's residual over every column.  That bound holds
     for the full problem, and a round whose full gap passes ``tol``
     ends the solve.  Otherwise the free columns outside W

@@ -20,11 +20,11 @@ from l0screen import (
 )
 from l0screen import exact
 from l0screen.exact import node_relaxation
-from l0screen.problem import ridge_restricted_solve
+from l0screen.problem import _settle, ridge_restricted_solve
 from l0screen.relax import _lipschitz
 
 from ._oracles import enumerate_optima, ridge_ls
-from .conftest import random_instance
+from .conftest import random_instance, screen_report
 
 
 class TestBruteForce:
@@ -312,11 +312,12 @@ class TestBranchAndBound:
         fixed = np.zeros(10, dtype=np.int8)
         fixed[2] = FixState.ONE
         fixed[5] = FixState.ZERO
-        stats = branch_and_bound(inst, spec, fixed=fixed)
         want, _ = brute_force(inst, spec, fixed=fixed)
-        assert stats.optimal
-        assert 2 in stats.best.support and 5 not in stats.best.support
-        assert stats.best.objective == pytest.approx(want.objective, rel=1e-9)
+        for screen in (True, False):
+            stats = branch_and_bound(inst, spec, BnBConfig(screen_at_root=screen), fixed=fixed)
+            assert stats.optimal and stats.nodes_explored > 1, screen
+            assert 2 in stats.best.support and 5 not in stats.best.support
+            assert stats.best.objective == pytest.approx(want.objective, rel=1e-9)
 
     @pytest.mark.parametrize("screen", [True, False], ids=["screen", "noscreen"])
     def test_card_exactly_k_forced_in_matches_brute_force(self, screen):
@@ -360,6 +361,69 @@ class TestBranchAndBound:
             assert cut.best.support == full.best.support
 
 
+def _grid_cell(variant, seed, k, factor):
+    """A 60x120 cell of the README grid at ``factor`` gamma0: card, or reg
+    pricing a variable at gamma times the 2k-th largest ``(a_i'y)^2``."""
+    inst, _ = generate(SyntheticSpec(n=120, m=60, k_true=k, rho=0.5, snr=6.0, seed=seed))
+    gamma = factor * gamma_zero(inst, k)
+    if variant == "card":
+        return inst, ProblemSpec.card(gamma, k)
+    return inst, ProblemSpec.reg(gamma, gamma * float(np.sort(inst.aty ** 2)[-2 * k]))
+
+
+def _spy_relaxations(monkeypatch):
+    """Record ``(fixes, lipschitz, relaxation)`` of every node relaxation branch and bound runs."""
+    inner = exact.node_relaxation
+    calls = []
+
+    def spy(inst, spec, fixes, x_warm=None, lipschitz=None):
+        rel = inner(inst, spec, fixes, x_warm=x_warm, lipschitz=lipschitz)
+        calls.append((fixes, lipschitz, rel))
+        return rel
+
+    monkeypatch.setattr(exact, "node_relaxation", spy)
+    return calls
+
+
+class TestRootAndTree:
+    """The root of ``branch_and_bound`` is the relax -> round -> screen
+    pipeline of the public functions; the tree below it steps with one
+    Lipschitz value, that of the columns the root keeps."""
+
+    @pytest.mark.parametrize("cell", [(1, 5, 4.0), (0, 10, 4.0), (2, 10, 1.0)],
+                             ids=["k5-4g0-seed1", "k10-4g0-seed0", "k10-g0-seed2"])
+    @pytest.mark.parametrize("variant", ["card", "reg"])
+    def test_root_is_the_screen_pipeline(self, monkeypatch, variant, cell):
+        inst, spec = _grid_cell(variant, *cell)
+        calls = _spy_relaxations(monkeypatch)
+        stats = branch_and_bound(inst, spec)
+        assert stats.optimal and stats.nodes_explored > 1
+        # a fresh instance, so the pipeline prices its own first working set
+        fresh = Instance(inst.a, inst.y)
+        if spec.variant is Variant.CARD:
+            rel = solve_cc(fresh, spec.gamma, spec.k)
+        else:
+            rel = solve_cr(fresh, spec.gamma, spec.mu)
+        rep = screen_report(fresh, spec, rel)
+        root = calls[0][2]
+        assert root.x.tobytes() == rel.x.tobytes()
+        assert (root.lower_bound, root.iterations) == (rel.lower_bound, rel.iterations)
+        assert stats.root_fixed == rep.n_zero + rep.n_one
+
+    @pytest.mark.parametrize("screen", [True, False], ids=["screen", "noscreen"])
+    @pytest.mark.parametrize("variant", ["card", "reg"])
+    def test_tree_steps_within_the_kept_columns(self, monkeypatch, variant, screen):
+        inst, spec = _grid_cell(variant, 1, 5, 4.0)
+        calls = _spy_relaxations(monkeypatch)
+        stats = branch_and_bound(inst, spec, BnBConfig(screen_at_root=screen))
+        assert stats.optimal
+        (_, root_lip, _), *below = calls
+        assert root_lip is None and below
+        assert len({lip for _, lip, _ in below}) == 1
+        for fixes, lip, _ in below:
+            assert lip >= _lipschitz(inst.a[:, _settle(spec, fixes) != FixState.ZERO])
+
+
 class TestExpand:
     """``exact._expand``, the work ``branch_and_bound`` does at one node."""
 
@@ -376,8 +440,9 @@ class TestExpand:
     @staticmethod
     def expand(inst, spec, zeta_bar=np.inf, screen=True):
         # the root: every variable free, no warm start, no inherited bound
+        # and no Lipschitz value
         root = np.full(inst.n, FixState.FREE, dtype=np.int8)
-        return exact._expand(inst, spec, root, None, -np.inf, zeta_bar, _lipschitz(inst.a), screen)
+        return exact._expand(inst, spec, root, None, -np.inf, zeta_bar, None, screen)
 
     def test_pruned_node_has_no_children(self):
         inst, spec = self.quickstart()
@@ -391,12 +456,16 @@ class TestExpand:
     def test_branches_on_the_free_variable_of_largest_score(self, spec):
         inst = random_instance(41, 9, 14)
         root = np.full(inst.n, FixState.FREE, dtype=np.int8)
-        rel = node_relaxation(inst, spec, root, lipschitz=_lipschitz(inst.a))
+        rel = node_relaxation(inst, spec, root)
         _, screened, children = self.expand(inst, spec)
         assert len(children) == 2
         (bound_in, fix_in, warm_in), (bound_out, fix_out, warm_out) = children
         assert bound_in == bound_out == rel.lower_bound
-        assert np.array_equal(warm_in, rel.x) and np.array_equal(warm_out, rel.x)
+        # card relaxations start from zero, so card children carry no warm start
+        if spec.variant is Variant.CARD:
+            assert warm_in is None and warm_out is None
+        else:
+            assert np.array_equal(warm_in, rel.x) and np.array_equal(warm_out, rel.x)
         (j,) = np.flatnonzero(fix_in != fix_out)
         assert fix_in[j] == FixState.ONE and fix_out[j] == FixState.ZERO
         # the variables free after screening are the children's free ones and j
@@ -443,14 +512,16 @@ class _CountingCap(int):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("spec", [ProblemSpec.card(1.0, 3), ProblemSpec.reg(1.0, 0.5)],
-                         ids=["card", "reg"])
-def test_depth_first_fallback_matches_brute_force(monkeypatch, seed, spec):
+@pytest.mark.parametrize("spec,screen", [
+    (ProblemSpec.card(1.0, 3), False), (ProblemSpec.reg(1.0, 0.5), False),
+    (ProblemSpec.card(1.0, 3), True), (ProblemSpec.reg(1.0, 0.5), True),
+], ids=["card", "reg", "card-screen", "reg-screen"])
+def test_depth_first_fallback_matches_brute_force(monkeypatch, seed, spec, screen):
     cap = _CountingCap(2)
     monkeypatch.setattr(exact, "_OPEN_NODE_CAP", cap)
     inst = random_instance(500 + seed, 8, 10)
     want, _ = brute_force(inst, spec)
-    stats = branch_and_bound(inst, spec, BnBConfig(screen_at_root=False))
+    stats = branch_and_bound(inst, spec, BnBConfig(screen_at_root=screen))
     assert cap.stack_pushes > 0
     assert stats.optimal
     assert stats.best.objective == pytest.approx(want.objective, rel=1e-9)

@@ -50,7 +50,7 @@ from l0screen.relax import (
 
 from ._oracles import (berhu_prox_where, ksupport_prox_bisect, ksupport_prox_concat, ksupport_sq_bisect,
                        relax_value_grid, ridge_ls)
-from .conftest import random_instance
+from .conftest import random_instance, screen_report
 
 # repeated values and exact zeros exercise the ties and flat segments
 _entries = st.one_of(
@@ -999,12 +999,20 @@ def _count_norms(monkeypatch):
 class TestLipschitzValue:
     @pytest.mark.parametrize("spec", [ProblemSpec.card(0.8, 3), ProblemSpec.reg(0.8, 0.5)],
                              ids=["card", "reg"])
-    def test_branch_and_bound_prices_the_full_matrix_once(self, monkeypatch, spec):
+    def test_branch_and_bound_prices_the_root_then_kept_columns(self, monkeypatch, spec):
         inst = random_instance(41, 9, 14)
+        # a start below n, so that the root takes its working sets in rounds
+        monkeypatch.setattr(relax, "_WS_START", 4)
         shapes = _count_norms(monkeypatch)
-        stats = branch_and_bound(inst, spec)
+        rep = screen_report(inst, spec, _solve(inst, spec))
+        root = shapes[:]
+        shapes.clear()
+        # a fresh instance, so that the root prices its first working set
+        stats = branch_and_bound(Instance(inst.a, inst.y), spec)
         assert stats.optimal and stats.nodes_explored > 1
-        assert shapes == [inst.a.shape]
+        assert root[0][1] < inst.n and stats.root_fixed == rep.n_zero + rep.n_one
+        # the nodes below the root share the norm of the columns it keeps
+        assert shapes == root + [(inst.m, inst.n - rep.n_zero)]
 
     @pytest.mark.parametrize("case,start", [
         pytest.param(lambda v: _ws_case(v, False, 0, 24), 1, id="rounds"),
@@ -1110,7 +1118,7 @@ class TestFirstWorkingSetCache:
                 (want.objective, want.lower_bound, want.iterations, want.converged)
 
     @pytest.mark.parametrize("variant", ["reg", "card"])
-    def test_fixes_a_warm_start_and_branch_and_bound_leave_the_cache_alone(self, variant):
+    def test_fixes_warm_starts_and_lipschitz_skip_the_cache(self, variant):
         inst, spec, _ = _apg_case(variant, False, 60, 120)
         log = []
         object.__setattr__(inst, "_first_ws", _SpyDict(log))
@@ -1122,7 +1130,23 @@ class TestFirstWorkingSetCache:
             node_relaxation(inst, spec, fixes)
         node_relaxation(inst, spec, free, x_warm=warm)
         node_relaxation(inst, spec, free, lipschitz=_lipschitz(inst.a))
-        small = random_instance(41, 9, 14)
-        object.__setattr__(small, "_first_ws", _SpyDict(log))
-        branch_and_bound(small, ProblemSpec.card(0.8, 3) if variant == "card" else ProblemSpec.reg(0.8, 0.5))
-        assert log == [] and not inst._first_ws and not small._first_ws
+        assert log == [] and not inst._first_ws
+
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_branch_and_bound_after_a_solve_reads_the_cache(self, monkeypatch, variant):
+        # a README-grid cell whose root branches: k 5 at 4 gamma0
+        inst, _ = generate(SyntheticSpec(n=120, m=60, k_true=5, rho=0.5, snr=6.0, seed=1))
+        gamma = 4.0 * gamma_zero(inst, 5)
+        mu = gamma * float(np.sort(inst.aty ** 2)[-10])
+        spec = ProblemSpec.card(gamma, 5) if variant == "card" else ProblemSpec.reg(gamma, mu)
+        widths = _count_rounds(monkeypatch, variant)
+        shapes = _count_norms(monkeypatch)
+        rep = screen_report(inst, spec, _solve(inst, spec))
+        rounds = len(widths)
+        stats = branch_and_bound(inst, spec)
+        assert stats.optimal and stats.nodes_explored > 1
+        # the root is the same relaxation, and it reads its first working
+        # set and that set's value from the cache the solve filled
+        assert widths[rounds:2 * rounds] == widths[:rounds] and widths[0] < inst.n
+        later = [(inst.m, w) for w in widths[1:rounds]]
+        assert shapes == [(inst.m, widths[0])] + later + later + [(inst.m, inst.n - rep.n_zero)]
