@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import CsvParseError, Instance, InvalidInputError, _check_k
+from .problem import CsvParseError, Instance, InvalidInputError, _check_int
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -70,6 +70,8 @@ class SyntheticSpec:
             raise InvalidInputError("snr must be positive")
         if self.seed < 0:
             raise InvalidInputError("seed must be non-negative")
+        for name, lo in (("n", 1), ("m", 1), ("k_true", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
 
 
 def true_support_indices(n: int, k_true: int) -> tuple[int, ...]:
@@ -137,7 +139,7 @@ def _row_sq(a) -> np.ndarray:
 
 def gamma_zero(inst: Instance, k: int) -> float:
     """Reference ridge scale ``n / (m k max_i ||row_i||^2)``, for k an integer in [1, n]."""
-    _check_k(k, inst.n)
+    _check_int("k", k, hi=inst.n)
     row_sq = float(_row_sq(inst.a).max())
     if row_sq == 0.0:
         raise ZeroDivisionError("gamma_zero is undefined for an all-zero matrix")

@@ -28,6 +28,7 @@ from .problem import (
     SizeCapError,
     Variant,
     _check_fixes,
+    _check_int,
     _settle,
     _within,
 )
@@ -43,9 +44,6 @@ from .problem import ridge_restricted_solve as _ridge_on  # noqa: F401
 
 _BRUTE_N_CAP = 25
 _BRUTE_COMB_CAP = 1_000_000
-# Best-first keeps the whole frontier in memory; above this many open
-# nodes new work is taken depth-first so memory stays bounded.
-_OPEN_NODE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,9 @@ class BnBConfig:
 
     ``screen_at_root`` switches screening on at every node, the root and
     each node below it; ``BnBStats.root_fixed`` counts the root's fixes.
+    ``node_limit`` bounds memory as well as work: open nodes are at most
+    ``node_limit + 1``, each about n + 300 bytes for card and 5n + 300
+    for reg (an int8 fix vector, plus a shared float64 warm start).
     """
 
     time_limit_s: float = 3600.0
@@ -64,8 +65,7 @@ class BnBConfig:
         # written so that NaN fails; inf means no limit
         if not (self.time_limit_s > 0):
             raise InvalidInputError("time_limit_s must be positive")
-        if self.node_limit < 1:
-            raise InvalidInputError("node_limit must be >= 1")
+        object.__setattr__(self, "node_limit", _check_int("node_limit", self.node_limit))
 
 
 @dataclass
@@ -242,6 +242,8 @@ def branch_and_bound(
     ``z``.  A node is pruned once its bound is within 1e-9 relative of
     ``zeta_bar`` (``problem._within``).
     Node counts are deterministic for a fixed config and instance.
+    Each expansion pops one node and pushes at most two, so the heap
+    holds at most ``nodes_explored + 1 <= cfg.node_limit + 1`` nodes.
     ``optimal`` is False when a limit stopped the search with a node
     still to relax; otherwise the incumbent is within 1e-9 relative of
     the optimum, at any scale of the data.  Every node relaxes at the
@@ -266,12 +268,11 @@ def branch_and_bound(
     incumbent, zeta_bar = None, math.inf
     counter = itertools.count()
     heap: list = [(-math.inf, next(counter), root_fixes, None)]
-    stack: list = []
     nodes_explored = root_fixed = 0
     hit_limit = False
 
-    while heap or stack:
-        bound, _, fixes, warm = stack.pop() if stack else heapq.heappop(heap)
+    while heap:
+        bound, _, fixes, warm = heapq.heappop(heap)
         if _within(bound, zeta_bar):
             continue
         if time.perf_counter() - t0 > cfg.time_limit_s or nodes_explored >= cfg.node_limit:
@@ -291,11 +292,7 @@ def branch_and_bound(
         if cand.objective < zeta_bar:
             incumbent, zeta_bar = cand, cand.objective
         for child_bound, child, child_warm in children:
-            entry = (child_bound, next(counter), child, child_warm)
-            if len(heap) + len(stack) >= _OPEN_NODE_CAP:
-                stack.append(entry)
-            else:
-                heapq.heappush(heap, entry)
+            heapq.heappush(heap, (child_bound, next(counter), child, child_warm))
 
     if incumbent is None:
         # limits hit before a single node was processed; fall back to the

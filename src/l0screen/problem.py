@@ -154,7 +154,7 @@ class ProblemSpec:
         else:
             if self.mu is not None:
                 raise InvalidInputError("card variant takes no mu")
-            object.__setattr__(self, "k", _check_k(self.k))
+            object.__setattr__(self, "k", _check_int("k", self.k))
 
     @classmethod
     def reg(cls, gamma: float, mu: float) -> "ProblemSpec":
@@ -165,12 +165,12 @@ class ProblemSpec:
         return cls(variant=Variant.CARD, gamma=gamma, k=k)
 
 
-def _check_k(k, n=np.inf) -> int:
-    """``k`` as an int, after checking that it is an integer in [1, n]."""
-    # range first: int() of a NaN or infinite k raises on its own
-    if k is None or not (1 <= k <= n and k < np.inf) or int(k) != k:
-        raise InvalidInputError(f"k must be an integer in [1, {n}]")
-    return int(k)
+def _check_int(name, value, lo=1, hi=np.inf) -> int:
+    """``value`` as an int, after checking that it is an integer in [lo, hi]."""
+    # range first: int() of a NaN or infinite value raises on its own
+    if value is None or not (lo <= value <= hi and value < np.inf) or int(value) != value:
+        raise InvalidInputError(f"{name} must be an integer in [{lo}, {hi}]")
+    return int(value)
 
 
 def _check_tol(tol) -> float:
@@ -207,7 +207,7 @@ def _spec_for(n: int, gamma: float, mu: Optional[float] = None, k=None) -> Probl
     """
     if k is None:
         return ProblemSpec.reg(gamma, mu)
-    return ProblemSpec.card(gamma, _check_k(k, n))
+    return ProblemSpec.card(gamma, _check_int("k", k, hi=n))
 
 
 def _settle(spec: ProblemSpec, fixes: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from .problem import (
     InvalidInputError,
     ProblemSpec,
     Variant,
-    _check_k,
+    _check_int,
     _check_residual,
     _check_length,
     _REL_TOL,
@@ -97,7 +97,7 @@ def kth_largest_pair(delta, k: int):
     """
     arr = np.asarray(delta, dtype=float).ravel()
     n = arr.size
-    k = _check_k(k, n)
+    k = _check_int("k", k, hi=n)
     part = np.partition(arr, n - k)
     return float(part[n - k]), float(part[:n - k].max(initial=-np.inf))
 

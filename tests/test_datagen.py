@@ -34,11 +34,24 @@ class TestSyntheticSpec:
             dict(n=5, m=5, k_true=1, rho=-0.1, snr=1.0, seed=0),
             dict(n=5, m=5, k_true=1, rho=0.5, snr=0.0, seed=0),
             dict(n=5, m=5, k_true=1, rho=0.5, snr=1.0, seed=-1),
+            dict(n=10.5, m=5, k_true=1, rho=0.5, snr=1.0, seed=0),
+            dict(n=5, m=5.5, k_true=1, rho=0.5, snr=1.0, seed=0),
+            dict(n=5, m=5, k_true=1.5, rho=0.5, snr=1.0, seed=0),
+            dict(n=5, m=5, k_true=1, rho=0.5, snr=1.0, seed=1.5),
+            dict(n=float("inf"), m=5, k_true=1, rho=0.5, snr=1.0, seed=0),
+            dict(n=5, m=float("nan"), k_true=1, rho=0.5, snr=1.0, seed=0),
+            dict(n=5, m=5, k_true=1, rho=0.5, snr=1.0, seed=float("nan")),
         ],
     )
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(InvalidInputError):
             SyntheticSpec(**kwargs)
+
+    def test_integral_floats_stored_as_ints(self):
+        spec = SyntheticSpec(n=6.0, m=5.0, k_true=2.0, rho=0.5, snr=1.0, seed=3.0)
+        assert all(type(v) is int for v in (spec.n, spec.m, spec.k_true, spec.seed))
+        got, want = generate(spec)[0], generate(SyntheticSpec(6, 5, 2, 0.5, 1.0, 3))[0]
+        assert np.array_equal(got.a, want.a) and np.array_equal(got.y, want.y)
 
 
 class TestTrueSupport:

@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 
@@ -493,38 +495,38 @@ class TestExpand:
         assert len(children) == 2 and cand is worse
 
 
-class _CountingCap(int):
-    """An open-node cap that counts the pushes it sends to the depth-first stack.
-
-    ``len(heap) + len(stack) >= cap`` calls this subclass's ``__le__``
-    ahead of ``int.__ge__``.
-    """
-
-    def __new__(cls, value):
-        cap = super().__new__(cls, value)
-        cap.stack_pushes = 0
-        return cap
-
-    def __le__(self, open_nodes):
-        full = int(self) <= open_nodes
-        self.stack_pushes += full
-        return full
-
-
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("spec,screen", [
     (ProblemSpec.card(1.0, 3), False), (ProblemSpec.reg(1.0, 0.5), False),
     (ProblemSpec.card(1.0, 3), True), (ProblemSpec.reg(1.0, 0.5), True),
 ], ids=["card", "reg", "card-screen", "reg-screen"])
 def test_depth_first_fallback_matches_brute_force(monkeypatch, seed, spec, screen):
-    cap = _CountingCap(2)
-    monkeypatch.setattr(exact, "_OPEN_NODE_CAP", cap)
+    """The search needs no depth-first fallback: best first alone is
+    exact, and its heap, seen after every push, holds at most
+    ``nodes_explored + 1`` nodes, so at most ``node_limit + 1``."""
+    sizes = []
+    push = heapq.heappush
+
+    def counted_push(heap, entry):
+        push(heap, entry)
+        sizes.append(len(heap))
+
+    monkeypatch.setattr(heapq, "heappush", counted_push)
     inst = random_instance(500 + seed, 8, 10)
+
+    def run(**limits):
+        sizes.clear()
+        stats = branch_and_bound(inst, spec, BnBConfig(screen_at_root=screen, **limits))
+        return stats, max(sizes, default=1)
+
     want, _ = brute_force(inst, spec)
-    stats = branch_and_bound(inst, spec, BnBConfig(screen_at_root=screen))
-    assert cap.stack_pushes > 0
+    stats, peak = run()
     assert stats.optimal
     assert stats.best.objective == pytest.approx(want.objective, rel=1e-9)
+    assert 1 < peak <= stats.nodes_explored + 1
+    for limit in (1, 2, 5):
+        cut, peak = run(node_limit=limit)
+        assert peak <= cut.nodes_explored + 1 <= limit + 1
 
 
 class TestBnBConfig:
@@ -532,6 +534,15 @@ class TestBnBConfig:
     def test_bad_time_limit_rejected(self, limit):
         with pytest.raises(InvalidInputError, match="time_limit_s"):
             BnBConfig(time_limit_s=limit)
+
+    @pytest.mark.parametrize("limit", [0, -1, 2.5, float("nan"), float("inf")])
+    def test_bad_node_limit_rejected(self, limit):
+        with pytest.raises(InvalidInputError, match="node_limit"):
+            BnBConfig(node_limit=limit)
+
+    def test_integral_node_limit_stored_as_int(self):
+        limit = BnBConfig(node_limit=5.0).node_limit
+        assert limit == 5 and type(limit) is int
 
     def test_infinite_time_limit_means_none(self, tiny):
         cfg = BnBConfig(time_limit_s=float("inf"))
