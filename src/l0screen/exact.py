@@ -27,6 +27,9 @@ from .problem import (
     ProblemSpec,
     SizeCapError,
     Variant,
+    _FREE,
+    _ONE,
+    _ZERO,
     _check_fixes,
     _check_int,
     _settle,
@@ -209,16 +212,16 @@ def _expand(inst, spec, fixes, warm, bound, zeta_bar, lip, screen):
         screened = int(np.count_nonzero(out != fixes))
         fixes = _settle(spec, out)
 
-    free_idx = np.flatnonzero(fixes == FixState.FREE)
+    free_idx = np.flatnonzero(fixes == _FREE)
     if free_idx.size == 0:
-        leaf = _evaluate(inst, spec, np.flatnonzero(fixes == FixState.ONE))
+        leaf = _evaluate(inst, spec, np.flatnonzero(fixes == _ONE))
         return (leaf if leaf.objective < zeta_bar else cand), screened, ()
 
     j = int(free_idx[np.argmax(rel.scores[free_idx])])
     # fixes is settled and has a free variable, so the fixed-in child
     # stays within a card budget
     child_in, child_out = fixes.copy(), fixes.copy()
-    child_in[j], child_out[j] = FixState.ONE, FixState.ZERO
+    child_in[j], child_out[j] = _ONE, _ZERO
     # card relaxations start from zero, so only reg children carry a warm start
     warm = rel.x if spec.variant is Variant.REG else None
     return cand, screened, ((node_lb, _settle(spec, child_in), warm), (node_lb, child_out, warm))

@@ -15,11 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from .problem import (
-    FixState,
     Incumbent,
     Instance,
     ProblemSpec,
     Variant,
+    _FREE,
+    _ONE,
     _check_residual,
     _check_length,
     _spec_for,
@@ -50,8 +51,8 @@ def _node_round(inst: Instance, spec: ProblemSpec, fixes, key) -> Incumbent:
     variables, ties toward the lower index; reg adds every free
     variable with ``z_i >= 1/2``.
     """
-    one_idx = np.flatnonzero(fixes == FixState.ONE)
-    free_idx = np.flatnonzero(fixes == FixState.FREE)
+    one_idx = np.flatnonzero(fixes == _ONE)
+    free_idx = np.flatnonzero(fixes == _FREE)
     if spec.variant is Variant.CARD:
         picked = free_idx[_top(key[free_idx], spec.k - one_idx.size)]
     else:
@@ -66,7 +67,7 @@ def round_card(inst: Instance, gamma: float, k: int, relax: RelaxSolution) -> In
     """
     spec = _spec_for(inst.n, gamma, k=k)
     _check_residual(inst, relax.epsilon)
-    free = np.full(inst.n, FixState.FREE, dtype=np.int8)
+    free = np.full(inst.n, _FREE, dtype=np.int8)
     return _node_round(inst, spec, free, _check_length(inst, relax.scores, "scores"))
 
 
@@ -80,5 +81,5 @@ def round_reg(inst: Instance, gamma: float, mu: float, relax: RelaxSolution) -> 
     """
     spec = _spec_for(inst.n, gamma, mu=mu)
     _check_residual(inst, relax.epsilon)
-    free = np.full(inst.n, FixState.FREE, dtype=np.int8)
+    free = np.full(inst.n, _FREE, dtype=np.int8)
     return _node_round(inst, spec, free, _check_length(inst, relax.z, "indicators z"))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .problem import (FixState, Instance, InvalidInputError, ProblemSpec, Variant, _check_residual,
+from .problem import (Instance, InvalidInputError, ProblemSpec, Variant, _FREE, _ZERO, _check_residual,
                       _check_tol, _settle, _spec_for, _top, _within)
 
 # operator_norm_sq is exact only to rounding, a relative error of order
@@ -274,17 +274,19 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
     two_step = 2.0 * step
     x = np.array(x0, dtype=float)
     pen = penalty_value(x)
-    r = a @ x - y
-    g = a.T @ r
+    # ndarray.dot is the same BLAS product as @ without matmul's
+    # dispatch, which costs about as much as the product at a few
+    # dozen columns
+    at = a.T
+    r = a.dot(x) - y
+    g = at.dot(r)
     v, gv = x, g
     t_mom = 1.0
     it = 0
     while True:
         eps = -r
         d = g * g
-        # ||eps||^2, bit for bit; ndarray.dot is the same BLAS dot as @
-        # without matmul's dispatch, which costs more than the dot itself
-        ee = float(r.dot(r))
+        ee = float(r.dot(r))  # ||eps||^2, bit for bit
         primal = ee + pen
         lb = certificate(eps, d, ee)
         if not (math.isfinite(primal) and math.isfinite(lb)):
@@ -296,8 +298,8 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
         if xf is not None:
             it += 1
             with np.errstate(over="ignore", invalid="ignore"):  # a wild candidate fails the test below
-                rf = a @ xf - y
-                gf = a.T @ rf
+                rf = a.dot(xf) - y
+                gf = at.dot(rf)
                 df = gf * gf
                 ef = float(rf.dot(rf))
                 primal_f = ef + penalty_value(xf)
@@ -308,8 +310,8 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
                 return x, eps, primal, lb, it, False, d
         x_new, pen = prox(v - two_step * gv, step)
         g_old = g
-        r = a @ x_new - y
-        g = a.T @ r
+        r = a.dot(x_new) - y
+        g = at.dot(r)
         dx = x_new - x
         if float((v - x_new).dot(dx)) > 0.0:
             t_mom, v, gv = 1.0, x_new, g
@@ -442,7 +444,7 @@ def solve_cr(inst: Instance, gamma: float, mu: float, tol: float = 1e-8) -> Rela
     """
     tol = _check_tol(tol)
     spec = _spec_for(inst.n, gamma, mu=mu)
-    return _relax(inst, spec, np.full(inst.n, FixState.FREE, dtype=np.int8), tol)
+    return _relax(inst, spec, np.full(inst.n, _FREE, dtype=np.int8), tol)
 
 
 def _ridge_full(a, y, gamma):
@@ -470,9 +472,11 @@ def _ksupport(x, k):
     ax = np.abs(x)
     if np.count_nonzero(ax) <= k:
         return float(ax @ ax), (ax > 0.0).astype(float)
-    u = -np.sort(-ax)
+    u = -ax
+    u.sort()
+    u = -u
     # summed from the small end, so tail[k - 1] >= u[k - 1] holds in floats
-    tail = np.cumsum(u[::-1])[::-1][:k]
+    tail = u[::-1].cumsum()[::-1][:k]
     tau = tail / (k - np.arange(k))
     r = int(np.argmax(u[:k] <= tau))
     head = u[:r]
@@ -492,8 +496,12 @@ def _ksupport_prox(w, c, k):
     value is ``sum_i x_i^2 / z_i = x @ (w / (z + c))``.
 
     APG calls this once per iteration on a few dozen entries, where
-    numpy's per-call overhead is most of the cost, so the slope and
-    offset steps share one gather by the sort order and one accumulate.
+    numpy's per-call overhead is most of the cost, so after the one
+    sort a Python loop scans the sorted breakpoints and stops at the
+    root.  Its running sums and masses are the same IEEE operations, in
+    the same order, as a sequential accumulate of the slope and offset
+    steps followed by ``bp * slope + offset``, so the result is that
+    sorted form's, bit for bit.
     """
     aw = np.abs(w)
     nz = aw[aw > 0.0]
@@ -502,23 +510,37 @@ def _ksupport_prox(w, c, k):
         x = w / (1.0 + c)
         return x, float(x @ x)
     bp = np.concatenate((c / nz, (1.0 + c) / nz))
-    order = bp.argsort(kind="stable")
-    bp = bp[order]
-    # rows: the slope and offset steps of each breakpoint, in bp's order
-    steps = np.empty((2, 2 * n))
-    steps[0, :n] = nz
-    np.negative(nz, out=steps[0, n:])
-    steps[1, :n] = -c
-    steps[1, n:] = 1.0 + c
-    slope, offset = np.add.accumulate(steps.take(order, axis=1), axis=1)
-    mass = bp * slope + offset
-    # mass[0] = 0 < k and mass[-1] = nnz > k, so 1 <= j < 2 nnz
-    j = int((mass >= k).argmax())
-    beta = bp[j]
-    if slope[j - 1] > 0.0:
+    order = bp.argsort(kind="stable").tolist()
+    bpl, nzl, cap = bp.tolist(), nz.tolist(), 1.0 + c
+    # -0.0 is the identity of IEEE addition, so each sum rounds as an
+    # accumulate that starts from its first step
+    slope = offset = -0.0
+    beta = None
+    for i in order:
+        b = bpl[i]
+        if i < n:  # entry i starts rising
+            slope += nzl[i]
+            offset -= c
+        else:  # entry i - n caps at 1
+            slope -= nzl[i - n]
+            offset += cap
+        mass = b * slope + offset
+        if mass >= k and beta is None:
+            beta = b
+            if i != order[0]:
+                break
+            # the first breakpoint crosses, and the sorted form then
+            # reads index -1 below: scan on to the last breakpoint
+        b0, s0, m0 = b, slope, mass
+    # (b0, s0, m0) is the breakpoint before the root, or the last one,
+    # after the whole accumulation, when the first crosses or none does
+    # (NaN masses); the sorted form's root index is 0 in both cases
+    if beta is None:
+        beta = bpl[order[0]]
+    if s0 > 0.0:
         # a flat segment at mass k can carry a rounding-sized slope; any
         # beta on it gives the same z, so stay inside the segment
-        beta = min(beta, bp[j - 1] + (k - mass[j - 1]) / slope[j - 1])
+        beta = min(beta, b0 + (k - m0) / s0)
     z = np.minimum(np.maximum(beta * aw - c, 0.0), 1.0)
     zc = z + c
     x = w * z / zc
@@ -596,8 +618,8 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
     """
     card = spec.variant is Variant.CARD
     fixes = _settle(spec, fixes)
-    active = np.flatnonzero(fixes != FixState.ZERO)
-    free_mask = fixes[active] == FixState.FREE
+    active = np.flatnonzero(fixes != _ZERO)
+    free_mask = fixes[active] == _FREE
     n_free = int(np.count_nonzero(free_mask))
     n_one = active.size - n_free
     budget = spec.k - n_one if card else 0
@@ -659,7 +681,8 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
         outside = ~in_w
         if card:
             dw = d[in_w & free_mask]
-            joins = outside & (d > np.partition(dw, dw.size - budget)[dw.size - budget])
+            dw.partition(dw.size - budget)
+            joins = outside & (d > dw[dw.size - budget])
         else:
             joins = outside & (spec.gamma * d > spec.mu)
         # rounding can leave the full gap open with no such column
@@ -700,4 +723,4 @@ def solve_cc(inst: Instance, gamma: float, k: int, tol: float = 1e-8) -> RelaxSo
     """
     tol = _check_tol(tol)
     spec = _spec_for(inst.n, gamma, k=k)
-    return _relax(inst, spec, np.full(inst.n, FixState.FREE, dtype=np.int8), tol)
+    return _relax(inst, spec, np.full(inst.n, _FREE, dtype=np.int8), tol)

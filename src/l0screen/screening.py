@@ -30,12 +30,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .problem import (
-    FixState,
     InconsistentBoundsError,
     Instance,
     InvalidInputError,
     ProblemSpec,
     Variant,
+    _FREE,
+    _ONE,
+    _ZERO,
     _check_int,
     _check_residual,
     _check_length,
@@ -98,7 +100,8 @@ def kth_largest_pair(delta, k: int):
     arr = np.asarray(delta, dtype=float).ravel()
     n = arr.size
     k = _check_int("k", k, hi=n)
-    part = np.partition(arr, n - k)
+    part = arr.copy()
+    part.partition(n - k)
     return float(part[n - k]), float(part[:n - k].max(initial=-np.inf))
 
 
@@ -144,27 +147,27 @@ def _screen_fixes(spec: ProblemSpec, fixes, delta, lower, zeta_bar):
     vector.
     """
     out = _settle(spec, fixes).copy()
-    free_idx = np.flatnonzero(out == FixState.FREE)
+    free_idx = np.flatnonzero(out == _FREE)
     if free_idx.size == 0:
         return out
     d = delta[free_idx]
     if spec.variant is Variant.REG:
         zero, one = _rules_reg(d, lower, spec.gamma, spec.mu, zeta_bar)
     else:
-        budget = min(spec.k - int(np.count_nonzero(out == FixState.ONE)), d.size)
+        budget = min(spec.k - int(np.count_nonzero(out == _ONE)), d.size)
         zero, one = _rules_card(d, lower, spec.gamma, budget, zeta_bar)
-    out[free_idx[zero]] = FixState.ZERO
-    out[free_idx[one]] = FixState.ONE
+    out[free_idx[zero]] = _ZERO
+    out[free_idx[one]] = _ONE
     return out
 
 
 def _screen(inst: Instance, spec: ProblemSpec, cert, zeta_bar: float) -> ScreenReport:
     delta, lower = _cert_parts(inst, cert)
     _check_bounds(lower, zeta_bar)
-    free = np.full(inst.n, FixState.FREE, dtype=np.int8)
+    free = np.full(inst.n, _FREE, dtype=np.int8)
     fixes = _screen_fixes(spec, free, delta, lower, zeta_bar)
-    n_zero = int(np.count_nonzero(fixes == FixState.ZERO))
-    n_one = int(np.count_nonzero(fixes == FixState.ONE))
+    n_zero = int(np.count_nonzero(fixes == _ZERO))
+    n_one = int(np.count_nonzero(fixes == _ONE))
     return ScreenReport(fixes=fixes, n_zero=n_zero, n_one=n_one, n_free=inst.n - n_zero - n_one,
                         lower_bound=lower, upper_bound=zeta_bar)
 

@@ -50,6 +50,9 @@ class TestInstance:
             (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2)),
             (np.eye(2), np.array([np.inf, 0.0])),
             (np.zeros((0, 2)), np.zeros(0)),
+            # a float conversion would keep only the real parts
+            (np.array([[1 + 2j, 0], [0, 1j], [1, 1]]), np.array([1.0, 2.0, 0.0])),
+            (np.eye(3), np.array([1, 2j, 0])),
         ],
     )
     def test_rejects_bad_input(self, a, y):

@@ -259,6 +259,10 @@ def _prox_pin_cases(draw):
 
 # a flat segment whose slope sums to 2.2e-16, so the clamp moves beta
 @example(case=(np.array([1.86, 1.68, 1.35, 0.02, 0.006]), 0.09253438770778166, 3))
+# at c near 1e18 the first breakpoint's mass rounds past k, so the
+# clamp reads the slope and mass of the whole accumulation
+@example(case=(np.array([2.264523845946565, -2.4693004618361787, 0.7893301026705913, -1.3119187837426332]),
+               8.608967314582431e+17, 1))
 @given(case=_prox_pin_cases())
 @settings(max_examples=500, deadline=None)
 def test_ksupport_prox_matches_the_concatenating_form_bit_for_bit(case):
@@ -515,6 +519,10 @@ class _CountingMatrix:
     def __matmul__(self, v):
         self.calls.append(v)
         return self.a @ v
+
+    def dot(self, v):
+        self.calls.append(v)
+        return self.a.dot(v)
 
     def __getitem__(self, key):
         # a column subset is a new matrix, not a product with this one
