@@ -9,14 +9,15 @@ over ``sum(z) <= k`` is the squared k-support norm (Argyriou, Foygel
 and Srebro, 2012), whose prox costs one sort.  Both relaxations are
 solved by an accelerated proximal gradient method with adaptive
 restart, through ``_inner_solve``, which also prices the columns a
-branch-and-bound node fixes in; the reg relaxation also tries an exact
-solve on the pattern its iterates settle on (``_berhu_solve``).  Every
+branch-and-bound node fixes in; the reg relaxation starts with a few
+semismooth Newton steps and tries exact solves on patterns
+(``_berhu_solve``).  Every
 residual ``eps = y - A x`` yields a dual-feasible point and hence a
 certified lower bound, valid whether or not the iteration has
 converged; termination is decided by the certified gap itself.
-Each iteration takes one product pair, ``A x - y`` and ``A'`` of it,
-at its new iterate; the same pair gives that iterate's certificate and
-the next gradient, so every iterate's gap is tested.
+Each iteration or Newton step takes one product pair, ``A x - y`` and
+``A'`` of it, at its new point; the same pair gives that point's
+certificate and the next gradient, so every point's gap is tested.
 
 The relaxed solutions are sparse, so the method runs in rounds on a
 working set of columns, and one product ``A' eps`` per round prices
@@ -44,9 +45,14 @@ from .problem import (Instance, InvalidInputError, ProblemSpec, Variant, _FREE, 
 # the fixed step 1 / L valid with room to spare.
 _LIPSCHITZ_PAD = 1.01
 
-# APG iterations one relaxation may take over all of its rounds; at the
-# cap it returns converged=False, with its bound still certified.
+# APG iterations and Newton steps one relaxation may take over all of
+# its rounds; at the cap it returns converged=False, with its bound
+# still certified.
 _MAX_ITER = 50_000
+
+# Newton steps a reg relaxation round takes at most before APG, each
+# counted as an iteration (``_inner_solve``)
+_NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -245,7 +251,8 @@ def certified_lower_bound_card(inst: Instance, gamma: float, k: int, epsilon_bar
     return _bound_card_terms(inst.y, eps, _scores(inst.a, eps), spec.gamma, spec.k)
 
 
-def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, max_iter, x0, finish=None):
+def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, max_iter, x0, finish=None,
+                      pair=None):
     """Accelerated proximal gradient (FISTA) with gradient-based restart.
 
     Minimizes ``||y - a x||^2 + sum_i psi_i(x_i)``; ``prox`` returns the
@@ -255,6 +262,8 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
     (``certificate(eps, scores, ||eps||^2)`` with ``eps = -r`` and
     scores ``g * g``) and, by linearity, give the gradient at the next
     extrapolated point.
+
+    ``pair``, when given, is ``(r, g)`` at ``x0``, taken by the caller.
 
     ``finish``, when given, maps an iterate whose gap is still open to a
     candidate point or None.  A candidate is priced by one product pair,
@@ -278,8 +287,11 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
     # dispatch, which costs about as much as the product at a few
     # dozen columns
     at = a.T
-    r = a.dot(x) - y
-    g = at.dot(r)
+    if pair is None:
+        r = a.dot(x) - y
+        g = at.dot(r)
+    else:
+        r, g = pair
     v, gv = x, g
     t_mom = 1.0
     it = 0
@@ -297,13 +309,7 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
         xf = None if finish is None else finish(x)
         if xf is not None:
             it += 1
-            with np.errstate(over="ignore", invalid="ignore"):  # a wild candidate fails the test below
-                rf = a.dot(xf) - y
-                gf = at.dot(rf)
-                df = gf * gf
-                ef = float(rf.dot(rf))
-                primal_f = ef + penalty_value(xf)
-                lb_f = certificate(-rf, df, ef)
+            rf, _, df, primal_f, lb_f = _price(a, y, penalty_value, certificate, xf)
             if _within(lb_f, primal_f, tol):
                 return xf, -rf, primal_f, lb_f, it, True, df
             if it >= max_iter:
@@ -326,12 +332,24 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
         it += 1
 
 
+def _price(a, y, penalty_value, certificate, x):
+    """``(r, g, g * g, primal, bound)`` at ``x``, ``r = a x - y`` and ``g = a' r``;
+    a wild ``x`` prices to non-finite values, which fail any gap test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = a.dot(x) - y
+        g = a.T.dot(r)
+        d = g * g
+        e = float(r.dot(r))
+        return r, g, d, e + penalty_value(x), certificate(-r, d, e)
+
+
 def _lipschitz(a) -> float:
     """The padded Lipschitz constant ``2 ||a||^2`` of the least-squares gradient."""
     return 2.0 * operator_norm_sq(a) * _LIPSCHITZ_PAD
 
 
-def _inner_solve(a, y, gamma, free_mask, prox, penval, cert, flat, lip, tol, max_iter, x0, finish=None):
+def _inner_solve(a, y, gamma, free_mask, prox, penval, cert, flat, lip, tol, max_iter, x0, finish=None,
+                 newton=None):
     """One relaxation's accelerated prox problem, with its fixed-in columns.
 
     ``prox`` and ``penval`` are the relaxed penalty's prox and value on
@@ -340,7 +358,11 @@ def _inner_solve(a, y, gamma, free_mask, prox, penval, cert, flat, lip, tol, max
     ``1 + 2 s / gamma``, plus ``flat`` each (``mu`` for reg, 0 for card),
     so the reported primal and bound bracket the subproblem value
     directly.  A ``free_mask`` of None means every column is free, and
-    the prox then takes no gathers.  Returns the tuple of
+    the prox then takes no gathers.  ``newton``, when given, maps a point
+    and ``a'(a x - y)`` to a candidate or None: from ``x0``, at most
+    ``_NEWTON_STEPS`` steps move to their candidates, one iteration each,
+    and the first point whose gap passes is returned.  Otherwise APG runs
+    from ``x0``, handed the phase's pair there.  Returns the tuple of
     ``_accel_prox_solve``.
     """
     if free_mask is not None:
@@ -358,23 +380,36 @@ def _inner_solve(a, y, gamma, free_mask, prox, penval, cert, flat, lip, tol, max
             xo = xv[om]
             return free_penval(xv[fm]) + float(xo @ xo) / gamma + charge
 
-    return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0, finish)
+    if newton is None:
+        return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0, finish)
+    r, g, d, primal, lb = _price(a, y, penval, cert, x0)
+    pair, xn, it = (r, g), x0, 0
+    while not _within(lb, primal, tol):
+        if it >= min(_NEWTON_STEPS, max_iter) or (xn := newton(xn, g)) is None:
+            res = _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter - it, x0, finish, pair)
+            return res[:4] + (it + res[4],) + res[5:]
+        it += 1
+        r, g, d, primal, lb = _price(a, y, penval, cert, xn)
+    return xn, -r, primal, lb, it, True, d
 
 
 def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
     """One Berhu problem, with fixed-in columns as in ``_inner_solve``.
 
-    APG is handed an exact finish.  The pattern of an iterate is its
-    support, the branch of each free nonzero (linear when
-    ``|x_i| <= sqrt(gamma mu)``) and the signs on the linear branch.
-    On a fixed pattern the problem is a quadratic whose minimizer
-    solves ``(A_S'A_S + D) x_S = A_S'y - sqrt(mu / gamma) s_L`` over the
+    The pattern of a point is its support, the branch of each free
+    nonzero (linear when ``|x_i| <= sqrt(gamma mu)``) and the signs on
+    the linear branch; fixed-in columns count as quadratic.  On a fixed
+    pattern the problem is a quadratic whose minimizer solves
+    ``(A_S'A_S + D) x_S = A_S'y - sqrt(mu / gamma) s_L`` over the
     support and the fixed-in columns ``S``, with ``D_ii = 1 / gamma``
     on quadratic-branch and fixed-in columns, 0 on linear-branch ones,
-    and ``s_L`` the linear-branch signs.  Proximal gradient settles on
-    the optimal pattern in finitely many steps, so the finish solves
-    that system once for each pattern two consecutive iterates share;
-    APG's own certificate decides whether the solution is kept.
+    and ``s_L`` the linear-branch signs; each pattern is solved once.
+    A Newton step solves the pattern of the coordinate-wise minimizer
+    ``prox_t(x - 2 t g)``, ``t_i = 1 / (2 ||a_i||^2)``: a primal-dual
+    active-set step, which is a semismooth Newton step (Hintermueller,
+    Ito and Kunisch, SIAM J. Optim. 2002).  APG's finish solves each
+    pattern two consecutive iterates share, since proximal gradient
+    settles on the optimal pattern in finitely many steps.
     """
     pen = BerhuPenalty(mu=mu, gamma=gamma)
     penval = lambda xv: float(np.sum(berhu_value(pen, xv)))
@@ -382,19 +417,18 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
 
     crossover, half_slope = pen.crossover, math.sqrt(mu / gamma)
     fixed_in = None if free_mask is None else ~free_mask
+    # with w = ||a_i||^2 x_i - g_i, the coordinate-wise minimizer is 0 for
+    # |w| <= half_slope and on the linear branch up to knee
+    col_sq = (a * a).sum(axis=0)
+    knee = crossover * (col_sq + 1.0 / gamma)
+    if fixed_in is not None:
+        knee[fixed_in] = -1.0
     last, tried = b"", set()
 
-    def finish(xv):
-        nonlocal last
-        # pattern code: 0 off the support, the sign on the linear branch,
-        # 2 on the quadratic branch or fixed in
-        code = np.sign(xv)
-        code[np.abs(xv) > crossover] = 2.0
-        if fixed_in is not None:
-            code[fixed_in] = 2.0
-        key = code.tobytes()
-        repeat, last = key == last, key
-        if not repeat or key in tried:
+    def solve(code, key):
+        # code: 0 off the support, the sign on the linear branch, 2 on the
+        # quadratic branch or fixed in; None if tried before or singular
+        if key in tried:
             return None
         tried.add(key)
         s = np.flatnonzero(code)
@@ -408,12 +442,30 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
             xs = np.linalg.solve(h, rhs)
         except np.linalg.LinAlgError:
             return None
-        out = np.zeros_like(xv)
+        out = np.zeros(code.size)
         out[s] = xs
         return out
 
+    def newton(xv, gv):
+        with np.errstate(over="ignore", invalid="ignore"):  # a wild point fails its certificate
+            w = col_sq * xv - gv
+        code = np.sign(w)
+        code[np.abs(w) <= half_slope] = 0.0
+        code[np.abs(w) > knee] = 2.0
+        return solve(code, code.tobytes())
+
+    def finish(xv):
+        nonlocal last
+        code = np.sign(xv)
+        code[np.abs(xv) > crossover] = 2.0
+        if fixed_in is not None:
+            code[fixed_in] = 2.0
+        key = code.tobytes()
+        repeat, last = key == last, key
+        return solve(code, key) if repeat else None
+
     cert = lambda e, d, ee: _bound_reg_terms(y, e, d, gamma, mu, free_mask, ee)
-    return _inner_solve(a, y, gamma, free_mask, prox, penval, cert, mu, lip, tol, max_iter, x0, finish)
+    return _inner_solve(a, y, gamma, free_mask, prox, penval, cert, mu, lip, tol, max_iter, x0, finish, newton)
 
 
 def solve_cr(inst: Instance, gamma: float, mu: float, tol: float = 1e-8) -> RelaxSolution:

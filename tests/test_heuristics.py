@@ -6,9 +6,14 @@ from l0screen import (
     InvalidInputError,
     ProblemSpec,
     RelaxSolution,
+    SyntheticSpec,
+    branch_and_bound,
     brute_force,
+    gamma_zero,
+    generate,
     round_card,
     round_reg,
+    screen_reg,
     solve_cc,
     solve_cr,
 )
@@ -116,3 +121,48 @@ class TestRoundReg:
             inc = round_reg(inst, 1.0, 0.8, sol)
             best, _ = brute_force(inst, ProblemSpec.reg(1.0, 0.8))
             assert inc.objective >= best.objective - 1e-10
+
+    @pytest.mark.parametrize("fixed_in", [False, True])
+    def test_no_indicator_at_one_half_keeps_the_better_of_two_supports(self, fixed_in):
+        inst = random_instance(3, 8, 6)
+        fixes = np.full(6, FixState.FREE, dtype=np.int8)
+        if fixed_in:
+            fixes[5] = FixState.ONE
+        one = [5] if fixed_in else []
+        z = np.array([0.1, 0.4, 0.2, 0.0, 0.4 - 1e-12, 0.3])
+
+        def value(support, mu):
+            return ridge_ls(inst.a[:, support], inst.y, 1.0)[1] + mu * len(support)
+
+        # a cheap variable: the largest z (column 1) joins the fixed-in ones
+        inc = _node_round(inst, ProblemSpec.reg(1.0, 1e-6), fixes, z)
+        assert inc.support == tuple(sorted([1] + one))
+        assert inc.objective == pytest.approx(value([1] + one, 1e-6), abs=1e-10)
+        assert inc.objective < value(one, 1e-6)
+        # a dear one: the fixed-in variables alone are cheaper, and stay
+        mu = 2.0 * float(inst.y @ inst.y)
+        assert _node_round(inst, ProblemSpec.reg(1.0, mu), fixes, z).support == tuple(one)
+
+    def test_every_indicator_zero_gives_the_fixed_in_support(self):
+        inst = random_instance(3, 8, 6)
+        fixes = np.full(6, FixState.FREE, dtype=np.int8)
+        fixes[2] = FixState.ONE
+        inc = _node_round(inst, ProblemSpec.reg(1.0, 1e-6), fixes, np.zeros(6))
+        assert inc.support == (2,)
+
+    def test_no_indicator_at_one_half_on_a_hard_cell(self):
+        # 60x120, SNR 1, 16 gamma0, a cheap variable: no z reaches 1/2,
+        # and the z >= 1/2 rounding alone returned the empty support at
+        # ||y||^2, with which the root screen fixed nothing
+        inst, _ = generate(SyntheticSpec(n=120, m=60, k_true=5, rho=0.5, snr=1.0, seed=2))
+        gamma = 16.0 * gamma_zero(inst, 5)
+        mu = gamma * float(np.sort(inst.aty ** 2)[-10])
+        rel = solve_cr(inst, gamma, mu)
+        assert 0.0 < rel.z.max() < 0.5
+        inc = round_reg(inst, gamma, mu, rel)
+        best = branch_and_bound(inst, ProblemSpec.reg(gamma, mu)).best
+        assert inc.support == best.support == (60,)
+        assert inc.objective == pytest.approx(840.4497810738173, rel=1e-9)
+        assert inc.objective < float(inst.y @ inst.y)
+        rep = screen_reg(inst, gamma, mu, rel, inc.objective)
+        assert rep.n_zero + rep.n_one == 112

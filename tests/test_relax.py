@@ -1,5 +1,6 @@
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from l0screen import (
     solve_cr,
 )
 from l0screen.exact import node_relaxation
+from l0screen.problem import _within
 from l0screen.relax import (
     BerhuPenalty,
     RelaxSolution,
@@ -51,6 +53,7 @@ from l0screen.relax import (
 from ._oracles import (berhu_prox_where, ksupport_prox_bisect, ksupport_prox_concat, ksupport_sq_bisect,
                        relax_value_grid, ridge_ls)
 from .conftest import random_instance, screen_report
+from .test_acceptance import _gauss_instance
 
 # repeated values and exact zeros exercise the ties and flat segments
 _entries = st.one_of(
@@ -524,6 +527,11 @@ class _CountingMatrix:
         self.calls.append(v)
         return self.a.dot(v)
 
+    def __mul__(self, other):
+        # elementwise, as the reg solve's column norms (a * a) take it:
+        # not a product with a vector
+        return self.a * np.asarray(other)
+
     def __getitem__(self, key):
         # a column subset is a new matrix, not a product with this one
         return self.a[key]
@@ -613,11 +621,17 @@ class TestApgLoop:
         assert not short.converged
         assert short.iterations == iters - 1
 
-    @pytest.mark.parametrize("variant,fixed_in", [
-        pytest.param(variant, fixed_in, id=variant + ("-fixed" if fixed_in else ""))
-        for fixed_in in (False, True) for variant in ("reg", "card")
+    # "-apg" runs reg with no Newton steps, so APG takes the pair at x0
+    # from the phase and runs every iteration
+    @pytest.mark.parametrize("variant,fixed_in,steps", [
+        pytest.param(variant, fixed_in, steps,
+                     id=variant + ("-fixed" if fixed_in else "") + ("-apg" if steps == 0 else ""))
+        for steps in (None, 0) for fixed_in in (False, True) for variant in ("reg", "card")
+        if steps is None or variant == "reg"
     ])
-    def test_one_product_pair_per_iteration(self, variant, fixed_in):
+    def test_one_product_pair_per_iteration(self, monkeypatch, variant, fixed_in, steps):
+        if steps is not None:
+            monkeypatch.setattr(relax, "_NEWTON_STEPS", steps)
         inst, spec, fixes = _apg_case(variant, fixed_in, 60, 120)
         free = fixes == FixState.FREE
         mask = free if fixed_in else None
@@ -719,6 +733,119 @@ class TestExactFinish:
         log = _spy_solves(monkeypatch)
         assert solve_cr(_wide(0), 10.0, 0.5).converged
         assert any(size > 4 for size, _ in log)
+
+
+@st.composite
+def _newton_cases(draw):
+    """``(a, y, gamma, mu, free_mask, x0)``: a small reg problem for ``_berhu_solve``.
+
+    Besides plain Gaussian matrices: duplicate columns and ``m < n / 4``;
+    up to two columns fixed in, and a zero or a random sparse warm start.
+    """
+    kind = draw(st.sampled_from(["plain", "duplicate", "wide"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "wide":
+        m = draw(st.integers(3, 14))
+        a = rng.standard_normal((m, draw(st.integers(4 * m + 1, 60))))
+    elif kind == "duplicate":
+        m = draw(st.integers(3, 30))
+        a = np.tile(rng.standard_normal((m, draw(st.integers(1, 10)))), draw(st.integers(2, 6)))
+    else:
+        m = draw(st.integers(3, 30))
+        a = rng.standard_normal((m, draw(st.integers(2, 60))))
+    n = a.shape[1]
+    y = rng.standard_normal(m)
+    gamma = 10.0 ** draw(st.floats(-1.0, 1.5)) / m
+    # a variable priced like one of the j-th largest scores, off by a factor
+    mu = gamma * float(np.sort((a.T @ y) ** 2)[-draw(st.integers(1, n))]) * 2.0 ** draw(st.floats(-2.0, 2.0))
+    fixed = draw(st.lists(st.integers(0, n - 1), max_size=min(2, n - 1), unique=True))
+    free_mask = None
+    if fixed:
+        free_mask = np.ones(n, dtype=bool)
+        free_mask[fixed] = False
+    x0 = np.zeros(n)
+    if draw(st.booleans()):
+        warm = rng.choice(n, size=draw(st.integers(1, n)), replace=False)
+        x0[warm] = rng.standard_normal(warm.size)
+    return a, y, gamma, mu, free_mask, x0
+
+
+# acceptance gate 2's (m, n, seed) cases and the draws that make its reg cells
+_GATE_2 = [(40, 80, 0), (100, 200, 1), (60, 120, 2), (100, 150, 3), (80, 200, 4), (50, 50, 5)]
+
+
+def _gate_2_cell(m, n, seed):
+    rng = np.random.default_rng(8_000 + seed)
+    inst = _gauss_instance(rng, n, m)
+    return inst, float(rng.uniform(0.5, 5.0)), float(10.0 ** rng.uniform(-1.5, 0.5))
+
+
+def _spy(monkeypatch, name):
+    """Count the calls of ``relax.<name>``."""
+    inner, calls = getattr(relax, name), []
+
+    def spy(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(relax, name, spy)
+    return calls
+
+
+class TestNewtonPhase:
+    @given(case=_newton_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_converges_with_the_certificate_of_its_residual(self, case):
+        a, y, gamma, mu, free_mask, x0 = case
+        lip = _lipschitz(a)
+        x, eps, primal, lb, _, ok, _ = _berhu_solve(a, y, gamma, mu, free_mask, lip, 1e-8, relax._MAX_ITER, x0)
+        assert ok and _within(lb, primal, 1e-8)
+        np.testing.assert_array_equal(eps, y - a @ x)
+        assert lb == _bound_reg_terms(y, eps, (a.T @ eps) ** 2, gamma, mu, free_mask)
+        free = np.ones(a.shape[1], dtype=bool) if free_mask is None else free_mask
+        xo = x[~free]
+        penalty = float(np.sum(berhu_value(BerhuPenalty(mu, gamma), x[free]))) + xo @ xo / gamma + mu * xo.size
+        assert primal == pytest.approx(float(eps @ eps) + penalty, rel=1e-9)
+        with mock.patch.object(relax, "_NEWTON_STEPS", 0):
+            apg = _berhu_solve(a, y, gamma, mu, free_mask, lip, 1e-8, relax._MAX_ITER, x0)
+        assert apg[5]
+        assert abs(primal - apg[2]) <= 1e-8 * max(abs(primal), abs(apg[2]))
+
+    @pytest.mark.parametrize("fixed_in", [False, True], ids=["free", "fixed"])
+    def test_readme_grid_needs_no_apg(self, monkeypatch, fixed_in):
+        # the README grid's 24 reg cells: 60x120, SNR 6, data seeds 0-5,
+        # k 5 and 10, gamma0 and 4 gamma0, mu gamma times the 2k-th score;
+        # APG alone takes 9.2 iterations a relaxation and up to 19 with
+        # every variable free, 8.1 and up to 11 with columns 0 and 3 fixed
+        # in (and 11.0 and up to 15 if the phase took them as free)
+        apg = _spy(monkeypatch, "_accel_prox_solve")
+        iters = []
+        for seed in range(6):
+            inst, _ = generate(SyntheticSpec(n=120, m=60, k_true=5, rho=0.5, snr=6.0, seed=seed))
+            fixes = np.full(inst.n, FixState.FREE, dtype=np.int8)
+            if fixed_in:
+                fixes[[0, 3]] = FixState.ONE
+            for k in (5, 10):
+                for gamma in (gamma_zero(inst, k), 4.0 * gamma_zero(inst, k)):
+                    spec = ProblemSpec.reg(gamma, gamma * float(np.sort(inst.aty ** 2)[-2 * k]))
+                    sol = node_relaxation(inst, spec, fixes)
+                    assert sol.converged
+                    iters.append(sol.iterations)
+        assert len(iters) == 24
+        assert np.mean(iters) <= 4
+        assert not apg
+
+    @pytest.mark.parametrize("m,n,seed", _GATE_2)
+    def test_gate_2_cells_take_at_most_the_apg_total_and_the_steps(self, monkeypatch, m, n, seed):
+        inst, gamma, mu = _gate_2_cell(m, n, seed)
+        rounds = _spy(monkeypatch, "_berhu_solve")
+        sol = solve_cr(inst, gamma, mu)
+        assert sol.converged and rounds
+        steps = relax._NEWTON_STEPS
+        monkeypatch.setattr(relax, "_NEWTON_STEPS", 0)
+        apg = solve_cr(inst, gamma, mu)
+        assert apg.converged
+        assert sol.iterations <= apg.iterations + steps * len(rounds)
 
 
 def _solve(inst, spec):
