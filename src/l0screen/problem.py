@@ -106,17 +106,17 @@ class Instance:
             )
         if not np.all(np.isfinite(a)) or not np.all(np.isfinite(y)):
             raise InvalidInputError("matrix and response entries must be finite")
-        with np.errstate(over="ignore"):  # reported below as errors
+        with np.errstate(over="ignore"):  # reported below as an error
             yy = float(y @ y)
-            # bounds every Gram entry and ||A||^2, so no solve overflows them
             aa = float(a.ravel(order="K") @ a.ravel(order="K"))
-        if not np.isfinite(yy):
+        # a finite ||A||_F^2 ||y||^2 keeps both factors finite, so no Gram
+        # entry, ||A||^2 or ||y||^2 overflows, and it bounds every score
+        # (a_i' eps)^2 of a residual no longer than y; an infinite factor
+        # makes the product inf, or NaN against a zero
+        if not math.isfinite(aa * yy):
             raise InvalidInputError(
-                "the squared norm of y overflows; divide y by a scale s and a reg mu by s**2"
-            )
-        if not np.isfinite(aa):
-            raise InvalidInputError(
-                "the squared Frobenius norm of A overflows; divide A by a scale s and multiply gamma by s**2"
+                "the product of the squared norms of A and y overflows; divide A by a scale s and "
+                "multiply gamma by s**2, or divide y by s and a reg mu by s**2"
             )
         # below it the Gram matrix and ||A||^2 lose precision or vanish
         if aa < np.finfo(float).tiny and np.any(a):

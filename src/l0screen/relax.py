@@ -9,15 +9,16 @@ over ``sum(z) <= k`` is the squared k-support norm (Argyriou, Foygel
 and Srebro, 2012), whose prox costs one sort.  Both relaxations are
 solved by an accelerated proximal gradient method with adaptive
 restart, through ``_inner_solve``, which also prices the columns a
-branch-and-bound node fixes in; the reg relaxation starts with a few
-semismooth Newton steps and tries exact solves on patterns
-(``_berhu_solve``).  Every
-residual ``eps = y - A x`` yields a dual-feasible point and hence a
-certified lower bound, valid whether or not the iteration has
-converged; termination is decided by the certified gap itself.
-Each iteration or Newton step takes one product pair, ``A x - y`` and
-``A'`` of it, at its new point; the same pair gives that point's
-certificate and the next gradient, so every point's gap is tested.
+branch-and-bound node fixes in.  Every residual ``eps = y - A x``
+yields a dual-feasible point and hence a certified lower bound, valid
+whether or not the iteration has converged; termination is decided by
+the certified gap itself.  Each round first certifies its start, and
+returns it if its gap already passes; the reg relaxation then takes a
+few semismooth Newton steps and tries exact solves on patterns
+(``_berhu_solve``), and APG continues from the start.  Each iteration
+or Newton step takes one product pair, ``A x - y`` and ``A'`` of it,
+at its new point; the same pair gives that point's certificate and the
+next gradient, so every point's gap is tested once.
 
 The relaxed solutions are sparse, so the method runs in rounds on a
 working set of columns, and one product ``A' eps`` per round prices
@@ -251,28 +252,28 @@ def certified_lower_bound_card(inst: Instance, gamma: float, k: int, epsilon_bar
     return _bound_card_terms(inst.y, eps, _scores(inst.a, eps), spec.gamma, spec.k)
 
 
-def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, max_iter, x0, finish=None,
-                      pair=None):
+def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, max_iter, x0, start,
+                      finish=None):
     """Accelerated proximal gradient (FISTA) with gradient-based restart.
 
-    Minimizes ``||y - a x||^2 + sum_i psi_i(x_i)``; ``prox`` returns the
-    new point with its penalty, and ``penalty_value`` prices ``x0``.
-    Each iteration takes one product pair at its new iterate,
+    Minimizes ``||y - a x||^2 + sum_i psi_i(x_i)``, continuing from
+    ``x0`` and its priced ``start``, the ``(r, g, g * g, primal, bound)``
+    that ``_price`` gives there; ``prox`` returns the new point with its
+    penalty.  Each iteration takes one product pair at its new iterate,
     ``r = a x - y`` and ``g = a' r``, which both certify that iterate
     (``certificate(eps, scores, ||eps||^2)`` with ``eps = -r`` and
     scores ``g * g``) and, by linearity, give the gradient at the next
     extrapolated point.
 
-    ``pair``, when given, is ``(r, g)`` at ``x0``, taken by the caller.
-
     ``finish``, when given, maps an iterate whose gap is still open to a
-    candidate point or None.  A candidate is priced by one product pair,
-    counted as an iteration, and returned if its own certified gap
-    passes; otherwise it is discarded and the iteration goes on from the
-    iterate.  Returns at the first point whose bound is within ``tol``
-    of its primal value (``problem._within``), unconverged at the first
-    non-finite primal value or bound, as ``(x, eps, primal, lower_bound, iterations, converged,
-    scores)``; benchmarks/tracer.py reads ``iterations`` and
+    candidate point or None.  A candidate is priced by one product pair
+    and ``penalty_value``, counted as an iteration, and returned if its
+    own certified gap passes; otherwise it is discarded and the
+    iteration goes on from the iterate.  Returns at the first point
+    whose bound is within ``tol`` of its primal value
+    (``problem._within``), unconverged at the first non-finite primal
+    value or bound, as ``(x, eps, primal, lower_bound, iterations,
+    converged, scores)``; benchmarks/tracer.py reads ``iterations`` and
     ``converged`` by position.
     """
     lip = float(lipschitz)
@@ -281,31 +282,21 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
     step = 1.0 / lip
     # doubling is exact, so two_step * gv has the bits of step * (2 gv)
     two_step = 2.0 * step
-    x = np.array(x0, dtype=float)
-    pen = penalty_value(x)
     # ndarray.dot is the same BLAS product as @ without matmul's
     # dispatch, which costs about as much as the product at a few
     # dozen columns
     at = a.T
-    if pair is None:
-        r = a.dot(x) - y
-        g = at.dot(r)
-    else:
-        r, g = pair
+    x = x0
+    r, g, d, primal, lb = start
     v, gv = x, g
     t_mom = 1.0
     it = 0
     while True:
-        eps = -r
-        d = g * g
-        ee = float(r.dot(r))  # ||eps||^2, bit for bit
-        primal = ee + pen
-        lb = certificate(eps, d, ee)
         if not (math.isfinite(primal) and math.isfinite(lb)):
-            return x, eps, primal, lb, it, False, d  # diverged
+            return x, -r, primal, lb, it, False, d  # diverged
         ok = _within(lb, primal, tol)
         if ok or it >= max_iter:
-            return x, eps, primal, lb, it, ok, d
+            return x, -r, primal, lb, it, ok, d
         xf = None if finish is None else finish(x)
         if xf is not None:
             it += 1
@@ -313,7 +304,7 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
             if _within(lb_f, primal_f, tol):
                 return xf, -rf, primal_f, lb_f, it, True, df
             if it >= max_iter:
-                return x, eps, primal, lb, it, False, d
+                return x, -r, primal, lb, it, False, d
         x_new, pen = prox(v - two_step * gv, step)
         g_old = g
         r = a.dot(x_new) - y
@@ -330,6 +321,10 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
             t_mom = t_next
         x = x_new
         it += 1
+        d = g * g
+        ee = float(r.dot(r))  # ||eps||^2, bit for bit
+        primal = ee + pen
+        lb = certificate(-r, d, ee)
 
 
 def _price(a, y, penalty_value, certificate, x):
@@ -358,12 +353,15 @@ def _inner_solve(a, y, gamma, free_mask, prox, penval, cert, flat, lip, tol, max
     ``1 + 2 s / gamma``, plus ``flat`` each (``mu`` for reg, 0 for card),
     so the reported primal and bound bracket the subproblem value
     directly.  A ``free_mask`` of None means every column is free, and
-    the prox then takes no gathers.  ``newton``, when given, maps a point
-    and ``a'(a x - y)`` to a candidate or None: from ``x0``, at most
-    ``_NEWTON_STEPS`` steps move to their candidates, one iteration each,
-    and the first point whose gap passes is returned.  Otherwise APG runs
-    from ``x0``, handed the phase's pair there.  Returns the tuple of
-    ``_accel_prox_solve``.
+    the prox then takes no gathers.
+
+    The round prices its start ``x0`` once (``_price``) and returns it,
+    at 0 iterations, when its gap already passes.  ``newton``, when
+    given, maps a point and ``a'(a x - y)`` to a candidate or None: from
+    ``x0``, at most ``_NEWTON_STEPS`` steps move to their candidates, one
+    iteration each, and the first point whose gap passes is returned.
+    Otherwise APG continues from ``x0`` and its priced start.  Returns
+    the tuple of ``_accel_prox_solve``.
     """
     if free_mask is not None:
         fm, om = free_mask, ~free_mask
@@ -380,13 +378,11 @@ def _inner_solve(a, y, gamma, free_mask, prox, penval, cert, flat, lip, tol, max
             xo = xv[om]
             return free_penval(xv[fm]) + float(xo @ xo) / gamma + charge
 
-    if newton is None:
-        return _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter, x0, finish)
-    r, g, d, primal, lb = _price(a, y, penval, cert, x0)
-    pair, xn, it = (r, g), x0, 0
+    start = r, g, d, primal, lb = _price(a, y, penval, cert, x0)
+    xn, it = x0, 0
     while not _within(lb, primal, tol):
-        if it >= min(_NEWTON_STEPS, max_iter) or (xn := newton(xn, g)) is None:
-            res = _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter - it, x0, finish, pair)
+        if newton is None or it >= min(_NEWTON_STEPS, max_iter) or (xn := newton(xn, g)) is None:
+            res = _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter - it, x0, start, finish)
             return res[:4] + (it + res[4],) + res[5:]
         it += 1
         r, g, d, primal, lb = _price(a, y, penval, cert, xn)
@@ -684,7 +680,8 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
         (_berhu_solve, _bound_reg_terms, spec.mu)
     max_iter = _MAX_ITER
     if n_free <= budget:
-        # APG takes no step, so any positive Lipschitz value will do
+        # the round certifies the closed form as its start and, with no
+        # iterations to take, returns it, so any positive Lipschitz value will do
         max_iter, xa, lipschitz = 0, _ridge_full(a, y, spec.gamma), 1.0
     elif card or x_warm is None:
         xa = np.zeros(active.size)

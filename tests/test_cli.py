@@ -177,6 +177,18 @@ class TestScreen:
         assert "line" in errtxt
 
 
+    def test_overflowing_scores_are_a_runtime_error(self, tmp_path, capsys):
+        # finite squared norms whose product overflows (tests/test_problem.py)
+        rng = np.random.default_rng(0)
+        datagen._write_matrix(str(tmp_path / "A.csv"), rng.standard_normal((8, 10)) * 1e77)
+        datagen._write_matrix(str(tmp_path / "y.csv"), rng.standard_normal((8, 1)) * 1e77)
+        code, out, errtxt = run_cli(capsys, "screen", "--variant", "card", "--gamma", "1e-154",
+                                    "--k", "3", "--a", str(tmp_path / "A.csv"),
+                                    "--y", str(tmp_path / "y.csv"))
+        assert code == 1
+        assert out == "" and "overflows" in errtxt
+
+
 class TestSolve:
     def test_tiny_bnb_with_screening(self, tmp_path, capsys):
         (tmp_path / "A.csv").write_text("1,0\n0,1\n")

@@ -501,9 +501,9 @@ class TestExpand:
     (ProblemSpec.card(1.0, 3), True), (ProblemSpec.reg(1.0, 0.5), True),
 ], ids=["card", "reg", "card-screen", "reg-screen"])
 def test_depth_first_fallback_matches_brute_force(monkeypatch, seed, spec, screen):
-    """The search needs no depth-first fallback: best first alone is
-    exact, and its heap, seen after every push, holds at most
-    ``nodes_explored + 1`` nodes, so at most ``node_limit + 1``."""
+    """Best-first search is exact, and its heap, seen after every push,
+    holds at most ``nodes_explored + 1`` nodes, so at most
+    ``node_limit + 1``."""
     sizes = []
     push = heapq.heappush
 

@@ -72,6 +72,14 @@ class TestInstance:
         with pytest.raises(InvalidInputError, match="overflows.*divide y"):
             Instance(np.eye(2), np.array([3.0, 0.1]) * 1e160)
 
+    def test_overflowing_scores_are_a_clear_error(self):
+        # ||A||_F^2 = 7.5e155 and ||y||^2 = 5.8e154 are finite, but the
+        # scores (a_i' y)^2 overflow: the solves would certify -inf
+        rng = np.random.default_rng(0)
+        a, y = rng.standard_normal((8, 10)) * 1e77, rng.standard_normal(8) * 1e77
+        with pytest.raises(InvalidInputError, match="overflows.*divide A.*divide y"):
+            Instance(a, y)
+
 
 # small integers make ties and repeated values common; -1.0 is the
 # sentinel _relax writes over working-set members

@@ -621,8 +621,9 @@ class TestApgLoop:
         assert not short.converged
         assert short.iterations == iters - 1
 
-    # "-apg" runs reg with no Newton steps, so APG takes the pair at x0
-    # from the phase and runs every iteration
+    # "-apg" runs reg with no Newton steps, so APG continues from the
+    # round's priced start and runs every iteration; each point, the
+    # start included, is certified once
     @pytest.mark.parametrize("variant,fixed_in,steps", [
         pytest.param(variant, fixed_in, steps,
                      id=variant + ("-fixed" if fixed_in else "") + ("-apg" if steps == 0 else ""))
@@ -632,6 +633,7 @@ class TestApgLoop:
     def test_one_product_pair_per_iteration(self, monkeypatch, variant, fixed_in, steps):
         if steps is not None:
             monkeypatch.setattr(relax, "_NEWTON_STEPS", steps)
+        certs = _spy(monkeypatch, "_bound_card_terms" if variant == "card" else "_bound_reg_terms")
         inst, spec, fixes = _apg_case(variant, fixed_in, 60, 120)
         free = fixes == FixState.FREE
         mask = free if fixed_in else None
@@ -647,6 +649,26 @@ class TestApgLoop:
         iters, converged = res[4], res[5]
         assert converged and iters > 1
         assert len(calls) == 2 * iters + 2
+        assert len(certs) == iters + 1
+
+    @pytest.mark.parametrize("variant", ["reg", "card"])
+    def test_a_start_whose_gap_passes_returns_without_apg(self, monkeypatch, variant):
+        inst, spec, _ = _apg_case(variant, False, 60, 120)
+        lip = _lipschitz(inst.a)
+
+        def solve(x0, tol):
+            if variant == "card":
+                return _ksupport_solve(inst.a, inst.y, spec.gamma, spec.k, None, lip, tol, 50_000, x0)
+            return _berhu_solve(inst.a, inst.y, spec.gamma, spec.mu, None, lip, tol, 50_000, x0)
+
+        x = solve(np.zeros(inst.n), 1e-8)[0]
+        apg = _spy(monkeypatch, "_accel_prox_solve")
+        # the start's penalty comes from the penalty function, not the
+        # prox, and may differ in the last bits: price it at a looser tol
+        res = solve(x, 1e-6)
+        assert res[4] == 0 and res[5]
+        assert not apg
+        np.testing.assert_array_equal(res[0], x)
 
 
 def _spy_solves(monkeypatch):

@@ -100,3 +100,19 @@ def test_any_rescaling_keeps_the_answer(seed, variant, how, log_c):
     assert bnb2.best.support == bnb.best.support
     want = f * bnb.best.objective
     assert abs(bnb2.best.objective - want) <= 1e-9 * abs(want)
+
+
+def test_scale_near_the_float_limit_is_exact():
+    # at 2**250 this cell's ||A||_F^2 ||y||^2 reads 4.7e303, which
+    # Instance accepts; its 1e77 twin overflows (tests/test_problem.py)
+    rng = np.random.default_rng(0)
+    a, y = rng.standard_normal((8, 10)), rng.standard_normal(8)
+    c = 2.0 ** 250
+    for spec, big in ((ProblemSpec.card(1.0, 3), ProblemSpec.card(c ** -2, 3)),
+                      (ProblemSpec.reg(1.0, 0.5), ProblemSpec.reg(c ** -2, 0.5 * c * c))):
+        bnb = branch_and_bound(Instance(a, y), spec)
+        bnb2 = branch_and_bound(Instance(c * a, c * y), big)
+        assert bnb.optimal and bnb2.optimal
+        assert bnb2.best.support == bnb.best.support
+        assert bnb2.best.objective == c * c * bnb.best.objective
+        assert (bnb2.nodes_explored, bnb2.root_fixed) == (bnb.nodes_explored, bnb.root_fixed)
