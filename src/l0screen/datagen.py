@@ -60,18 +60,13 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise InvalidInputError("n and m must be >= 1")
-        if not (1 <= self.k_true <= self.n):
-            raise InvalidInputError("k_true must lie in [1, n]")
+        for name, lo in (("n", 1), ("m", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
+        object.__setattr__(self, "k_true", _check_int("k_true", self.k_true, hi=self.n))
         if not (0.0 <= self.rho < 1.0):
             raise InvalidInputError("rho must lie in [0, 1)")
         if not (self.snr > 0.0):
             raise InvalidInputError("snr must be positive")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be non-negative")
-        for name, lo in (("n", 1), ("m", 1), ("k_true", 1), ("seed", 0)):
-            object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
 
 
 def true_support_indices(n: int, k_true: int) -> tuple[int, ...]:

@@ -118,6 +118,12 @@ class Instance:
                 "the product of the squared norms of A and y overflows; divide A by a scale s and "
                 "multiply gamma by s**2, or divide y by s and a reg mu by s**2"
             )
+        # every certificate's 2 eps'y term is at most 2 ||y||^2 for a
+        # residual no longer than y
+        if not math.isfinite(2.0 * yy):
+            raise InvalidInputError(
+                "twice the squared norm of y overflows; divide y by a scale s and a reg mu by s**2"
+            )
         # below it the Gram matrix and ||A||^2 lose precision or vanish
         if aa < np.finfo(float).tiny and np.any(a):
             raise InvalidInputError(

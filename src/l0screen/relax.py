@@ -8,17 +8,18 @@ reverse-Huber (Berhu) penalty: linear near the origin, quadratic past
 over ``sum(z) <= k`` is the squared k-support norm (Argyriou, Foygel
 and Srebro, 2012), whose prox costs one sort.  Both relaxations are
 solved by an accelerated proximal gradient method with adaptive
-restart, through ``_inner_solve``, which also prices the columns a
-branch-and-bound node fixes in.  Every residual ``eps = y - A x``
-yields a dual-feasible point and hence a certified lower bound, valid
-whether or not the iteration has converged; termination is decided by
-the certified gap itself.  Each round first certifies its start, and
-returns it if its gap already passes; the reg relaxation then takes a
-few semismooth Newton steps and tries exact solves on patterns
-(``_berhu_solve``), and APG continues from the start.  Each iteration
-or Newton step takes one product pair, ``A x - y`` and ``A'`` of it,
-at its new point; the same pair gives that point's certificate and the
-next gradient, so every point's gap is tested once.
+restart, in rounds of ``_accel_prox_solve``, which also prices the
+columns a branch-and-bound node fixes in.  Every residual
+``eps = y - A x`` yields a dual-feasible point and hence a certified
+lower bound, valid whether or not the iteration has converged;
+termination is decided by the certified gap itself.  Each round first
+certifies its start, and returns it if its gap already passes; given
+a relaxation's pattern maps (reg passes them, ``_berhu_solve``), it
+then takes a few semismooth Newton steps and tries exact solves on
+patterns, and APG continues from the start.  Each iteration or Newton
+step takes one product pair, ``A x - y`` and ``A'`` of it, at its new
+point; the same pair gives that point's certificate and the next
+gradient, so every point's gap is tested once.
 
 The relaxed solutions are sparse, so the method runs in rounds on a
 working set of columns, and one product ``A' eps`` per round prices
@@ -51,8 +52,8 @@ _LIPSCHITZ_PAD = 1.01
 # still certified.
 _MAX_ITER = 50_000
 
-# Newton steps a reg relaxation round takes at most before APG, each
-# counted as an iteration (``_inner_solve``)
+# Newton steps a round with pattern maps (reg) takes at most before
+# APG, each counted as an iteration (``_accel_prox_solve``)
 _NEWTON_STEPS = 8
 
 
@@ -252,34 +253,83 @@ def certified_lower_bound_card(inst: Instance, gamma: float, k: int, epsilon_bar
     return _bound_card_terms(inst.y, eps, _scores(inst.a, eps), spec.gamma, spec.k)
 
 
-def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, max_iter, x0, start,
-                      finish=None):
-    """Accelerated proximal gradient (FISTA) with gradient-based restart.
+def _accel_prox_solve(a, y, gamma, free_mask, prox, penval, cert, flat, lip, tol, max_iter, x0, pattern=None):
+    """One relaxation round: its certified start, pattern steps, then APG.
 
-    Minimizes ``||y - a x||^2 + sum_i psi_i(x_i)``, continuing from
-    ``x0`` and its priced ``start``, the ``(r, g, g * g, primal, bound)``
-    that ``_price`` gives there; ``prox`` returns the new point with its
-    penalty.  Each iteration takes one product pair at its new iterate,
-    ``r = a x - y`` and ``g = a' r``, which both certify that iterate
-    (``certificate(eps, scores, ||eps||^2)`` with ``eps = -r`` and
-    scores ``g * g``) and, by linearity, give the gradient at the next
-    extrapolated point.
+    Minimizes ``||y - a x||^2`` plus the relaxed penalty on the free
+    columns, whose ``prox`` returns the new point with its penalty and
+    whose value is ``penval``, plus, on each column outside
+    ``free_mask`` (fixed in), the ridge ``x_i^2 / gamma`` and ``flat``
+    (``mu`` for reg, 0 for card); a ``free_mask`` of None takes no
+    gathers.  ``cert(eps, scores, ||eps||^2)`` certifies a residual.
 
-    ``finish``, when given, maps an iterate whose gap is still open to a
-    candidate point or None.  A candidate is priced by one product pair
-    and ``penalty_value``, counted as an iteration, and returned if its
-    own certified gap passes; otherwise it is discarded and the
-    iteration goes on from the iterate.  Returns at the first point
-    whose bound is within ``tol`` of its primal value
-    (``problem._within``), unconverged at the first non-finite primal
-    value or bound, as ``(x, eps, primal, lower_bound, iterations,
-    converged, scores)``; benchmarks/tracer.py reads ``iterations`` and
-    ``converged`` by position.
+    The start ``x0`` is priced once (``_price``) and returned, at 0
+    iterations, if its gap passes.  ``pattern``, when given, is
+    ``(newton, code, system)``: the code a Newton step takes at a point
+    and its ``a'(a x - y)``, the code of an iterate, and ``system(s,
+    code[s]) -> (h, rhs)``, the linear system of the minimizer on the
+    code's support ``s``.  Each code is solved at most once.  At most
+    ``_NEWTON_STEPS`` Newton steps move to their codes' minimizers;
+    then APG continues from ``x0``, and its finish solves each code two
+    consecutive iterates share and returns that point if its gap
+    passes.  Each Newton or finish point takes one product pair and
+    counts as an iteration.
+
+    Each APG iteration takes one product pair at its new iterate, ``r =
+    a x - y`` and ``g = a' r``: they certify it (``eps = -r``, scores
+    ``g * g``) and, by linearity, give the gradient at the next
+    extrapolated point.  Returns at the first point whose gap passes
+    ``tol`` (``problem._within``), unconverged at a non-finite primal
+    value or bound or at ``max_iter``, as ``(x, eps, primal,
+    lower_bound, iterations, converged, scores)``; benchmarks/tracer.py
+    reads ``a`` and ``iterations``.
     """
-    lip = float(lipschitz)
-    if lip <= 0.0:
-        lip = 1.0  # gradient is then zero or the prox does all the work
-    step = 1.0 / lip
+    if free_mask is not None:
+        fm, om = free_mask, ~free_mask
+        free_prox, free_penval = prox, penval
+        charge = flat * int(np.count_nonzero(om))
+
+        def prox(w, s):
+            out = np.empty_like(w)
+            out[fm], pen = free_prox(w[fm], s)
+            xo = out[om] = w[om] / (1.0 + 2.0 * s / gamma)
+            return out, pen + float(xo @ xo) / gamma + charge
+
+        def penval(xv):
+            xo = xv[om]
+            return free_penval(xv[fm]) + float(xo @ xo) / gamma + charge
+
+    if pattern is not None:
+        newton, code, system = pattern
+        tried = set()
+
+        def solve(c):
+            # the minimizer on c's pattern; None if tried before or singular
+            key = c.tobytes()
+            if key in tried:
+                return None
+            tried.add(key)
+            s = np.flatnonzero(c)
+            try:
+                xs = np.linalg.solve(*system(s, c[s]))
+            except np.linalg.LinAlgError:
+                return None
+            out = np.zeros(c.size)
+            out[s] = xs
+            return out
+
+    start = r, g, d, primal, lb = _price(a, y, penval, cert, x0)
+    x, it = x0, 0
+    while not _within(lb, primal, tol):
+        if pattern is None or it >= min(_NEWTON_STEPS, max_iter) or (x := solve(newton(x, g))) is None:
+            break
+        it += 1
+        r, g, d, primal, lb = _price(a, y, penval, cert, x)
+    else:
+        return x, -r, primal, lb, it, True, d
+
+    # at a Lipschitz value of 0 the gradient is zero or the prox does all the work
+    step = 1.0 / (1.0 if lip <= 0.0 else float(lip))
     # doubling is exact, so two_step * gv has the bits of step * (2 gv)
     two_step = 2.0 * step
     # ndarray.dot is the same BLAS product as @ without matmul's
@@ -290,17 +340,23 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
     r, g, d, primal, lb = start
     v, gv = x, g
     t_mom = 1.0
-    it = 0
+    last = b""
     while True:
         if not (math.isfinite(primal) and math.isfinite(lb)):
             return x, -r, primal, lb, it, False, d  # diverged
         ok = _within(lb, primal, tol)
         if ok or it >= max_iter:
             return x, -r, primal, lb, it, ok, d
-        xf = None if finish is None else finish(x)
+        xf = None
+        if pattern is not None:
+            c = code(x)
+            key = c.tobytes()
+            if key == last:
+                xf = solve(c)
+            last = key
         if xf is not None:
             it += 1
-            rf, _, df, primal_f, lb_f = _price(a, y, penalty_value, certificate, xf)
+            rf, _, df, primal_f, lb_f = _price(a, y, penval, cert, xf)
             if _within(lb_f, primal_f, tol):
                 return xf, -rf, primal_f, lb_f, it, True, df
             if it >= max_iter:
@@ -324,7 +380,7 @@ def _accel_prox_solve(a, y, prox, penalty_value, certificate, lipschitz, tol, ma
         d = g * g
         ee = float(r.dot(r))  # ||eps||^2, bit for bit
         primal = ee + pen
-        lb = certificate(-r, d, ee)
+        lb = cert(-r, d, ee)
 
 
 def _price(a, y, penalty_value, certificate, x):
@@ -343,54 +399,8 @@ def _lipschitz(a) -> float:
     return 2.0 * operator_norm_sq(a) * _LIPSCHITZ_PAD
 
 
-def _inner_solve(a, y, gamma, free_mask, prox, penval, cert, flat, lip, tol, max_iter, x0, finish=None,
-                 newton=None):
-    """One relaxation's accelerated prox problem, with its fixed-in columns.
-
-    ``prox`` and ``penval`` are the relaxed penalty's prox and value on
-    the free columns.  Columns outside ``free_mask`` are fixed in: they
-    carry the plain ridge ``x_i^2 / gamma``, whose prox shrinks by
-    ``1 + 2 s / gamma``, plus ``flat`` each (``mu`` for reg, 0 for card),
-    so the reported primal and bound bracket the subproblem value
-    directly.  A ``free_mask`` of None means every column is free, and
-    the prox then takes no gathers.
-
-    The round prices its start ``x0`` once (``_price``) and returns it,
-    at 0 iterations, when its gap already passes.  ``newton``, when
-    given, maps a point and ``a'(a x - y)`` to a candidate or None: from
-    ``x0``, at most ``_NEWTON_STEPS`` steps move to their candidates, one
-    iteration each, and the first point whose gap passes is returned.
-    Otherwise APG continues from ``x0`` and its priced start.  Returns
-    the tuple of ``_accel_prox_solve``.
-    """
-    if free_mask is not None:
-        fm, om = free_mask, ~free_mask
-        free_prox, free_penval = prox, penval
-        charge = flat * int(np.count_nonzero(om))
-
-        def prox(w, s):
-            out = np.empty_like(w)
-            out[fm], pen = free_prox(w[fm], s)
-            xo = out[om] = w[om] / (1.0 + 2.0 * s / gamma)
-            return out, pen + float(xo @ xo) / gamma + charge
-
-        def penval(xv):
-            xo = xv[om]
-            return free_penval(xv[fm]) + float(xo @ xo) / gamma + charge
-
-    start = r, g, d, primal, lb = _price(a, y, penval, cert, x0)
-    xn, it = x0, 0
-    while not _within(lb, primal, tol):
-        if newton is None or it >= min(_NEWTON_STEPS, max_iter) or (xn := newton(xn, g)) is None:
-            res = _accel_prox_solve(a, y, prox, penval, cert, lip, tol, max_iter - it, x0, start, finish)
-            return res[:4] + (it + res[4],) + res[5:]
-        it += 1
-        r, g, d, primal, lb = _price(a, y, penval, cert, xn)
-    return xn, -r, primal, lb, it, True, d
-
-
 def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
-    """One Berhu problem, with fixed-in columns as in ``_inner_solve``.
+    """One Berhu round, with fixed-in columns as in ``_accel_prox_solve``.
 
     The pattern of a point is its support, the branch of each free
     nonzero (linear when ``|x_i| <= sqrt(gamma mu)``) and the signs on
@@ -399,8 +409,8 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
     ``(A_S'A_S + D) x_S = A_S'y - sqrt(mu / gamma) s_L`` over the
     support and the fixed-in columns ``S``, with ``D_ii = 1 / gamma``
     on quadratic-branch and fixed-in columns, 0 on linear-branch ones,
-    and ``s_L`` the linear-branch signs; each pattern is solved once.
-    A Newton step solves the pattern of the coordinate-wise minimizer
+    and ``s_L`` the linear-branch signs (``system``).  A Newton step
+    solves the pattern of the coordinate-wise minimizer
     ``prox_t(x - 2 t g)``, ``t_i = 1 / (2 ||a_i||^2)``: a primal-dual
     active-set step, which is a semismooth Newton step (Hintermueller,
     Ito and Kunisch, SIAM J. Optim. 2002).  APG's finish solves each
@@ -419,49 +429,34 @@ def _berhu_solve(a, y, gamma, mu, free_mask, lip, tol, max_iter, x0):
     knee = crossover * (col_sq + 1.0 / gamma)
     if fixed_in is not None:
         knee[fixed_in] = -1.0
-    last, tried = b"", set()
-
-    def solve(code, key):
-        # code: 0 off the support, the sign on the linear branch, 2 on the
-        # quadratic branch or fixed in; None if tried before or singular
-        if key in tried:
-            return None
-        tried.add(key)
-        s = np.flatnonzero(code)
-        cs = code[s]
-        quad = cs == 2.0
-        a_s = a[:, s]
-        h = a_s.T @ a_s
-        h.flat[:: s.size + 1] += quad / gamma  # the diagonal
-        rhs = a_s.T @ y - half_slope * np.where(quad, 0.0, cs)
-        try:
-            xs = np.linalg.solve(h, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        out = np.zeros(code.size)
-        out[s] = xs
-        return out
 
     def newton(xv, gv):
         with np.errstate(over="ignore", invalid="ignore"):  # a wild point fails its certificate
             w = col_sq * xv - gv
-        code = np.sign(w)
-        code[np.abs(w) <= half_slope] = 0.0
-        code[np.abs(w) > knee] = 2.0
-        return solve(code, code.tobytes())
+        c = np.sign(w)
+        c[np.abs(w) <= half_slope] = 0.0
+        c[np.abs(w) > knee] = 2.0
+        return c
 
-    def finish(xv):
-        nonlocal last
-        code = np.sign(xv)
-        code[np.abs(xv) > crossover] = 2.0
+    def code(xv):
+        # 0 off the support, the sign on the linear branch, 2 on the
+        # quadratic branch or fixed in
+        c = np.sign(xv)
+        c[np.abs(xv) > crossover] = 2.0
         if fixed_in is not None:
-            code[fixed_in] = 2.0
-        key = code.tobytes()
-        repeat, last = key == last, key
-        return solve(code, key) if repeat else None
+            c[fixed_in] = 2.0
+        return c
+
+    def system(s, cs):
+        quad = cs == 2.0
+        a_s = a[:, s]
+        h = a_s.T @ a_s
+        h.flat[:: s.size + 1] += quad / gamma  # the diagonal
+        return h, a_s.T @ y - half_slope * np.where(quad, 0.0, cs)
 
     cert = lambda e, d, ee: _bound_reg_terms(y, e, d, gamma, mu, free_mask, ee)
-    return _inner_solve(a, y, gamma, free_mask, prox, penval, cert, mu, lip, tol, max_iter, x0, finish, newton)
+    return _accel_prox_solve(a, y, gamma, free_mask, prox, penval, cert, mu, lip, tol, max_iter, x0,
+                             (newton, code, system))
 
 
 def solve_cr(inst: Instance, gamma: float, mu: float, tol: float = 1e-8) -> RelaxSolution:
@@ -596,7 +591,7 @@ def _ksupport_prox(w, c, k):
 
 
 def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, tol, max_iter, x0):
-    """Budget-capped relaxation, with fixed-in columns as in ``_inner_solve``.
+    """Budget-capped relaxation round, with fixed-in columns as in ``_accel_prox_solve``.
 
     Minimizing the indicators out leaves ``||y - a x||^2`` plus
     ``||x_free||_{sp,k}^2 / gamma``, one accelerated prox problem whose
@@ -608,7 +603,7 @@ def _ksupport_solve(a, y, gamma, k_budget, free_mask, lip, tol, max_iter, x0):
 
     penval = lambda xv: _ksupport(xv, k_budget)[0] / gamma
     cert = lambda e, d, ee: _bound_card_terms(y, e, d, gamma, k_budget, free_mask, ee)
-    return _inner_solve(a, y, gamma, free_mask, prox, penval, cert, 0.0, lip, tol, max_iter, x0)
+    return _accel_prox_solve(a, y, gamma, free_mask, prox, penval, cert, 0.0, lip, tol, max_iter, x0)
 
 
 # Kept under its old name because benchmarks/tracer.py looks up

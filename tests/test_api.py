@@ -42,7 +42,9 @@ def test_benchmark_tracer_targets_resolve():
 def test_benchmark_tracer_attributes_every_apg_solve():
     # relax.inner_solves_per_relax counts the inner-solve spans, so a
     # relaxation that reached _accel_prox_solve by another route would
-    # read 0 there while the traced smoke test still passed
+    # read 0 there while the traced smoke test still passed; and
+    # relax.apg_iter_us reads the _accel_prox_solve spans, so an inner
+    # solve that returned without one would not be timed
     import l0screen.cli  # noqa: F401  the tracer patches every layer module
 
     inst, _ = l0screen.generate(l0screen.SyntheticSpec(n=40, m=20, k_true=3, rho=0.5, snr=6.0, seed=3))
@@ -63,6 +65,8 @@ def test_benchmark_tracer_attributes_every_apg_solve():
     inner = {"relax._berhu_solve", "relax._cc_bisection"}
     apg = [s for s, name in enumerate(names) if name == "relax._accel_prox_solve"]
     assert apg and all(parent[s] in inner for s in apg)
+    rounds = [r for r, name in enumerate(names) if name in inner]
+    assert sorted(tracer.parent_col[s] for s in apg) == rounds
     relaxations = [r for r, name in enumerate(names) if name in ("relax.solve_cr", "exact.node_relaxation")]
     recorded = [{names[s] for s, p in enumerate(tracer.parent_col) if p == r} & inner for r in relaxations]
     assert recorded == [{"relax._berhu_solve"}] * 2 + [{"relax._cc_bisection"}]

@@ -67,10 +67,10 @@ class TestGen:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--m", "0", "n and m must be >= 1"),
-        ("--n", "0", "n and m must be >= 1"),
-        ("--k-true", "0", "k_true must lie in [1, n]"),
-        ("--seed", "-1", "seed must be non-negative"),
+        ("--m", "0", "m must be an integer in [1, inf]"),
+        ("--n", "0", "n must be an integer in [1, inf]"),
+        ("--k-true", "0", "k_true must be an integer in [1, 4]"),
+        ("--seed", "-1", "seed must be an integer in [0, inf]"),
     ], ids=["m-0", "n-0", "k-true-0", "seed-negative"])
     def test_bad_generator_value_is_usage_error(self, tmp_path, capsys, flag, value, message):
         # a repeated flag takes its last value

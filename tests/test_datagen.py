@@ -41,6 +41,10 @@ class TestSyntheticSpec:
             dict(n=float("inf"), m=5, k_true=1, rho=0.5, snr=1.0, seed=0),
             dict(n=5, m=float("nan"), k_true=1, rho=0.5, snr=1.0, seed=0),
             dict(n=5, m=5, k_true=1, rho=0.5, snr=1.0, seed=float("nan")),
+            dict(n=None, m=5, k_true=1, rho=0.5, snr=1.0, seed=0),
+            dict(n=5, m=None, k_true=1, rho=0.5, snr=1.0, seed=0),
+            dict(n=5, m=5, k_true=None, rho=0.5, snr=1.0, seed=0),
+            dict(n=5, m=5, k_true=1, rho=0.5, snr=1.0, seed=None),
         ],
     )
     def test_rejects_bad_params(self, kwargs):

@@ -71,6 +71,13 @@ class TestInstance:
         # finite entries whose squares overflow would give an infinite objective
         with pytest.raises(InvalidInputError, match="overflows.*divide y"):
             Instance(np.eye(2), np.array([3.0, 0.1]) * 1e160)
+        # ||y||^2 = 1.44e308 is finite, and so is its product with
+        # ||A||_F^2 = 0.29, but a certificate's 2 eps'y is not: solve_cr
+        # would certify an infinite bound
+        rng = np.random.default_rng(0)
+        a, y = rng.standard_normal((8, 10)) * 2.0**-4, rng.standard_normal(8)
+        with pytest.raises(InvalidInputError, match="overflows.*divide y"):
+            Instance(a, y * (np.sqrt(1.44e308) / np.linalg.norm(y)))
 
     def test_overflowing_scores_are_a_clear_error(self):
         # ||A||_F^2 = 7.5e155 and ||y||^2 = 5.8e154 are finite, but the

@@ -662,7 +662,8 @@ class TestApgLoop:
             return _berhu_solve(inst.a, inst.y, spec.gamma, spec.mu, None, lip, tol, 50_000, x0)
 
         x = solve(np.zeros(inst.n), 1e-8)[0]
-        apg = _spy(monkeypatch, "_accel_prox_solve")
+        # every round runs _accel_prox_solve, but only an APG step takes the prox
+        apg = _spy(monkeypatch, "_ksupport_prox" if variant == "card" else "_berhu_prox_value")
         # the start's penalty comes from the penalty function, not the
         # prox, and may differ in the last bits: price it at a looser tol
         res = solve(x, 1e-6)
@@ -839,8 +840,9 @@ class TestNewtonPhase:
         # k 5 and 10, gamma0 and 4 gamma0, mu gamma times the 2k-th score;
         # APG alone takes 9.2 iterations a relaxation and up to 19 with
         # every variable free, 8.1 and up to 11 with columns 0 and 3 fixed
-        # in (and 11.0 and up to 15 if the phase took them as free)
-        apg = _spy(monkeypatch, "_accel_prox_solve")
+        # in (and 11.0 and up to 15 if the phase took them as free); only
+        # an APG step takes the prox
+        apg = _spy(monkeypatch, "_berhu_prox_value")
         iters = []
         for seed in range(6):
             inst, _ = generate(SyntheticSpec(n=120, m=60, k_true=5, rho=0.5, snr=6.0, seed=seed))
