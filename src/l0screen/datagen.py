@@ -42,6 +42,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -63,9 +64,9 @@ class SyntheticSpec:
         for name, lo in (("n", 1), ("m", 1), ("seed", 0)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
         object.__setattr__(self, "k_true", _check_int("k_true", self.k_true, hi=self.n))
-        if not (0.0 <= self.rho < 1.0):
+        if not (isinstance(self.rho, Real) and 0.0 <= self.rho < 1.0):
             raise InvalidInputError("rho must lie in [0, 1)")
-        if not (self.snr > 0.0):
+        if not (isinstance(self.snr, Real) and self.snr > 0.0):
             raise InvalidInputError("snr must be positive")
 
 

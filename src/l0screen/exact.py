@@ -15,12 +15,12 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional
 
 import numpy as np
 
 from .problem import (
-    FixState,
     Incumbent,
     Instance,
     InvalidInputError,
@@ -66,7 +66,7 @@ class BnBConfig:
 
     def __post_init__(self):
         # written so that NaN fails; inf means no limit
-        if not (self.time_limit_s > 0):
+        if not (isinstance(self.time_limit_s, Real) and self.time_limit_s > 0):
             raise InvalidInputError("time_limit_s must be positive")
         object.__setattr__(self, "node_limit", _check_int("node_limit", self.node_limit))
 
@@ -105,11 +105,11 @@ def _enumeration(spec: ProblemSpec, fixes: np.ndarray):
 
     ``fixes`` must not fix in more variables than a card budget allows.
     """
-    n_free = int(np.count_nonzero(fixes == FixState.FREE))
+    n_free = int(np.count_nonzero(fixes == _FREE))
     if spec.variant is Variant.REG:
         sizes = range(n_free + 1)
     else:
-        sizes = range(min(spec.k - int(np.count_nonzero(fixes == FixState.ONE)), n_free) + 1)
+        sizes = range(min(spec.k - int(np.count_nonzero(fixes == _ONE)), n_free) + 1)
     return sizes, sum(math.comb(n_free, j) for j in sizes)
 
 
@@ -124,10 +124,10 @@ def brute_force(inst: Instance, spec: ProblemSpec, fixed=None):
     card).  ``_enumeration`` gives the number of supports tried.
     """
     n = inst.n
-    fixed = np.full(n, FixState.FREE, dtype=np.int8) if fixed is None else _check_fixes(fixed, n)
+    fixed = np.full(n, _FREE, dtype=np.int8) if fixed is None else _check_fixes(fixed, n)
     fixed = _settle(spec, fixed)
-    forced = [int(i) for i in np.flatnonzero(fixed == FixState.ONE)]
-    free = [int(i) for i in np.flatnonzero(fixed == FixState.FREE)]
+    forced = [int(i) for i in np.flatnonzero(fixed == _ONE)]
+    free = [int(i) for i in np.flatnonzero(fixed == _FREE)]
 
     if spec.variant is Variant.REG and len(free) > _BRUTE_N_CAP:
         raise SizeCapError(f"{len(free)} free variables exceeds the cap of {_BRUTE_N_CAP}")
@@ -181,8 +181,9 @@ def node_relaxation(
     the root, so that the root takes the steps of ``solve_cr`` and
     ``solve_cc``, and below it ``relax._lipschitz`` of the columns the
     root keeps, which bounds every working set of a node that descends
-    from the root's fixes.  ``x_warm`` starts the reg solve, and its
-    support joins the first working set; card solves start from zero.
+    from the root's fixes.  ``x_warm`` starts the solve of either
+    variant, and its support joins the first working set; branch and
+    bound passes one to reg nodes only.
     """
     return _relax(inst, spec, _check_fixes(fixes, inst.n), x_warm=x_warm, lipschitz=lipschitz)
 
@@ -222,7 +223,8 @@ def _expand(inst, spec, fixes, warm, bound, zeta_bar, lip, screen):
     # stays within a card budget
     child_in, child_out = fixes.copy(), fixes.copy()
     child_in[j], child_out[j] = _ONE, _ZERO
-    # card relaxations start from zero, so only reg children carry a warm start
+    # only reg children carry a warm start: card children start from zero,
+    # which the card node counts recorded under benchmarks/ assume
     warm = rel.x if spec.variant is Variant.REG else None
     return cand, screened, ((node_lb, _settle(spec, child_in), warm), (node_lb, child_out, warm))
 
@@ -265,7 +267,7 @@ def branch_and_bound(
     t0 = time.perf_counter()
     n = inst.n
     lip = None
-    root_fixes = np.full(n, FixState.FREE, dtype=np.int8) if fixed is None else _check_fixes(fixed, n)
+    root_fixes = np.full(n, _FREE, dtype=np.int8) if fixed is None else _check_fixes(fixed, n)
     root_fixes = _settle(spec, root_fixes)
 
     incumbent, zeta_bar = None, math.inf
@@ -290,7 +292,7 @@ def branch_and_bound(
             # columns it kept (those either child keeps): their norm bounds
             # every working set of the tree
             (_, fix_in, _), (_, fix_out, _) = children
-            lip = _lipschitz(inst.a[:, (fix_in != FixState.ZERO) | (fix_out != FixState.ZERO)])
+            lip = _lipschitz(inst.a[:, (fix_in != _ZERO) | (fix_out != _ZERO)])
         nodes_explored += 1
         if cand.objective < zeta_bar:
             incumbent, zeta_bar = cand, cand.objective
@@ -300,6 +302,6 @@ def branch_and_bound(
     if incumbent is None:
         # limits hit before a single node was processed; fall back to the
         # smallest support the root fixes allow
-        incumbent = _evaluate(inst, spec, np.flatnonzero(root_fixes == FixState.ONE))
+        incumbent = _evaluate(inst, spec, np.flatnonzero(root_fixes == _ONE))
     return BnBStats(nodes_explored=nodes_explored, wall_time_s=time.perf_counter() - t0,
                     optimal=not hit_limit, best=incumbent, root_fixed=root_fixed)

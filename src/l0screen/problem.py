@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from numbers import Real
 from typing import Iterable, Optional
 
 import numpy as np
@@ -77,18 +78,13 @@ class Instance:
     computed once here and read-only like the data it comes from: every
     relaxation ranks its first working set by it, so a path, a sweep or
     a branch-and-bound tree over one instance takes that product once.
-    ``_first_ws`` holds, per working-set size, the first working set of
-    a relaxation with every variable free and no warm start, and its
-    Lipschitz value: column indices and one float, filled by
-    ``relax._relax`` on first use, so such relaxations take that eigen
-    solve once per instance too.  Instances compare by identity, so one
-    can key a dict.
+    Instances compare by identity, so one can key a dict or, as
+    ``relax``'s cache of first working sets does, a weak map.
     """
 
     a: NDArray[np.float64]
     y: NDArray[np.float64]
     aty: NDArray[np.float64] = field(init=False, repr=False, compare=False)
-    _first_ws: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.a, order="F")
@@ -135,7 +131,6 @@ class Instance:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "aty", aty)
-        object.__setattr__(self, "_first_ws", {})
 
     @property
     def m(self) -> int:
@@ -162,10 +157,10 @@ class ProblemSpec:
     def __post_init__(self):
         if not isinstance(self.variant, Variant):
             object.__setattr__(self, "variant", Variant(self.variant))
-        if not np.isfinite(self.gamma) or self.gamma <= 0:
+        if not isinstance(self.gamma, Real) or not np.isfinite(self.gamma) or self.gamma <= 0:
             raise InvalidInputError("gamma must be positive and finite")
         if self.variant is Variant.REG:
-            if self.mu is None or not np.isfinite(self.mu) or self.mu <= 0:
+            if not isinstance(self.mu, Real) or not np.isfinite(self.mu) or self.mu <= 0:
                 raise InvalidInputError("reg variant needs mu > 0")
             if self.k is not None:
                 raise InvalidInputError("reg variant takes no k")
@@ -186,14 +181,14 @@ class ProblemSpec:
 def _check_int(name, value, lo=1, hi=np.inf) -> int:
     """``value`` as an int, after checking that it is an integer in [lo, hi]."""
     # range first: int() of a NaN or infinite value raises on its own
-    if value is None or not (lo <= value <= hi and value < np.inf) or int(value) != value:
+    if not isinstance(value, Real) or not (lo <= value <= hi and value < np.inf) or int(value) != value:
         raise InvalidInputError(f"{name} must be an integer in [{lo}, {hi}]")
     return int(value)
 
 
 def _check_tol(tol) -> float:
     """``tol`` as a float, after checking that it lies in (0, 1); NaN fails."""
-    if not (0 < tol < 1):
+    if not (isinstance(tol, Real) and 0 < tol < 1):
         raise InvalidInputError("tol must lie in (0, 1)")
     return float(tol)
 
@@ -217,13 +212,18 @@ def _within(lower: float, upper: float, rel: float = _REL_TOL) -> bool:
     return math.isfinite(upper) and upper - lower <= rel * abs(upper)
 
 
-def _spec_for(n: int, gamma: float, mu: Optional[float] = None, k=None) -> ProblemSpec:
-    """The reg spec of ``(gamma, mu)`` or the card spec of ``(gamma, k)`` on n columns.
+# _spec_for's k when its caller passes none: the reg variant
+_NO_K = object()
+
+
+def _spec_for(n: int, gamma: float, mu: Optional[float] = None, k=_NO_K) -> ProblemSpec:
+    """The reg spec of ``(gamma, mu)`` or, when ``k`` is passed, even as None,
+    the card spec of ``(gamma, k)`` on n columns.
 
     The one check of the public functions' parameters: gamma and mu
     positive and finite, k an integer in [1, n].
     """
-    if k is None:
+    if k is _NO_K:
         return ProblemSpec.reg(gamma, mu)
     return ProblemSpec.card(gamma, _check_int("k", k, hi=n))
 
@@ -361,7 +361,7 @@ def ridge_restricted_solve(inst: Instance, gamma: float, support: Iterable[int])
     equations are symmetric positive definite for any gamma > 0.  An
     empty support gives zero coefficients and the value ``||y||^2``.
     """
-    if gamma <= 0 or not np.isfinite(gamma):
+    if not isinstance(gamma, Real) or gamma <= 0 or not np.isfinite(gamma):
         raise InvalidInputError("gamma must be positive and finite")
     idx = _check_support(support, inst.n)
     a_s = inst.a[:, idx]

@@ -34,7 +34,9 @@ branch-and-bound node runs it through ``exact.node_relaxation``.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from numpy.typing import NDArray
@@ -71,9 +73,9 @@ class BerhuPenalty:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0 or not np.isfinite(self.gamma):
+        if not isinstance(self.gamma, Real) or self.gamma <= 0 or not np.isfinite(self.gamma):
             raise InvalidInputError("gamma must be positive and finite")
-        if self.mu < 0 or not np.isfinite(self.mu):
+        if not isinstance(self.mu, Real) or self.mu < 0 or not np.isfinite(self.mu):
             raise InvalidInputError("mu must be non-negative and finite")
 
     @property
@@ -103,7 +105,7 @@ def berhu_prox(pen: BerhuPenalty, t, v):
     at ``crossover * (1 + 2 t / gamma)``, so the map is continuous and
     monotone.
     """
-    if t <= 0 or not np.isfinite(t):
+    if not isinstance(t, Real) or t <= 0 or not np.isfinite(t):
         raise InvalidInputError("step t must be positive and finite")
     vv = np.asarray(v, dtype=float)
     out = _berhu_prox_value(pen, t, vv)[0]
@@ -619,6 +621,11 @@ _cc_bisection = _ksupport_solve
 # round in fewer than 1% of calls.
 _WS_START = 32
 
+# Per instance and start size, the first working set of a relaxation
+# with every variable free and no warm start (read-only column indices)
+# and its Lipschitz value; an entry goes when its instance is collected.
+_FIRST_WS = weakref.WeakKeyDictionary()
+
 
 def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lipschitz=None) -> RelaxSolution:
     """The relaxation of ``spec`` with the variables in ``fixes`` fixed.
@@ -627,8 +634,8 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
     card budget is spent (``problem._settle``).  When no more columns
     are free than the budget (``k - n_one`` for card, 0 for reg) the
     ridge closed form is certified as it stands; otherwise the Berhu or
-    k-support problem is solved, reg from ``x_warm`` when given and card
-    from zero.
+    k-support problem is solved from ``x_warm`` when given and from zero
+    otherwise.
 
     The solve runs in rounds on a working set W of columns: the
     fixed-in ones, the warm start's support and the free columns of
@@ -648,12 +655,10 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
     k-th largest free score, and when rounding leaves none, the
     highest-scoring outside columns.  Both picks break ties toward the
     lower index (``problem._top``).  So the rounds take one product with
-    the full ``A`` each, their ``A' eps``, and none with ``y``.  A
-    relaxation with no more free columns than the start runs as one
-    round on all of them.  With every variable free and no warm start,
-    the first W and its Lipschitz value depend on the instance alone:
-    they are priced on first use and read from ``inst._first_ws`` after
-    that.
+    the full ``A`` each, their ``A' eps``, and none with ``y``.  With
+    every variable free and no warm start, the first W and its Lipschitz
+    value depend on the instance alone: they are priced on first use and
+    read from ``_FIRST_WS`` after that.
     ``iterations`` sums the rounds, and ``_MAX_ITER`` caps that sum.
     The returned ``scores`` come from the product that priced the
     returned bound: the last round's ``A' eps``, or the one-round
@@ -678,7 +683,7 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
         # the round certifies the closed form as its start and, with no
         # iterations to take, returns it, so any positive Lipschitz value will do
         max_iter, xa, lipschitz = 0, _ridge_full(a, y, spec.gamma), 1.0
-    elif card or x_warm is None:
+    elif x_warm is None:
         xa = np.zeros(active.size)
     else:
         xa = np.asarray(x_warm, dtype=float)[active]
@@ -687,15 +692,13 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
     # with every variable free and no warm start, the first working set
     # and its Lipschitz value depend on the instance alone
     cold = lipschitz is None and x_warm is None and n_free == inst.n
-    w, lip = inst._first_ws.get(start, (None, None)) if cold else (None, lipschitz)
+    w, lip = _FIRST_WS.get(inst, {}).get(start, (None, None)) if cold else (None, lipschitz)
     if w is None:
-        w = np.arange(active.size)
-        if n_free > start:
-            in_w = ~free_mask | (xa != 0.0)
-            score = np.abs(inst.aty[active])
-            score[in_w] = -1.0
-            in_w[_top(score, start - int(np.count_nonzero(in_w & free_mask)))] = True
-            w = np.flatnonzero(in_w)
+        in_w = ~free_mask | (xa != 0.0)
+        score = np.abs(inst.aty[active])
+        score[in_w] = -1.0
+        in_w[_top(score, start - int(np.count_nonzero(in_w & free_mask)))] = True
+        w = np.flatnonzero(in_w)
     iters = 0
     while True:
         whole = w.size == active.size
@@ -704,7 +707,7 @@ def _relax(inst: Instance, spec: ProblemSpec, fixes, tol=1e-8, x_warm=None, lips
             lip = _lipschitz(aw)
             if cold:
                 w.setflags(write=False)
-                inst._first_ws[start] = (w, lip)
+                _FIRST_WS.setdefault(inst, {})[start] = (w, lip)
         xw, eps, primal, lb, it, ok, d = inner(
             aw, y, spec.gamma, par, None if mask is None else free_mask[w], lip, tol, max_iter - iters, xa[w],
         )

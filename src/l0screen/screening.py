@@ -26,6 +26,8 @@ fixed away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -80,8 +82,8 @@ def _cert_parts(inst: Instance, cert):
 
 
 def _check_bounds(lower: float, zeta_bar: float):
-    if np.isnan(zeta_bar):
-        raise InvalidInputError("zeta_bar must not be NaN")
+    if not isinstance(zeta_bar, Real) or np.isnan(zeta_bar):
+        raise InvalidInputError("zeta_bar must be a real number other than NaN")
     # zeta_bar may fall below lower by the tolerance of |lower|; one of
     # |zeta_bar| would let an upper bound of -inf pass.  A NaN or -inf
     # lower bound is no inconsistency: it fixes nothing.

@@ -463,7 +463,7 @@ class TestExpand:
         assert len(children) == 2
         (bound_in, fix_in, warm_in), (bound_out, fix_out, warm_out) = children
         assert bound_in == bound_out == rel.lower_bound
-        # card relaxations start from zero, so card children carry no warm start
+        # branch and bound gives card children no warm start, and reg ones the node's x
         if spec.variant is Variant.CARD:
             assert warm_in is None and warm_out is None
         else:

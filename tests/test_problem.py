@@ -6,12 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from l0screen import (
+    BnBConfig,
     ConstraintViolationError,
     FixState,
     InfeasibleError,
     Instance,
     InvalidInputError,
     ProblemSpec,
+    SyntheticSpec,
     Variant,
     certified_lower_bound_card,
     certified_lower_bound_reg,
@@ -24,6 +26,7 @@ from l0screen import (
 )
 from l0screen.heuristics import _evaluate
 from l0screen.problem import _settle, _top, _within, objective_card, objective_reg, ridge_restricted_solve
+from l0screen.relax import BerhuPenalty, berhu_prox
 
 from ._oracles import ridge_ls
 from .conftest import random_instance
@@ -189,6 +192,42 @@ class TestWrapperParameters:
         rel = solve_cc(tiny, 1.0, 1)
         with pytest.raises(InvalidInputError):
             _CARD_WRAPPERS[name](tiny, gamma, k, rel)
+
+
+def _synthetic(**kwargs):
+    return SyntheticSpec(**{**dict(n=5, m=5, k_true=1, rho=0.5, snr=1.0, seed=0), **kwargs})
+
+
+# a parameter that takes a number, given None or a string: each call
+# with the name its error must carry
+_NON_NUMERIC = {
+    "SyntheticSpec-rho-None": (lambda inst: _synthetic(rho=None), "rho"),
+    "SyntheticSpec-rho-str": (lambda inst: _synthetic(rho="0.5"), "rho"),
+    "SyntheticSpec-snr-None": (lambda inst: _synthetic(snr=None), "snr"),
+    "SyntheticSpec-snr-str": (lambda inst: _synthetic(snr="x"), "snr"),
+    "BnBConfig-time_limit_s-None": (lambda inst: BnBConfig(time_limit_s=None), "time_limit_s"),
+    "BnBConfig-node_limit-str": (lambda inst: BnBConfig(node_limit="5"), "node_limit"),
+    "ProblemSpec.reg-gamma-None": (lambda inst: ProblemSpec.reg(None, 1.0), "gamma"),
+    "ProblemSpec.reg-mu-str": (lambda inst: ProblemSpec.reg(1.0, "x"), "mu"),
+    "ProblemSpec.card-gamma-str": (lambda inst: ProblemSpec.card("1", 2), "gamma"),
+    "ProblemSpec.card-k-str": (lambda inst: ProblemSpec.card(1.0, "2"), "k"),
+    "solve_cr-tol-None": (lambda inst: solve_cr(inst, 1.0, 1.0, tol=None), "tol"),
+    "solve_cc-k-None": (lambda inst: solve_cc(inst, 1.0, None), "k"),
+    "screen_reg-zeta_bar-None":
+        (lambda inst: screen_reg(inst, 1.0, 1.0, solve_cr(inst, 1.0, 1.0), None), "zeta_bar"),
+    "ridge_restricted_solve-gamma-None": (lambda inst: ridge_restricted_solve(inst, None, [0]), "gamma"),
+    "BerhuPenalty-gamma-str": (lambda inst: BerhuPenalty(mu=1.0, gamma="1"), "gamma"),
+    "BerhuPenalty-mu-None": (lambda inst: BerhuPenalty(mu=None, gamma=1.0), "mu"),
+    "berhu_prox-t-None": (lambda inst: berhu_prox(BerhuPenalty(mu=1.0, gamma=1.0), None, 1.0), "t"),
+}
+
+
+class TestNonNumericParameters:
+    @pytest.mark.parametrize("name", sorted(_NON_NUMERIC))
+    def test_rejects_naming_the_parameter(self, tiny, name):
+        call, param = _NON_NUMERIC[name]
+        with pytest.raises(InvalidInputError, match=rf"\b{param}\b"):
+            call(tiny)
 
 
 # the wrappers that read a residual, each with its variant's relaxation

@@ -1,5 +1,7 @@
 import copy
+import gc
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -1208,6 +1210,19 @@ class TestLipschitzValue:
         np.testing.assert_array_equal(sol.x, priced.x)
 
 
+class TestWarmStart:
+    @pytest.mark.parametrize("variant,fixed_in,m,n", [c for c in _APG_CASES if c.values[2] == 60])
+    def test_a_converged_point_returns_at_zero_iterations(self, variant, fixed_in, m, n):
+        # either variant starts from x_warm: its own converged point
+        # certifies at once, and comes back bit for bit
+        inst, spec, fixes = _apg_case(variant, fixed_in, m, n)
+        cold = node_relaxation(inst, spec, fixes)
+        warm = node_relaxation(inst, spec, fixes, x_warm=cold.x)
+        assert cold.converged and warm.converged and warm.iterations == 0 < cold.iterations
+        assert warm.x.tobytes() == cold.x.tobytes() and warm.epsilon.tobytes() == cold.epsilon.tobytes()
+        assert warm.lower_bound == cold.lower_bound
+
+
 def _path(spec, factors=(1.0, 2.0, 4.0, 8.0)):
     """A 4-gamma path from ``spec``: gamma times each factor, and a reg mu with it."""
     if spec.variant is Variant.CARD:
@@ -1215,16 +1230,20 @@ def _path(spec, factors=(1.0, 2.0, 4.0, 8.0)):
     return [ProblemSpec.reg(f * spec.gamma, f * spec.mu) for f in factors]
 
 
-class _SpyDict(dict):
-    """A dict that logs every read and write."""
+class _SpyMap(weakref.WeakKeyDictionary):
+    """A weak map that logs every read and write."""
 
-    def __init__(self, log):
+    def __init__(self):
         super().__init__()
-        self.log = log
+        self.log = []
 
     def get(self, *args):
         self.log.append("get")
         return super().get(*args)
+
+    def setdefault(self, *args):
+        self.log.append("setdefault")
+        return super().setdefault(*args)
 
     def __getitem__(self, key):
         self.log.append("getitem")
@@ -1239,9 +1258,16 @@ class _SpyDict(dict):
         return super().__contains__(key)
 
 
+def _spy_first_ws(monkeypatch):
+    """Replace ``relax._FIRST_WS`` with an empty ``_SpyMap`` and return it."""
+    spy = _SpyMap()
+    monkeypatch.setattr(relax, "_FIRST_WS", spy)
+    return spy
+
+
 class TestFirstWorkingSetCache:
     """A relaxation with every variable free and no warm start prices its
-    first working set once per instance."""
+    first working set once per instance, in ``relax._FIRST_WS``."""
 
     @pytest.mark.parametrize("case,start", [
         pytest.param(lambda v: _ws_case(v, False, 0, 24), 1, id="rounds"),
@@ -1254,6 +1280,7 @@ class TestFirstWorkingSetCache:
             monkeypatch.setattr(relax, "_WS_START", start)
         widths = _count_rounds(monkeypatch, variant)
         shapes = _count_norms(monkeypatch)
+        spy = _spy_first_ws(monkeypatch)
         later = []
         for spec in _path(base):
             first = len(widths)
@@ -1261,9 +1288,28 @@ class TestFirstWorkingSetCache:
             later += widths[first + 1:]
         assert widths[0] < inst.n and (start is None or later)
         assert shapes == [(inst.m, widths[0])] + [(inst.m, w) for w in later]
+        # the first solve fills the entry, and every solve reads it
+        assert spy.log == ["get", "setdefault"] + ["get"] * 3
         # indices and one float per start size, never a column block
-        ((w, lip),) = inst._first_ws.values()
+        ((w, lip),) = spy[inst].values()
         assert w.dtype.kind == "i" and w.size == widths[0] and isinstance(lip, float)
+        assert not w.flags.writeable
+
+    def test_one_entry_per_live_instance_and_start_size(self, monkeypatch):
+        spy = _spy_first_ws(monkeypatch)
+        # two instances of the same data; a card budget of 20 starts on
+        # 40 columns, and reg and a budget of 5 on 32
+        kept, reg, _ = _apg_case("reg", False, 60, 120)
+        dropped = Instance(kept.a, kept.y)
+        for inst in (kept, dropped):
+            for base in (reg, ProblemSpec.card(gamma_zero(inst, 5), 5), ProblemSpec.card(gamma_zero(inst, 20), 20)):
+                for spec in _path(base):
+                    _solve(inst, spec)
+        assert len(spy) == 2 and sorted(spy[kept]) == sorted(spy[dropped]) == [32, 40]
+        # a collected instance leaves no entry, so a long sweep keeps none
+        del inst, dropped
+        gc.collect()
+        assert len(spy) == 1 and next(iter(spy.keys())) is kept
 
     @pytest.mark.parametrize("variant", ["reg", "card"])
     def test_cached_solves_match_a_fresh_instance(self, variant):
@@ -1277,19 +1323,21 @@ class TestFirstWorkingSetCache:
                 (want.objective, want.lower_bound, want.iterations, want.converged)
 
     @pytest.mark.parametrize("variant", ["reg", "card"])
-    def test_fixes_warm_starts_and_lipschitz_skip_the_cache(self, variant):
+    def test_fixes_warm_starts_and_lipschitz_skip_the_cache(self, monkeypatch, variant):
         inst, spec, _ = _apg_case(variant, False, 60, 120)
-        log = []
-        object.__setattr__(inst, "_first_ws", _SpyDict(log))
         free = np.full(inst.n, FixState.FREE, dtype=np.int8)
         warm = _solve(Instance(inst.a, inst.y), spec).x
+        spy = _spy_first_ws(monkeypatch)
         for fixed, state in ((0, FixState.ONE), (3, FixState.ZERO)):
             fixes = free.copy()
             fixes[fixed] = state
             node_relaxation(inst, spec, fixes)
         node_relaxation(inst, spec, free, x_warm=warm)
         node_relaxation(inst, spec, free, lipschitz=_lipschitz(inst.a))
-        assert log == [] and not inst._first_ws
+        assert spy.log == [] and len(spy) == 0
+        # a relaxation with every variable free and neither then fills it
+        node_relaxation(inst, spec, free)
+        assert spy.log == ["get", "setdefault"] and len(spy) == 1
 
     @pytest.mark.parametrize("variant", ["reg", "card"])
     def test_branch_and_bound_after_a_solve_reads_the_cache(self, monkeypatch, variant):
@@ -1300,12 +1348,16 @@ class TestFirstWorkingSetCache:
         spec = ProblemSpec.card(gamma, 5) if variant == "card" else ProblemSpec.reg(gamma, mu)
         widths = _count_rounds(monkeypatch, variant)
         shapes = _count_norms(monkeypatch)
+        spy = _spy_first_ws(monkeypatch)
         rep = screen_report(inst, spec, _solve(inst, spec))
         rounds = len(widths)
+        assert spy.log == ["get", "setdefault"]
         stats = branch_and_bound(inst, spec)
         assert stats.optimal and stats.nodes_explored > 1
         # the root is the same relaxation, and it reads its first working
-        # set and that set's value from the cache the solve filled
+        # set and that set's value from the cache the solve filled; the
+        # nodes below it pass a Lipschitz value and never look
+        assert spy.log == ["get", "setdefault", "get"]
         assert widths[rounds:2 * rounds] == widths[:rounds] and widths[0] < inst.n
         later = [(inst.m, w) for w in widths[1:rounds]]
         assert shapes == [(inst.m, widths[0])] + later + later + [(inst.m, inst.n - rep.n_zero)]
